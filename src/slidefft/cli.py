@@ -164,6 +164,8 @@ def bench_slide_records(pe_counts: list[int], element_counts: list[int],
     """
     from .mesh import SlideDescriptor
 
+    if min(pe_counts) < 1 or min(element_counts) < 1:
+        raise ValueError("PE and element counts must be at least 1")
     records = []
     dtype = np.float32 if element_bits == 32 else np.float64
     for pes in sorted(pe_counts):
@@ -249,8 +251,7 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
         ledgers.append((k, ledger))
         notes.append(
             f"k={k}: moved {ledger.elements_moved} elements "
-            f"(budget {budget.elements_moved}, geometric-sum estimate "
-            f"{budget.geometric_estimate}), deviation "
+            f"(budget {budget.elements_moved}), deviation "
             f"{float(reconcile(predicted, measured)):.4f}"
         )
     if kmin is not None and any(r.status == "infeasible" for r in records):
@@ -272,6 +273,8 @@ def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
 
 def run_verify(max_n: int, seed: int, echo=print) -> bool:
     """Run the verification suites, one pass/fail line each."""
+    if max_n < 2:
+        raise ValueError(f"verify needs n >= 2, got {max_n}")
     sizes = [1 << m for m in range(1, max_n.bit_length())]
     seeds = 10
     ok = True
@@ -366,18 +369,22 @@ def run_predict(cost_model: CostModel, m: int, echo=print) -> None:
 
 # -------------------- wiring --------------------
 
+# Flags that a config file cannot set.
+_FLAG_ONLY = {"help", "config", "csv", "dump_ledger"}
 
-def _build_parser() -> argparse.ArgumentParser:
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers, by command name."""
     parser = argparse.ArgumentParser(
         prog="slidefft",
         description="Cycle-accounted FFT-on-a-mesh simulator and benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=parse_seed, default=None,
+        p.add_argument("--seed", type=parse_seed, default=0,
                        help="64-bit seed for all random inputs (default 0)")
         p.add_argument("--out", default=None, help="write CSV/report here instead of stdout")
-        p.add_argument("--preset", choices=sorted(PRESETS), default=None,
+        p.add_argument("--preset", choices=sorted(PRESETS), default="cs2-calibrated",
                        help="cost preset (default cs2-calibrated)")
         p.add_argument("--csv", action="store_true",
                        help="suppress the stderr summary; emit CSV only")
@@ -386,31 +393,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-check suites")
     common(p)
-    p.add_argument("--n", type=parse_power_of_two, default=None,
+    p.add_argument("--n", type=parse_power_of_two, default=1024,
                    help="largest transform size to check (default 1024)")
 
     p = sub.add_parser("bench-slide", help="cost of single one-hop slides")
     common(p)
-    p.add_argument("--pes", type=parse_int_list, default=None,
+    p.add_argument("--pes", type=parse_int_list, default=[8, 16, 32],
                    help="comma list of PE counts (default 8,16,32)")
-    p.add_argument("--elements", type=parse_int_list, default=None,
+    p.add_argument("--elements", type=parse_int_list, default=list(range(1, 501)),
                    help="elements per PE, e.g. 1..500 (default)")
-    p.add_argument("--element-bits", type=int, choices=(32, 64), default=None,
+    p.add_argument("--element-bits", type=int, choices=(32, 64), default=32,
                    help="element size on the wire (default 32)")
 
     p = sub.add_parser("bench-fft", help="distributed transform across wave lengths")
     common(p)
-    p.add_argument("--n", type=parse_power_of_two, default=None,
+    p.add_argument("--n", type=parse_power_of_two, default=1024,
                    help="transform size (default 1024)")
     p.add_argument("--k", type=parse_int_list, default=None,
                    help="wave lengths log2(PEs), e.g. 0..10 (default all)")
-    p.add_argument("--element-bits", type=int, choices=(32, 64), default=None,
+    p.add_argument("--element-bits", type=int, choices=(32, 64), default=64,
                    help="datum size on the wire (default 64)")
-    p.add_argument("--a", type=parse_rational, default=None,
+    p.add_argument("--a", type=parse_rational, default=Fraction(2),
                    help="model transfer cycles per datum (default 2)")
-    p.add_argument("--b", type=parse_rational, default=None,
-                   help="model cycles per FLOP (default 3)")
-    p.add_argument("--doubled-transfer", action="store_true", default=None,
+    p.add_argument("--b", type=parse_rational, default=Fraction(3),
+                   help="cycles per FLOP, for both the mesh and the model (default 3)")
+    p.add_argument("--doubled-transfer", action="store_true",
                    help="charge the transfer term twice in the prediction")
     p.add_argument("--dump-ledger", action="store_true",
                    help="print each run's ledger as key=value lines on stderr")
@@ -420,37 +427,57 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=parse_power_of_two, default=None,
                    help="transform size 2**m")
     p.add_argument("--m", type=int, default=None, help="number of levels log2(n)")
-    p.add_argument("--a", type=parse_rational, default=None)
-    p.add_argument("--b", type=parse_rational, default=None)
-    p.add_argument("--doubled-transfer", action="store_true", default=None)
+    p.add_argument("--a", type=parse_rational, default=Fraction(2))
+    p.add_argument("--b", type=parse_rational, default=Fraction(3))
+    p.add_argument("--doubled-transfer", action="store_true")
 
-    return parser
-
-
-def _resolve(args: argparse.Namespace, key: str, fallback):
-    """Flag value if given, else config-file value, else fallback."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if args.config_data and key in args.config_data:
-        return args.config_data[key]
-    return fallback
+    return parser, sub.choices
 
 
-def _load_config(args: argparse.Namespace) -> None:
-    args.config_data = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise UsageError("config file must hold a JSON object")
-        args.config_data = {k.replace("-", "_"): v for k, v in data.items()}
+def _config_value(action: argparse.Action, value):
+    """Parse one config value with its flag's own type and choices.
+
+    Switches take true or false and plain-text flags take strings.  Flags
+    with a parser take a number, or an integer list for list flags, read as
+    the flag's text, so 0.3 means 3/10.
+    """
+    text = value
+    if action.nargs == 0:
+        fits = isinstance(value, bool)
+    elif action.type is None:
+        fits = isinstance(value, str)
+    elif isinstance(value, list):
+        fits, text = action.type is parse_int_list, ",".join(map(str, value))
+    else:
+        fits, text = type(value) in (int, float), str(value)
+    if not fits:
+        raise UsageError(f"config key {action.dest!r} cannot take {json.dumps(value)}")
+    try:
+        parsed = action.type(text) if action.type else text
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise UsageError(f"config key {action.dest!r}: {exc}") from None
+    if action.choices is not None and parsed not in action.choices:
+        raise UsageError(f"config key {action.dest!r}: {parsed!r} is not one of "
+                         f"{', '.join(map(str, action.choices))}")
+    return parsed
+
+
+def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
+    """The config file's values for the flags ``command`` knows; other keys
+    are ignored."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise UsageError("config file must hold a JSON object")
+    data = {k.replace("-", "_"): v for k, v in data.items()}
+    return {action.dest: _config_value(action, data[action.dest])
+            for action in command._actions
+            if action.dest in data and action.dest not in _FLAG_ONLY}
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    out = _resolve(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -462,66 +489,51 @@ def _summarize(args: argparse.Namespace, lines: list[str]) -> None:
             print(line, file=sys.stderr)
 
 
-def _mesh_kwargs(args: argparse.Namespace) -> dict:
-    preset = _resolve(args, "preset", "cs2-calibrated")
-    kwargs = dict(PRESETS[preset])
-    b = getattr(args, "b", None)
-    if b is None:
-        b = args.config_data.get("b")
-        b = Fraction(b) if b is not None else None
-    if b is not None:
-        kwargs["cycles_per_flop"] = Fraction(b)
-    return kwargs
-
-
 def _cost_model(args: argparse.Namespace) -> CostModel:
-    a = _resolve(args, "a", Fraction(2))
-    b = _resolve(args, "b", Fraction(3))
-    doubled = _resolve(args, "doubled_transfer", False)
-    return CostModel(a=Fraction(a), b=Fraction(b), doubled_transfer=bool(doubled))
+    return CostModel(a=args.a, b=args.b, doubled_transfer=args.doubled_transfer)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        _load_config(args)
-        seed = _resolve(args, "seed", 0)
+        if args.config:
+            # Config values become the subcommand's defaults, so flags win.
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(args.config, command))
+            args = parser.parse_args(argv)
 
         if args.command == "verify":
-            max_n = _resolve(args, "n", 1024)
             lines: list[str] = []
-            passed = run_verify(max_n, seed, echo=lines.append)
+            passed = run_verify(args.n, args.seed, echo=lines.append)
             _emit(args, "\n".join(lines) + "\n")
             return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
         if args.command == "bench-slide":
-            pes = _resolve(args, "pes", [8, 16, 32])
-            elements = _resolve(args, "elements", list(range(1, 501)))
-            bits = _resolve(args, "element_bits", 32)
-            records = bench_slide_records(pes, elements, bits, _mesh_kwargs(args), seed)
+            records = bench_slide_records(args.pes, args.elements, args.element_bits,
+                                          dict(PRESETS[args.preset]), args.seed)
             _emit(args, records_to_csv(records))
             _summarize(args, [f"bench-slide: {len(records)} rows, "
-                              f"pe counts {pes}, element bits {bits}"])
+                              f"pe counts {args.pes}, element bits {args.element_bits}"])
             if all(r.status != "ok" for r in records):
                 return EXIT_INFEASIBLE
             return EXIT_OK
 
         if args.command == "bench-fft":
-            n = _resolve(args, "n", 1024)
+            n = args.n
             m = n.bit_length() - 1
             if m < 1:
                 raise UsageError("transform needs at least 2 points")
-            k_values = _resolve(args, "k", list(range(m + 1)))
-            bits = _resolve(args, "element_bits", 64)
+            k_values = args.k if args.k is not None else list(range(m + 1))
+            mesh_kwargs = dict(PRESETS[args.preset], cycles_per_flop=args.b)
             records, notes, ledgers = bench_fft_records(
-                n, k_values, bits, _mesh_kwargs(args), _cost_model(args), seed)
+                n, k_values, args.element_bits, mesh_kwargs, _cost_model(args), args.seed)
             _emit(args, records_to_csv(records))
             _summarize(args, [f"bench-fft: n={n}, k in {k_values}"] + notes)
-            if getattr(args, "dump_ledger", False) and not args.csv:
+            if args.dump_ledger and not args.csv:
                 for k, ledger in ledgers:
                     print(f"# ledger k={k}", file=sys.stderr)
                     print(ledger.dump(), file=sys.stderr)
@@ -530,8 +542,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "predict":
-            m = _resolve(args, "m", None)
-            n = _resolve(args, "n", None)
+            m, n = args.m, args.n
             if m is None and n is None:
                 raise UsageError("predict needs --m or --n")
             if m is None:

@@ -1,10 +1,9 @@
-"""Serial radix-2 FFT built from explicit index permutations and segment crossings.
+"""Serial radix-2 FFT built from one bit-reversal permutation and segment crossings.
 
 The transform is organized the way the distributed engine in :mod:`slidefft.wave`
-expects it: the input is first reordered by a permutation built from repeated
-even/odd partitioning (equivalently, bit reversal), then ``log2(n)`` levels of
-crossings merge adjacent segment pairs of doubling size.  A brute-force
-O(n^2) DFT is provided as the verification oracle.
+expects it: the input is first reordered by the bit-reversal permutation, then
+``log2(n)`` levels of crossings merge adjacent segment pairs of doubling size.
+A brute-force O(n^2) DFT is provided as the verification oracle.
 
 All transforms operate on the last axis, so a batch of inputs can be shaped
 ``(batch, n)`` and processed in one call.
@@ -54,7 +53,7 @@ def bit_reverse_index(i: int, m: int) -> int:
     """Reverse the m-bit binary representation of i.
 
     Written as a direct bit loop so it stays independent of the
-    partition-based table construction it is used to verify.
+    doubling construction in :func:`build_permutation` it is used to verify.
     """
     if m < 0:
         raise ValueError("bit width must be non-negative")
@@ -69,46 +68,31 @@ def bit_reverse_index(i: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class PermutationTable:
-    """Index layouts for each level of the transform.
-
-    ``rows[p-1]`` is the index sequence at level p; row 1 is the identity and
-    the final row is the bit-reversal permutation.  ``lookup`` holds the
-    inverse of each row: ``lookup[p-1][rows[p-1][i]] == i``.
-    """
+    """Input order of a 2**m-point transform: ``final_row[i]`` is i with its
+    m bits reversed, so ``x[final_row]`` is what the first level reads."""
 
     m: int
     n: int
-    rows: np.ndarray
-    lookup: np.ndarray
-
-    @property
-    def final_row(self) -> np.ndarray:
-        return self.rows[-1]
+    final_row: np.ndarray
 
 
-@lru_cache(maxsize=None)
 def build_permutation(m: int) -> PermutationTable:
-    """Build the level-by-level input permutation for a 2**m-point transform.
+    """Build the bit-reversal permutation of a 2**m-point transform in O(n).
 
-    Each row is produced from the previous one by splitting segments of size
-    n / 2**(p-1) into their even-indexed entries followed by their
-    odd-indexed entries.
+    Each doubling step maps a reversed (j-1)-bit row r to the reversed j-bit
+    row (2r, 2r + 1), written in place into the front of one array.
     """
     if m < 1:
         raise ValueError("need at least one level (m >= 1)")
     n = 1 << m
-    rows = np.empty((m, n), dtype=np.int64)
-    rows[0] = np.arange(n)
-    for p in range(1, m):
-        seg = n >> (p - 1)
-        prev = rows[p - 1].reshape(n // seg, seg)
-        rows[p] = np.concatenate([prev[:, 0::2], prev[:, 1::2]], axis=1).reshape(n)
-    lookup = np.empty_like(rows)
-    for p in range(m):
-        lookup[p] = np.argsort(rows[p])
-    rows.setflags(write=False)
-    lookup.setflags(write=False)
-    return PermutationTable(m=m, n=n, rows=rows, lookup=lookup)
+    row = np.zeros(n, dtype=np.int64)
+    size = 1
+    for _ in range(m):
+        np.multiply(row[:size], 2, out=row[:size])
+        np.add(row[:size], 1, out=row[size : 2 * size])
+        size *= 2
+    row.setflags(write=False)
+    return PermutationTable(m=m, n=n, final_row=row)
 
 
 @dataclass(frozen=True)
@@ -158,7 +142,7 @@ def crossing(e, o, twiddles, counter: FlopCounter | None = None):
 def fft_serial(x, counter: FlopCounter | None = None, dtype=np.complex128) -> np.ndarray:
     """Radix-2 decimation-in-time FFT over the last axis.
 
-    The input is permuted by the final row of :func:`build_permutation`, then
+    The input is permuted by the bit-reversal row of :func:`build_permutation`, then
     levels p = m .. 1 merge segment pairs of size N = 2, 4, ..., n.  Total
     booked FLOPs come to exactly 5 * n * log2(n).  ``dtype`` may be set to
     ``numpy.complex64`` for single-precision arithmetic; cost accounting is

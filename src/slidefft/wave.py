@@ -73,15 +73,10 @@ class TransferBudget:
     """Predicted slide volume for one run.
 
     ``elements_moved`` is what the overlay schedule books: every sliding
-    level moves n/2 elements out and n/2 back.  ``geometric_estimate`` is the
-    coarser closed form 2*(n-1) obtained by summing single-crossing segment
-    sizes n/2 + n/4 + ... + 1 over levels and doubling for the return trip;
-    it tracks slide distances rather than volume and is exposed for
-    comparison only.
+    level moves n/2 elements out and n/2 back.
     """
 
     elements_moved: int
-    geometric_estimate: int
     sliding_levels: int
 
 
@@ -303,13 +298,9 @@ def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndar
 
 def transfer_budget(layout: WaveLayout) -> TransferBudget:
     """Predicted elements moved (forward plus backward) by the overlay
-    schedule, alongside the geometric closed-form estimate."""
+    schedule."""
     sliding = sum(1 for level in level_plan(layout) if not level.local)
-    return TransferBudget(
-        elements_moved=sliding * layout.n,
-        geometric_estimate=2 * (layout.n - 1),
-        sliding_levels=sliding,
-    )
+    return TransferBudget(elements_moved=sliding * layout.n, sliding_levels=sliding)
 
 
 def measure_efficiency(ledger) -> EfficiencyReport:

@@ -200,3 +200,37 @@ def test_bench_fft_single_pe_efficiency_is_one(capsys):
     _, out, _ = run(capsys, "bench-fft", "--n", "256", "--k", "0", "--csv")
     row = out.strip().splitlines()[1].split(",")
     assert row[8] == "1.000000"
+
+
+@pytest.mark.parametrize("command,settings", [
+    ("bench-slide", {"pes": "8,16"}),
+    ("bench-fft", {"n": "1024"}),
+])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, settings):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps(settings))
+    code, out, err = run(capsys, command, "--config", str(config), "--csv")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: config key")
+
+
+def test_config_b_matches_flag_b(tmp_path, capsys):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"b": 0.3}))
+    _, from_config, _ = run(capsys, "predict", "--m", "10", "--config", str(config))
+    _, from_flag, _ = run(capsys, "predict", "--m", "10", "--b", "0.3")
+    assert "b = 3/10" in from_flag
+    assert from_config == from_flag
+    fft = ("bench-fft", "--n", "64", "--k", "3", "--csv")
+    assert run(capsys, *fft, "--config", str(config))[1] == run(capsys, *fft, "--b", "0.3")[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "1"),
+    ("bench-slide", "--elements", "0"),
+])
+def test_degenerate_sizes_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and err.startswith("error:")
