@@ -27,7 +27,7 @@ import numpy as np
 
 from .mesh import CapacityExceeded, MeshConfig, PRESETS, mesh_create, preset_config
 from .model import CostModel, check_margin, flops_per_transform, predict_efficiency, reconcile
-from .serial import bit_reverse_index, build_permutation, dft_oracle, fft_serial, FlopCounter
+from .serial import bit_reverse_index, build_permutation, dft_oracle, fft_serial
 from .wave import (distribute, measure_efficiency, min_feasible_k, plan_wave,
                    slide_fft, transfer_budget)
 
@@ -215,8 +215,7 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
     """
     m = n.bit_length() - 1
     predicted = predict_efficiency(cost_model, n, m)
-    kmin = min_feasible_k(n, element_bits,
-                          config_kwargs.get("local_memory_bytes", 49152))
+    kmin = min_feasible_k(n, element_bits, MeshConfig(**config_kwargs).local_memory_bytes)
     records, notes, ledgers = [], [], []
     x = random_batch(seed, 1, n)[0]
     for k in sorted(k_values):
@@ -248,7 +247,7 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
             eta_measured=measured.eta,
             eta_predicted=predicted.eta,
         ))
-        ledgers.append((k, ledger))
+        ledgers.append((k, ledger, mesh.wall_clock_cycles))
         notes.append(
             f"k={k}: moved {ledger.elements_moved} elements "
             f"(budget {budget.elements_moved}), deviation "
@@ -534,9 +533,10 @@ def main(argv=None) -> int:
             _emit(args, records_to_csv(records))
             _summarize(args, [f"bench-fft: n={n}, k in {k_values}"] + notes)
             if args.dump_ledger and not args.csv:
-                for k, ledger in ledgers:
+                for k, ledger, wall in ledgers:
                     print(f"# ledger k={k}", file=sys.stderr)
                     print(ledger.dump(), file=sys.stderr)
+                    print(f"wall_clock_cycles={wall}", file=sys.stderr)
             if all(r.status != "ok" for r in records):
                 return EXIT_INFEASIBLE
             return EXIT_OK

@@ -23,7 +23,7 @@ clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -162,9 +162,8 @@ class CycleLedger:
         return replace(self)
 
     def dump(self) -> str:
-        """Flat key=value block with one counter per line."""
-        keys = ("compute_cycles", "transfer_cycles", "ramp_cycles", "flops", "element_hops")
-        return "\n".join(f"{k}={getattr(self, k)}" for k in keys)
+        """Flat key=value block with one counter per line, every field."""
+        return "\n".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -290,16 +289,18 @@ class Mesh:
         All descriptors move together; the phase's wall clock is the maximum
         per-PE time over every participant and is booked once (transfer plus
         one ramp charge).  The move is atomic: capacity and grid checks pass
-        for every destination before any data is touched.
+        for every destination before any data is touched.  Each (PE, name)
+        may be lifted by at most one descriptor and landed on by at most one,
+        so a phase can neither drop nor duplicate a block.
         """
         moves = []       # (src_pe, dst_pe, name, dest_name, stored)
         deltas: dict[tuple[int, int], int] = {}
-        departing: dict[tuple[int, int], set[str]] = {}
+        lifted: set[tuple[tuple[int, int], str]] = set()
+        landing: set[tuple[tuple[int, int], str]] = set()
         max_time = Fraction(0)
         elements = 0
         hops_total = 0
         participants = 0
-        any_motion = False
 
         for desc in descs:
             if desc.col_stop <= desc.col_start:
@@ -322,8 +323,13 @@ class Mesh:
                         f"{desc.name!r} on PE {src} is stored as {stored.element_bits}-bit "
                         f"elements, descriptor says {desc.element_bits}"
                     )
+                if (src, desc.name) in lifted:
+                    raise ValueError(f"{desc.name!r} on PE {src} is lifted by two slides")
+                if (dst, dest_name) in landing:
+                    raise ValueError(f"two slides land on {dest_name!r} at PE {dst}")
+                lifted.add((src, desc.name))
+                landing.add((dst, dest_name))
                 moves.append((src, dst, desc.name, dest_name, stored))
-                departing.setdefault(src, set()).add(desc.name)
                 if d > 0:
                     deltas[src] = deltas.get(src, 0) - stored.model_bytes
                     deltas[dst] = deltas.get(dst, 0) + stored.model_bytes
@@ -333,7 +339,6 @@ class Mesh:
                     elements += stored.count
                     hops_total += stored.count * d
                     participants += 1
-                    any_motion = True
 
         for pe, delta in deltas.items():
             if self._used.get(pe, 0) + delta > self.config.local_memory_bytes:
@@ -341,21 +346,19 @@ class Mesh:
                     f"PE {pe}: incoming slide data would exceed "
                     f"{self.config.local_memory_bytes} B of local memory"
                 )
-        for src, dst, name, dest_name, stored in moves:
-            if dest_name in self._stores.get(dst, {}) and dest_name not in departing.get(dst, set()):
+        for _, dst, _, dest_name, _ in moves:
+            if dest_name in self._stores.get(dst, {}) and (dst, dest_name) not in lifted:
                 raise ValueError(f"PE {dst} already holds an array named {dest_name!r}")
 
         # Commit: lift every source, then land every destination.
-        for src, _, name, _, _ in moves:
-            slot = self._stores[src]
-            if name in slot:
-                stored = slot.pop(name)
-                self._used[src] -= stored.model_bytes
+        for src, _, name, _, stored in moves:
+            del self._stores[src][name]
+            self._used[src] -= stored.model_bytes
         for _, dst, _, dest_name, stored in moves:
             self._stores.setdefault(dst, {})[dest_name] = stored
             self._used[dst] = self._used.get(dst, 0) + stored.model_bytes
 
-        if not any_motion:
+        if not participants:
             return PhaseReport(Fraction(0), 0, 0, 0, 0, 0, 0)
 
         ramp_booked = self.config.ramp_cycles

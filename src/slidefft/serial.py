@@ -113,9 +113,18 @@ def twiddle_table(N: int) -> TwiddleTable:
     return TwiddleTable(N=N, factors=factors)
 
 
-def _butterfly(e: np.ndarray, o: np.ndarray, u: np.ndarray):
+def butterfly(e: np.ndarray, o: np.ndarray, u: np.ndarray):
+    """L = E + U*O and R = E - U*O, the one arithmetic step of every level."""
     op = u * o
     return e + op, e - op
+
+
+def merge_level(y: np.ndarray, N: int, u: np.ndarray) -> np.ndarray:
+    """Merge every adjacent segment pair of size N along the last axis of y,
+    writing each pair's L over its first half and R over its second."""
+    v = y.reshape(y.shape[:-1] + (y.shape[-1] // N, N))
+    l, r = butterfly(v[..., : N // 2], v[..., N // 2 :], u)
+    return np.concatenate([l, r], axis=-1).reshape(y.shape)
 
 
 def crossing(e, o, twiddles, counter: FlopCounter | None = None):
@@ -133,7 +142,7 @@ def crossing(e, o, twiddles, counter: FlopCounter | None = None):
             f"segment length mismatch: E has {e.shape[-1]}, O has {o.shape[-1]}, "
             f"twiddles expect {half}"
         )
-    l, r = _butterfly(e, o, factors)
+    l, r = butterfly(e, o, factors)
     if counter is not None:
         counter.add(FLOPS_PER_PAIR * half)
     return l, r
@@ -160,9 +169,7 @@ def fft_serial(x, counter: FlopCounter | None = None, dtype=np.complex128) -> np
         u = twiddle_table(N).factors
         if dtype != np.complex128:
             u = u.astype(dtype)
-        v = y.reshape(y.shape[:-1] + (n // N, N))
-        l, r = _butterfly(v[..., : N // 2], v[..., N // 2 :], u)
-        y = np.concatenate([l, r], axis=-1).reshape(y.shape)
+        y = merge_level(y, N, u)
         if counter is not None:
             counter.add(FLOPS_PER_PAIR * (n // 2))
         N *= 2

@@ -2,14 +2,20 @@
 
 A transform of n = 2**m points runs on a wave of 2**k consecutive PEs in one
 grid row, each holding 2**(m-k) elements of the permuted input as one
-contiguous block.  Levels whose segment pairs fit inside a PE run locally;
-at the remaining levels the odd segments slide onto the even segments' PEs,
-the crossings are computed there, and the R outputs slide back (the overlay
-strategy).  A ``midpoint`` flag instead slides both halves to meet halfway.
+contiguous block.  Levels whose segment pairs fit inside a PE run locally.
+At each remaining level every crossing's E segment slides right by a shift
+and its O segment left by span - shift, the crossings are computed where
+they meet, and both halves slide back.  The shift is the whole schedule: 0
+is the overlay (O lands on E, E stays put), span // 2 the midpoint
+(``midpoint=True``, both halves meet halfway).  Across m <= 12 under the
+default cs2-calibrated costs the midpoint never takes longer and is often
+much faster (1424 vs 2446 wall-clock cycles at n=1024, k=10), but moves up
+to 1.9x the elements; under pure-packet both cost the same.
+:func:`transfer_budget` describes the overlay.
 
-Each PE needs room for three buffers of its block size (resident data,
-incoming segment, staged output), which bounds the feasible wave lengths for
-a given local memory size.
+Planning reserves three buffers of the block size per PE, which bounds the
+feasible wave lengths for a given local memory size.  A level holds at most
+two at once (resident block and incoming segment); the third is headroom.
 
 Values are carried in double precision regardless of the modeled wire size
 ``element_bits`` (64 bits models a complex single-precision datum).  Inputs
@@ -27,14 +33,13 @@ import numpy as np
 
 from .mesh import CapacityExceeded, Mesh, OffGridError, SlideDescriptor
 from .model import EfficiencyReport
-from .serial import FLOPS_PER_PAIR, build_permutation, log2_exact, twiddle_table
+from .serial import (FLOPS_PER_PAIR, build_permutation, butterfly, log2_exact,
+                     merge_level, twiddle_table)
 
-# Resident block + incoming segment + staged output must fit at once.
+# Block-size buffers reserved per PE: two in use at once, plus headroom.
 BUFFER_FACTOR = 3
 
 _INCOMING = "__incoming"
-_OUTBOUND = "__outbound"
-_MIDPOINT = "__e_mid"
 
 
 @dataclass(frozen=True)
@@ -164,118 +169,50 @@ def gather(layout: WaveLayout, mesh: Mesh) -> np.ndarray:
 
 
 def _run_local_level(mesh: Mesh, layout: WaveLayout, N: int, factors: np.ndarray) -> None:
-    e = layout.elements_per_pe
     for j in range(layout.pe_count):
         pe = layout.pe(j)
         shard = np.asarray(mesh.pe_fetch(pe, layout.name))
-        v = shard.reshape(shard.shape[:-1] + (e // N, N))
-        ev, ov = v[..., : N // 2], v[..., N // 2 :]
-        op = factors * ov
-        out = np.concatenate([ev + op, ev - op], axis=-1).reshape(shard.shape)
-        mesh.pe_update(pe, layout.name, out)
+        mesh.pe_update(pe, layout.name, merge_level(shard, N, factors))
     mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
-                        max_flops_per_pe=FLOPS_PER_PAIR * (e // 2))
+                        max_flops_per_pe=FLOPS_PER_PAIR * (layout.elements_per_pe // 2))
 
 
 def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
                        factors: np.ndarray, midpoint: bool) -> None:
-    N = level.segment_pair
+    """Each crossing's E segment (PEs base .. base+span-1) slides right by
+    ``shift`` and its O segment left by ``span - shift``; on the PEs where
+    they meet L overwrites E and R overwrites O, and both slide back.
+    ``shift`` is span // 2 for the midpoint (0 at span 1), 0 for the overlay.
+    """
     e = layout.elements_per_pe
-    span = (N // 2) // e          # PEs per segment; also the hop distance
+    span = (level.segment_pair // 2) // e    # PEs per segment
+    shift = span // 2 if midpoint else 0
     row, col0 = layout.origin
+    bases = range(col0, col0 + layout.pe_count, 2 * span)
 
-    if midpoint:
-        _run_midpoint_level(mesh, layout, level, factors)
-        return
+    def phase(legs):
+        # Zero-hop legs stay out of the phase: a rename would only add moves.
+        mesh.slide_phase([
+            SlideDescriptor(row=row, col_start=base + offset, col_stop=base + offset + span,
+                            name=name, displacement=(0, d_col),
+                            element_bits=layout.element_bits, dest_name=dest_name)
+            for base in bases for offset, name, dest_name, d_col in legs if d_col
+        ])
 
-    # Overlay: every crossing's O segment slides span PEs left onto its E
-    # segment's PEs; all crossings of the level move as one phase.
-    forward = [
-        SlideDescriptor(row=row,
-                        col_start=col0 + c * 2 * span + span,
-                        col_stop=col0 + (c + 1) * 2 * span,
-                        name=layout.name,
-                        displacement=(0, -span),
-                        element_bits=layout.element_bits,
-                        dest_name=_INCOMING)
-        for c in range(level.crossings)
-    ]
-    mesh.slide_phase(forward)
-
-    for c in range(level.crossings):
+    phase([(0, layout.name, layout.name, shift),
+           (span, layout.name, _INCOMING, shift - span)])
+    for base in bases:
         for t in range(span):
-            pe = layout.pe(c * 2 * span + t)
-            ev = np.asarray(mesh.pe_fetch(pe, layout.name))
-            ov = np.asarray(mesh.pe_fetch(pe, _INCOMING))
-            u = factors[t * e : (t + 1) * e]
-            op = u * ov
-            mesh.pe_update(pe, layout.name, ev + op)           # L stays in place
-            mesh.pe_store(pe, _OUTBOUND, ev - op, element_bits=layout.element_bits)
-            mesh.pe_delete(pe, _INCOMING)
+            pe = (row, base + shift + t)
+            l, r = butterfly(np.asarray(mesh.pe_fetch(pe, layout.name)),
+                             np.asarray(mesh.pe_fetch(pe, _INCOMING)),
+                             factors[t * e : (t + 1) * e])
+            mesh.pe_update(pe, layout.name, l)
+            mesh.pe_update(pe, _INCOMING, r)
     mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
                         max_flops_per_pe=FLOPS_PER_PAIR * e)
-
-    backward = [
-        SlideDescriptor(row=row,
-                        col_start=col0 + c * 2 * span,
-                        col_stop=col0 + c * 2 * span + span,
-                        name=_OUTBOUND,
-                        displacement=(0, span),
-                        element_bits=layout.element_bits,
-                        dest_name=layout.name)
-        for c in range(level.crossings)
-    ]
-    mesh.slide_phase(backward)
-
-
-def _run_midpoint_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
-                        factors: np.ndarray) -> None:
-    """Literal meeting-in-the-middle: E slides right and O slides left by
-    span/2 each, the crossings run on the overlap, and both halves return.
-    Falls back to the overlay move at span 1, where halfway is not a whole
-    hop."""
-    N = level.segment_pair
-    e = layout.elements_per_pe
-    span = (N // 2) // e
-    if span == 1:
-        _run_sliding_level(mesh, layout, level, factors, midpoint=False)
-        return
-    half = span // 2
-    row, col0 = layout.origin
-
-    phase = []
-    for c in range(level.crossings):
-        base = col0 + c * 2 * span
-        phase.append(SlideDescriptor(row=row, col_start=base, col_stop=base + span,
-                                     name=layout.name, displacement=(0, half),
-                                     element_bits=layout.element_bits, dest_name=_MIDPOINT))
-        phase.append(SlideDescriptor(row=row, col_start=base + span, col_stop=base + 2 * span,
-                                     name=layout.name, displacement=(0, -half),
-                                     element_bits=layout.element_bits, dest_name=_INCOMING))
-    mesh.slide_phase(phase)
-
-    for c in range(level.crossings):
-        for t in range(span):
-            pe = layout.pe(c * 2 * span + half + t)
-            ev = np.asarray(mesh.pe_fetch(pe, _MIDPOINT))
-            ov = np.asarray(mesh.pe_fetch(pe, _INCOMING))
-            u = factors[t * e : (t + 1) * e]
-            op = u * ov
-            mesh.pe_update(pe, _MIDPOINT, ev + op)
-            mesh.pe_update(pe, _INCOMING, ev - op)
-    mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
-                        max_flops_per_pe=FLOPS_PER_PAIR * e)
-
-    phase = []
-    for c in range(level.crossings):
-        base = col0 + c * 2 * span
-        phase.append(SlideDescriptor(row=row, col_start=base + half, col_stop=base + span + half,
-                                     name=_MIDPOINT, displacement=(0, -half),
-                                     element_bits=layout.element_bits, dest_name=layout.name))
-        phase.append(SlideDescriptor(row=row, col_start=base + half, col_stop=base + span + half,
-                                     name=_INCOMING, displacement=(0, half),
-                                     element_bits=layout.element_bits, dest_name=layout.name))
-    mesh.slide_phase(phase)
+    phase([(shift, layout.name, layout.name, -shift),
+           (shift, _INCOMING, layout.name, span - shift)])
 
 
 def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndarray:
@@ -286,13 +223,12 @@ def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndar
     length), with all compute, transfer, and ramp cycles booked to the
     mesh's ledger.
     """
-    if layout.m >= 1:
-        for level in level_plan(layout):
-            factors = twiddle_table(level.segment_pair).factors
-            if level.local:
-                _run_local_level(mesh, layout, level.segment_pair, factors)
-            else:
-                _run_sliding_level(mesh, layout, level, factors, midpoint)
+    for level in level_plan(layout):
+        factors = twiddle_table(level.segment_pair).factors
+        if level.local:
+            _run_local_level(mesh, layout, level.segment_pair, factors)
+        else:
+            _run_sliding_level(mesh, layout, level, factors, midpoint)
     return gather(layout, mesh)
 
 

@@ -112,6 +112,8 @@ def test_bench_fft_ledger_dump(capsys):
                     "--dump-ledger")
     assert "# ledger k=2" in err
     assert "compute_cycles=" in err
+    assert "elements_moved=128" in err
+    assert "wall_clock_cycles=2082" in err
 
 
 def test_predict_reference_point(capsys):

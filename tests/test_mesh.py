@@ -4,13 +4,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slidefft.mesh import (CapacityExceeded, MeshConfig, OffGridError,
+from slidefft.mesh import (CapacityExceeded, MeshConfig, MeshError, OffGridError,
                            SlideDescriptor, mesh_create, preset_config)
 
 
 def one_row_mesh(cols, **overrides):
     return mesh_create(MeshConfig(rows=1, cols=cols, **overrides))
+
+
+def mesh_state(mesh):
+    """Every stored block (by identity), every PE's usage, ledger and wall clock."""
+    stores = {pe: {name: (id(stored.data), stored.count, stored.element_bits)
+                   for name, stored in slot.items()}
+              for pe, slot in mesh._stores.items() if slot}
+    used = {pe: mesh.pe_used(pe) for pe in stores}
+    return stores, used, mesh.ledger_report(), mesh.wall_clock_cycles
 
 
 class TestStorage:
@@ -165,6 +175,92 @@ class TestSlide:
         ])
         assert mesh.ledger_report().ramp_cycles == 3
 
+    def test_two_slides_landing_on_one_name_raise(self):
+        """Two blocks slid onto PE (0, 1) as "x" would leave one of them lost."""
+        mesh = one_row_mesh(3)
+        for col in (0, 2):
+            mesh.pe_store((0, col), "x", np.zeros(8, np.float32), element_bits=32)
+        before = mesh_state(mesh)
+        with pytest.raises(ValueError, match="two slides land"):
+            mesh.slide_phase([
+                SlideDescriptor(row=0, col_start=0, col_stop=1, name="x",
+                                displacement=(0, 1), element_bits=32),
+                SlideDescriptor(row=0, col_start=2, col_stop=3, name="x",
+                                displacement=(0, -1), element_bits=32),
+            ])
+        assert mesh_state(mesh) == before
+
+    def test_one_block_lifted_twice_raises(self):
+        """Lifting PE (0, 1)'s "x" twice would copy it onto PEs 0 and 2."""
+        mesh = one_row_mesh(3)
+        mesh.pe_store((0, 1), "x", np.zeros(8, np.float32), element_bits=32)
+        before = mesh_state(mesh)
+        with pytest.raises(ValueError, match="lifted by two slides"):
+            mesh.slide_phase([
+                SlideDescriptor(row=0, col_start=1, col_stop=2, name="x",
+                                displacement=(0, 1), element_bits=32),
+                SlideDescriptor(row=0, col_start=1, col_stop=2, name="x",
+                                displacement=(0, -1), element_bits=32),
+            ])
+        assert mesh_state(mesh) == before
+
+
+@st.composite
+def meshes_and_phases(draw):
+    """A small grid with random named blocks, and up to three random slides.
+
+    Names, spans and displacements are drawn from small sets so that phases
+    often collide, overlap, fan out or leave the grid.
+    """
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    bits = draw(st.sampled_from([8, 32]))
+    other_bits = 40 - bits    # the other of 8 and 32, for mismatched descriptors
+    mesh = mesh_create(MeshConfig(rows=rows, cols=cols,
+                                  local_memory_bytes=draw(st.sampled_from([16, 256]))))
+    for pe in [(r, c) for r in range(rows) for c in range(cols)]:
+        for name in ("a", "b"):
+            if draw(st.integers(0, 3)):
+                try:
+                    mesh.pe_store(pe, name, np.zeros(draw(st.integers(1, 4))),
+                                  element_bits=bits)
+                except CapacityExceeded:
+                    pass
+
+    @st.composite
+    def descriptor(draw):
+        start = draw(st.integers(0, cols - 1))
+        return SlideDescriptor(
+            row=draw(st.integers(0, rows - 1)),
+            col_start=start,
+            col_stop=draw(st.integers(start + 1, cols)),
+            name=draw(st.sampled_from(["a", "b"])),
+            displacement=(draw(st.integers(1 - rows, rows - 1)),
+                          draw(st.integers(-cols, cols))),
+            element_bits=draw(st.sampled_from([bits, bits, bits, other_bits])),
+            dest_name=draw(st.sampled_from([None, "a", "b"])),
+        )
+
+    return mesh, draw(st.lists(descriptor(), min_size=1, max_size=3))
+
+
+class TestSlideProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(meshes_and_phases())
+    def test_phase_conserves_or_changes_nothing(self, case):
+        mesh, descs = case
+        before = mesh_state(mesh)
+        try:
+            mesh.slide_phase(descs)
+        except (MeshError, KeyError, ValueError):
+            assert mesh_state(mesh) == before
+            return
+        def blocks(stores):
+            return sorted(b for slot in stores.values() for b in slot.values())
+
+        assert blocks(mesh_state(mesh)[0]) == blocks(before[0])
+        for pe, slot in mesh._stores.items():
+            assert mesh.pe_used(pe) == sum(s.model_bytes for s in slot.values())
+
 
 class TestLedger:
     def test_fresh_mesh_ledger_is_zero(self):
@@ -182,11 +278,12 @@ class TestLedger:
         lines = mesh.ledger_report().dump().splitlines()
         keys = [line.split("=")[0] for line in lines]
         assert keys == ["compute_cycles", "transfer_cycles", "ramp_cycles",
-                        "flops", "element_hops"]
+                        "flops", "element_hops", "elements_moved"]
         values = {line.split("=")[0]: int(line.split("=")[1]) for line in lines}
         assert values["flops"] == 50
         assert values["ramp_cycles"] == 3
         assert values["element_hops"] == 10
+        assert values["elements_moved"] == 10
 
     def test_identical_histories_identical_ledgers(self):
         def run():

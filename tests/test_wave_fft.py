@@ -133,6 +133,23 @@ class TestTransformAcrossWaveLengths:
         np.testing.assert_array_equal(halfway, overlay)
 
 
+# (n, k, midpoint, wall, transfer, ramp, compute, moved, hops), recorded from
+# the per-PE engine under the default cost parameters with 64-bit elements.
+PINNED = [
+    (64, 0, False, 5760, 0, 0, 5760, 0, 0),
+    (64, 1, False, 3514, 148, 6, 5760, 64, 64),
+    (64, 2, False, 2082, 150, 12, 5760, 128, 192),
+    (64, 3, False, 1220, 122, 18, 5760, 192, 448),
+    (64, 4, False, 726, 102, 24, 5760, 256, 960),
+    (64, 5, False, 462, 102, 30, 5760, 320, 1984),
+    (64, 6, False, 366, 150, 36, 5760, 384, 4032),
+    (1024, 10, False, 2446, 2086, 60, 153600, 10240, 1047552),
+    (64, 3, True, 1214, 116, 18, 5760, 320, 448),
+    (256, 4, True, 3208, 304, 24, 30720, 1792, 3840),
+    (1024, 10, True, 1424, 1064, 60, 153600, 19456, 1047552),
+]
+
+
 class TestAccounting:
     def test_single_pe_run_books_no_transfer(self):
         x = complex_input(3, 512)
@@ -167,19 +184,14 @@ class TestAccounting:
         budget = transfer_budget(plan_wave(1 << m, k, 64, mesh2))
         assert mesh.ledger_report().elements_moved == budget.elements_moved
 
-    # Recorded from the per-PE engine under the default cost parameters.
-    @pytest.mark.parametrize("n,k,wall,transfer,ramp,compute,moved,hops", [
-        (64, 0, 5760, 0, 0, 5760, 0, 0),
-        (64, 1, 3514, 148, 6, 5760, 64, 64),
-        (64, 2, 2082, 150, 12, 5760, 128, 192),
-        (64, 3, 1220, 122, 18, 5760, 192, 448),
-        (64, 4, 726, 102, 24, 5760, 256, 960),
-        (64, 5, 462, 102, 30, 5760, 320, 1984),
-        (64, 6, 366, 150, 36, 5760, 384, 4032),
-        (1024, 10, 2446, 2086, 60, 153600, 10240, 1047552),
-    ])
-    def test_ledger_is_pinned(self, n, k, wall, transfer, ramp, compute, moved, hops):
-        _, mesh = run_wave(complex_input(n + k, n), k)
+    # Case ids leave out the midpoint column, tagging only midpoint cases, so
+    # the overlay cases keep the ids they had before the column existed.
+    @pytest.mark.parametrize("n,k,midpoint,wall,transfer,ramp,compute,moved,hops", PINNED,
+                             ids=["-".join(map(str, row[:2] + row[3:]))
+                                  + ("-midpoint" if row[2] else "") for row in PINNED])
+    def test_ledger_is_pinned(self, n, k, midpoint, wall, transfer, ramp, compute,
+                              moved, hops):
+        _, mesh = run_wave(complex_input(n + k, n), k, midpoint=midpoint)
         ledger = mesh.ledger_report()
         assert mesh.wall_clock_cycles == wall
         assert (ledger.transfer_cycles, ledger.ramp_cycles, ledger.compute_cycles,
