@@ -15,9 +15,16 @@ where a_eff = (element_bits / packet_bits) * cycles_per_packet_per_hop +
 per_element_overhead_cycles.  PEs of one slide phase move synchronously, so
 the phase's wall clock is the maximum over its participants; the ledger books
 that wall clock (rounded up once per phase, never per element) as transfer
-plus ramp.  Compute is booked separately as total FLOP volume times
-cycles_per_flop, with the per-phase maximum over PEs advancing the wall
-clock.
+plus ramp.  The time never falls as E grows, so that maximum is evaluated
+once per (element_bits, hops) group of the phase, at the group's largest E,
+rather than once per PE.  Compute is booked separately as total FLOP volume
+times cycles_per_flop, with the per-phase maximum over PEs advancing the
+wall clock.
+
+Host-side work on the stored blocks goes through the span accessors
+:meth:`Mesh.span_fetch` and :meth:`Mesh.span_update`, which read and write
+one name on a run of PEs in one row as a single stacked array, so arithmetic
+is batched across PEs rather than done one block at a time.
 """
 
 from __future__ import annotations
@@ -261,13 +268,36 @@ class Mesh:
         except KeyError:
             raise KeyError(f"PE {pe} holds no array named {name!r}") from None
 
-    def pe_update(self, pe, name: str, data) -> None:
-        """Replace the contents of a stored array without changing its size."""
-        pe = self._require_pe(pe)
-        stored = self._stores[pe][name]
-        if _element_count(data) != stored.count:
+    def _span(self, row: int, cols, name: str) -> list[_Stored]:
+        """The stored ``name`` of PEs (row, c), c in ``cols``, in order."""
+        if not len(cols):
+            raise ValueError("span is empty")
+        for col in (min(cols), max(cols)):
+            self._require_pe((row, col))
+        stores = self._stores
+        try:
+            return [stores[row, col][name] for col in cols]
+        except KeyError:
+            col = next(c for c in cols if name not in stores.get((row, c), {}))
+            raise KeyError(f"PE {(row, col)} holds no array named {name!r}") from None
+
+    def span_fetch(self, row: int, cols, name: str) -> np.ndarray:
+        """Stack the named ndarray blocks of PEs (row, c), c in ``cols``, on
+        axis -2: the result has shape (..., len(cols), count)."""
+        return np.stack([stored.data for stored in self._span(row, cols, name)], axis=-2)
+
+    def span_update(self, row: int, cols, name: str, blocks) -> None:
+        """Write ``blocks[..., i, :]`` back as the named array of PE
+        (row, cols[i]), the inverse of :meth:`span_fetch`.  No size may
+        change; every PE is checked before any is written."""
+        span = self._span(row, cols, name)
+        blocks = np.asarray(blocks)
+        if blocks.ndim < 2 or blocks.shape[-2] != len(span):
+            raise ValueError(f"expected {len(span)} blocks on axis -2, got shape {blocks.shape}")
+        if any(stored.count != blocks.shape[-1] for stored in span):
             raise ValueError("updated array must keep its element count")
-        stored.data = data
+        for i, stored in enumerate(span):
+            stored.data = blocks[..., i, :]
 
     def pe_delete(self, pe, name: str) -> None:
         pe = self._require_pe(pe)
@@ -292,76 +322,100 @@ class Mesh:
         for every destination before any data is touched.  Each (PE, name)
         may be lifted by at most one descriptor and landed on by at most one,
         so a phase can neither drop nor duplicate a block.
+
+        The per-PE time grows with the block's element count alone, so the
+        maximum is taken over (element_bits, hops) groups, each costed once
+        at its largest count; grid bounds are checked once per descriptor,
+        at the end points of its span.
         """
-        moves = []       # (src_pe, dst_pe, name, dest_name, stored)
+        config = self.config
+        rows, cols = config.rows, config.cols
+        stores = self._stores
+        moves = []       # (src_pe, dst_pe, name, dest_name, stored, model_bytes)
         deltas: dict[tuple[int, int], int] = {}
         lifted: set[tuple[tuple[int, int], str]] = set()
         landing: set[tuple[tuple[int, int], str]] = set()
-        max_time = Fraction(0)
+        largest: dict[tuple[int, int], int] = {}    # (element_bits, hops) -> max count
         elements = 0
         hops_total = 0
         participants = 0
 
         for desc in descs:
-            if desc.col_stop <= desc.col_start:
+            row, start, stop = desc.row, desc.col_start, desc.col_stop
+            if stop <= start:
                 raise ValueError("slide source span is empty")
+            name, bits = desc.name, desc.element_bits
             dr, dc = desc.displacement
             d = desc.hops
-            dest_name = desc.dest_name or desc.name
-            cost = self.config.element_cost(desc.element_bits)
-            for col in range(desc.col_start, desc.col_stop):
-                src = self._require_pe((desc.row, col))
-                dst = (desc.row + dr, col + dc)
-                if not self.in_bounds(dst):
-                    raise OffGridError(f"slide destination {dst} outside grid")
+            dest_name = desc.dest_name or name
+            if not (0 <= row < rows and 0 <= start and stop <= cols):
+                raise OffGridError(f"slide source PEs ({row}, {start}..{stop - 1}) "
+                                   f"outside {rows}x{cols} grid")
+            if not (0 <= row + dr < rows and 0 <= start + dc and stop + dc <= cols):
+                raise OffGridError(f"slide destination PEs ({row + dr}, {start + dc}.."
+                                   f"{stop - 1 + dc}) outside {rows}x{cols} grid")
+            span_elements = 0
+            span_largest = 0
+            for col in range(start, stop):
+                src = (row, col)
+                dst = (row + dr, col + dc)
                 try:
-                    stored = self._stores[src][desc.name]
+                    stored = stores[src][name]
                 except KeyError:
-                    raise KeyError(f"PE {src} holds no array named {desc.name!r}") from None
-                if stored.element_bits != desc.element_bits:
+                    raise KeyError(f"PE {src} holds no array named {name!r}") from None
+                if stored.element_bits != bits:
                     raise ValueError(
-                        f"{desc.name!r} on PE {src} is stored as {stored.element_bits}-bit "
-                        f"elements, descriptor says {desc.element_bits}"
+                        f"{name!r} on PE {src} is stored as {stored.element_bits}-bit "
+                        f"elements, descriptor says {bits}"
                     )
-                if (src, desc.name) in lifted:
-                    raise ValueError(f"{desc.name!r} on PE {src} is lifted by two slides")
+                if (src, name) in lifted:
+                    raise ValueError(f"{name!r} on PE {src} is lifted by two slides")
                 if (dst, dest_name) in landing:
                     raise ValueError(f"two slides land on {dest_name!r} at PE {dst}")
-                lifted.add((src, desc.name))
+                lifted.add((src, name))
                 landing.add((dst, dest_name))
-                moves.append((src, dst, desc.name, dest_name, stored))
+                size = stored.model_bytes
+                moves.append((src, dst, name, dest_name, stored, size))
                 if d > 0:
-                    deltas[src] = deltas.get(src, 0) - stored.model_bytes
-                    deltas[dst] = deltas.get(dst, 0) + stored.model_bytes
-                    pe_time = (self.config.ramp_cycles + cost * stored.count
-                               + self.config.pipeline_fill_cycles_per_hop * (d - 1))
-                    max_time = max(max_time, pe_time)
-                    elements += stored.count
-                    hops_total += stored.count * d
-                    participants += 1
+                    deltas[src] = deltas.get(src, 0) - size
+                    deltas[dst] = deltas.get(dst, 0) + size
+                    span_elements += stored.count
+                    if stored.count > span_largest:
+                        span_largest = stored.count
+            if d > 0:
+                largest[bits, d] = max(largest.get((bits, d), 0), span_largest)
+                elements += span_elements
+                hops_total += span_elements * d
+                participants += stop - start
+
+        # One closed form per group; the cost never falls as the count grows.
+        max_time = max((config.ramp_cycles + config.element_cost(bits) * count
+                        + config.pipeline_fill_cycles_per_hop * (d - 1)
+                        for (bits, d), count in largest.items()), default=Fraction(0))
 
         for pe, delta in deltas.items():
-            if self._used.get(pe, 0) + delta > self.config.local_memory_bytes:
+            if self._used.get(pe, 0) + delta > config.local_memory_bytes:
                 raise CapacityExceeded(
                     f"PE {pe}: incoming slide data would exceed "
-                    f"{self.config.local_memory_bytes} B of local memory"
+                    f"{config.local_memory_bytes} B of local memory"
                 )
-        for _, dst, _, dest_name, _ in moves:
-            if dest_name in self._stores.get(dst, {}) and (dst, dest_name) not in lifted:
+        for _, dst, _, dest_name, _, _ in moves:
+            if dest_name in stores.get(dst, {}) and (dst, dest_name) not in lifted:
                 raise ValueError(f"PE {dst} already holds an array named {dest_name!r}")
 
         # Commit: lift every source, then land every destination.
-        for src, _, name, _, stored in moves:
-            del self._stores[src][name]
-            self._used[src] -= stored.model_bytes
-        for _, dst, _, dest_name, stored in moves:
-            self._stores.setdefault(dst, {})[dest_name] = stored
-            self._used[dst] = self._used.get(dst, 0) + stored.model_bytes
+        used = self._used
+        for src, _, name, _, _, size in moves:
+            del stores[src][name]
+            used[src] -= size
+        for _, dst, _, dest_name, stored, size in moves:
+            stores.setdefault(dst, {})[dest_name] = stored
+            used[dst] = used.get(dst, 0) + size
 
         if not participants:
             return PhaseReport(Fraction(0), 0, 0, 0, 0, 0, 0)
 
-        ramp_booked = self.config.ramp_cycles
+        ramp_booked = config.ramp_cycles
         transfer_booked = math.ceil(max_time - ramp_booked)
         self.ledger.transfer_cycles += transfer_booked
         self.ledger.ramp_cycles += ramp_booked

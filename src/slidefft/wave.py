@@ -17,6 +17,14 @@ Planning reserves three buffers of the block size per PE, which bounds the
 feasible wave lengths for a given local memory size.  A level holds at most
 two at once (resident block and incoming segment); the third is headroom.
 
+The host does the arithmetic in batches, through the mesh's span accessors:
+the local levels (always the first ones) run in one pass, each group of PEs
+fetched once, merged level by level and written back, and each sliding
+level runs one butterfly per group of meeting sites.  Groups hold about
+GROUP_ELEMENTS elements, not the whole wave, because one stack of the whole
+wave costs memory and time on large blocks (see GROUP_ELEMENTS).  Compute
+is still booked once per level, in level order.
+
 Values are carried in double precision regardless of the modeled wire size
 ``element_bits`` (64 bits models a complex single-precision datum).  Inputs
 may be batched as (batch, n); the batch rides along as extra vector lanes
@@ -40,6 +48,16 @@ from .serial import (FLOPS_PER_PAIR, build_permutation, butterfly, log2_exact,
 BUFFER_FACTOR = 3
 
 _INCOMING = "__incoming"
+
+# Host arithmetic runs on groups of PEs holding about this many elements of
+# the transform, not on the whole wave at once.  On bench-fft --n 1048576
+# --k 8 --element-bits 32 (256 PEs of 4096 elements) one whole-wave stack
+# per level took 0.67 s and 134 MiB peak, groups of this size 0.55 s and
+# 116 MiB, the per-PE engine 0.60 s and 116 MiB (medians of 11 runs each on
+# a shared 2-vCPU host).  Groups of 2**14 were as fast, but their 256 KiB
+# arrays raised the peak to 120 MiB in 9 of 31 checkout directories tried,
+# an allocator-layout effect that 2**13 did not show in any of 46.
+GROUP_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -161,20 +179,35 @@ def distribute(x, layout: WaveLayout, mesh: Mesh) -> None:
         mesh.pe_store(layout.pe(j), layout.name, shard, element_bits=layout.element_bits)
 
 
+def _groups(count: int, elements_per_pe: int):
+    """Slices of ``count`` PEs holding about GROUP_ELEMENTS elements each;
+    every slice but the last has the same power-of-two length."""
+    per = max(1, GROUP_ELEMENTS // elements_per_pe)
+    return [slice(i, i + per) for i in range(0, count, per)]
+
+
 def gather(layout: WaveLayout, mesh: Mesh) -> np.ndarray:
     """Concatenate the wave's blocks back into one array (host-side)."""
-    shards = [np.asarray(mesh.pe_fetch(layout.pe(j), layout.name))
-              for j in range(layout.pe_count)]
-    return np.concatenate(shards, axis=-1)
+    row, col0 = layout.origin
+    blocks = mesh.span_fetch(row, range(col0, col0 + layout.pe_count), layout.name)
+    return blocks.reshape(blocks.shape[:-2] + (layout.n,))
 
 
-def _run_local_level(mesh: Mesh, layout: WaveLayout, N: int, factors: np.ndarray) -> None:
-    for j in range(layout.pe_count):
-        pe = layout.pe(j)
-        shard = np.asarray(mesh.pe_fetch(pe, layout.name))
-        mesh.pe_update(pe, layout.name, merge_level(shard, N, factors))
-    mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
-                        max_flops_per_pe=FLOPS_PER_PAIR * (layout.elements_per_pe // 2))
+def _run_local_levels(mesh: Mesh, layout: WaveLayout, levels: list[LevelDescriptor]) -> None:
+    """Run every local level in one pass: each group of PEs is fetched once,
+    merged level by level, and written back."""
+    row, col0 = layout.origin
+    cols = range(col0, col0 + layout.pe_count)
+    tables = [(level.segment_pair, twiddle_table(level.segment_pair).factors)
+              for level in levels]
+    for group in _groups(layout.pe_count, layout.elements_per_pe):
+        y = mesh.span_fetch(row, cols[group], layout.name)
+        for N, factors in tables:
+            y = merge_level(y, N, factors)
+        mesh.span_update(row, cols[group], layout.name, y)
+    for _ in levels:
+        mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
+                            max_flops_per_pe=FLOPS_PER_PAIR * (layout.elements_per_pe // 2))
 
 
 def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
@@ -201,14 +234,24 @@ def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
 
     phase([(0, layout.name, layout.name, shift),
            (span, layout.name, _INCOMING, shift - span)])
-    for base in bases:
-        for t in range(span):
-            pe = (row, base + shift + t)
-            l, r = butterfly(np.asarray(mesh.pe_fetch(pe, layout.name)),
-                             np.asarray(mesh.pe_fetch(pe, _INCOMING)),
-                             factors[t * e : (t + 1) * e])
-            mesh.pe_update(pe, layout.name, l)
-            mesh.pe_update(pe, _INCOMING, r)
+    # Site i is PE base + shift + t of crossing i // span, t = i % span, and
+    # merges with twiddle row t.  Group sizes and spans are powers of two, so
+    # a group is whole crossings or a run of sites inside one crossing: its
+    # blocks reshape to (..., crossings, width, e) and share twiddle rows
+    # t0 .. t0 + width - 1 by broadcasting, not by copying them per site.
+    sites = [base + shift + t for base in bases for t in range(span)]
+    rows = factors.reshape(span, e)
+    for group in _groups(len(sites), e):
+        cols = sites[group]
+        width = min(span, len(cols))
+        t0 = group.start % span
+        evens = mesh.span_fetch(row, cols, layout.name)
+        batch = evens.shape[:-2]
+        odds = mesh.span_fetch(row, cols, _INCOMING)
+        l, r = butterfly(evens.reshape(batch + (-1, width, e)),
+                         odds.reshape(batch + (-1, width, e)), rows[t0 : t0 + width])
+        mesh.span_update(row, cols, layout.name, l.reshape(batch + (-1, e)))
+        mesh.span_update(row, cols, _INCOMING, r.reshape(batch + (-1, e)))
     mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
                         max_flops_per_pe=FLOPS_PER_PAIR * e)
     phase([(shift, layout.name, layout.name, -shift),
@@ -221,14 +264,16 @@ def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndar
     Produces output identical to :func:`slidefft.serial.fft_serial` (the
     crossings perform the same operations in the same order for every wave
     length), with all compute, transfer, and ramp cycles booked to the
-    mesh's ledger.
+    mesh's ledger.  The local levels (N <= elements_per_pe) are the first
+    ones, so they run together before the first slide.
     """
-    for level in level_plan(layout):
-        factors = twiddle_table(level.segment_pair).factors
-        if level.local:
-            _run_local_level(mesh, layout, level.segment_pair, factors)
-        else:
-            _run_sliding_level(mesh, layout, level, factors, midpoint)
+    levels = level_plan(layout)
+    local = [level for level in levels if level.local]
+    if local:
+        _run_local_levels(mesh, layout, local)
+    for level in levels[len(local):]:
+        _run_sliding_level(mesh, layout, level, twiddle_table(level.segment_pair).factors,
+                           midpoint)
     return gather(layout, mesh)
 
 

@@ -1,5 +1,7 @@
 """Mesh storage, slide phases, and the cycle ledger."""
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +71,60 @@ class TestStorage:
         mesh.pe_store((1, 2), "fits", bytes(1024))
         with pytest.raises(CapacityExceeded):
             mesh.pe_store((1, 3), "big", bytes(1025))
+
+
+def span_mesh():
+    """A 2x4 mesh whose PEs (1, 0..3) hold "w" as a (2, 3) block of their column
+    number, and whose PEs (1, 0..2) hold "v" with 3, 3 and 4 elements."""
+    mesh = mesh_create(MeshConfig(rows=2, cols=4))
+    for col in range(4):
+        mesh.pe_store((1, col), "w", np.full((2, 3), col, np.complex128), element_bits=64)
+    for col, count in enumerate((3, 3, 4)):
+        mesh.pe_store((1, col), "v", np.zeros(count), element_bits=64)
+    return mesh
+
+
+class TestSpanAccess:
+    def test_fetch_stacks_blocks_on_axis_minus_two(self):
+        mesh = span_mesh()
+        blocks = mesh.span_fetch(1, range(1, 4), "w")
+        assert blocks.shape == (2, 3, 3)
+        for i, col in enumerate(range(1, 4)):
+            np.testing.assert_array_equal(blocks[..., i, :], mesh.pe_fetch((1, col), "w"))
+
+    def test_update_writes_each_block_back(self):
+        mesh = span_mesh()
+        cols = [0, 2]
+        blocks = mesh.span_fetch(1, cols, "w") * 2 + 1
+        mesh.span_update(1, cols, "w", blocks)
+        for i, col in enumerate(cols):
+            np.testing.assert_array_equal(mesh.pe_fetch((1, col), "w"), blocks[..., i, :])
+        np.testing.assert_array_equal(mesh.pe_fetch((1, 1), "w"), np.full((2, 3), 1))
+        assert mesh.pe_used((1, 0)) == (3 + 3) * 8    # "w" and "v": 3 elements each
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda mesh: mesh.span_fetch(1, range(4), "u"), KeyError),
+        (lambda mesh: mesh.span_fetch(1, range(4), "v"), KeyError),
+        (lambda mesh: mesh.span_fetch(0, range(2), "w"), KeyError),
+        (lambda mesh: mesh.span_fetch(1, range(2, 5), "w"), OffGridError),
+        (lambda mesh: mesh.span_fetch(2, range(2), "w"), OffGridError),
+        (lambda mesh: mesh.span_fetch(1, [], "w"), ValueError),
+        (lambda mesh: mesh.span_update(1, range(4), "v", np.zeros((4, 3))), KeyError),
+        (lambda mesh: mesh.span_update(1, [-1, 0], "w", np.zeros((2, 2, 3))), OffGridError),
+        (lambda mesh: mesh.span_update(1, range(4), "w", np.zeros((2, 4, 4))), ValueError),
+        (lambda mesh: mesh.span_update(1, range(3), "v", np.zeros((3, 3))), ValueError),
+        (lambda mesh: mesh.span_update(1, range(4), "w", np.zeros((2, 3, 3))), ValueError),
+    ], ids=["fetch-missing-name", "fetch-name-missing-on-one-pe", "fetch-empty-row",
+            "fetch-off-grid-column", "fetch-off-grid-row", "fetch-no-columns",
+            "update-name-missing-on-one-pe", "update-off-grid-column",
+            "update-changes-every-count", "update-changes-last-count",
+            "update-too-few-blocks"])
+    def test_bad_call_raises_and_changes_nothing(self, call, error):
+        mesh = span_mesh()
+        before = mesh_state(mesh)
+        with pytest.raises(error):
+            call(mesh)
+        assert mesh_state(mesh) == before
 
 
 class TestSlide:
@@ -209,38 +265,75 @@ class TestSlide:
 def meshes_and_phases(draw):
     """A small grid with random named blocks, and up to three random slides.
 
-    Names, spans and displacements are drawn from small sets so that phases
-    often collide, overlap, fan out or leave the grid.
+    Each name has its own element size, so one phase can mix sizes; block
+    counts vary from PE to PE, so one descriptor can mix counts.  Half the
+    phases are tidy: displacements stay on the grid, sizes match, no two
+    descriptors lift from one row under one name, and each lands under a
+    fresh name, so most are accepted and their cost can be checked.  The
+    rest draw two names, spans and displacements from small sets so that
+    they often collide, overlap, fan out or leave the grid.
     """
-    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 4))
-    bits = draw(st.sampled_from([8, 32]))
-    other_bits = 40 - bits    # the other of 8 and 32, for mismatched descriptors
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    sizes = (8, 32, 64)
+    names = ("a", "b", "c")
+    bits = {name: draw(st.sampled_from(sizes)) for name in names}
     mesh = mesh_create(MeshConfig(rows=rows, cols=cols,
-                                  local_memory_bytes=draw(st.sampled_from([16, 256]))))
+                                  local_memory_bytes=draw(st.sampled_from([256, 48]))))
     for pe in [(r, c) for r in range(rows) for c in range(cols)]:
-        for name in ("a", "b"):
-            if draw(st.integers(0, 3)):
+        for name in names:
+            if draw(st.sampled_from([True] * 7 + [False])):
                 try:
                     mesh.pe_store(pe, name, np.zeros(draw(st.integers(1, 4))),
-                                  element_bits=bits)
+                                  element_bits=bits[name])
                 except CapacityExceeded:
                     pass
+    tidy = draw(st.booleans())
 
     @st.composite
     def descriptor(draw):
+        row = draw(st.integers(0, rows - 1))
         start = draw(st.integers(0, cols - 1))
+        stop = draw(st.integers(start + 1, cols))
+        name = draw(st.sampled_from(names if tidy else names[:2]))
+        if tidy or draw(st.sampled_from([True] * 3 + [False])):
+            displacement = (draw(st.integers(-row, rows - 1 - row)),
+                            draw(st.integers(-start, cols - stop)))
+        else:
+            displacement = (draw(st.integers(1 - rows, rows - 1)),
+                            draw(st.integers(-cols, cols)))
+        wrong = [size for size in sizes if size != bits[name]]
         return SlideDescriptor(
-            row=draw(st.integers(0, rows - 1)),
-            col_start=start,
-            col_stop=draw(st.integers(start + 1, cols)),
-            name=draw(st.sampled_from(["a", "b"])),
-            displacement=(draw(st.integers(1 - rows, rows - 1)),
-                          draw(st.integers(-cols, cols))),
-            element_bits=draw(st.sampled_from([bits, bits, bits, other_bits])),
-            dest_name=draw(st.sampled_from([None, "a", "b"])),
+            row=row, col_start=start, col_stop=stop, name=name,
+            displacement=displacement,
+            element_bits=bits[name] if tidy else draw(st.sampled_from([bits[name]] * 4 + wrong)),
+            dest_name=None if tidy else draw(st.sampled_from((None,) + names[:2])),
         )
 
-    return mesh, draw(st.lists(descriptor(), min_size=1, max_size=3))
+    if not tidy:
+        return mesh, draw(st.lists(descriptor(), min_size=1, max_size=3))
+    descs = draw(st.lists(descriptor(), min_size=1, max_size=3,
+                          unique_by=lambda desc: (desc.row, desc.name)))
+    return mesh, [replace(desc, dest_name=f"to{i}") for i, desc in enumerate(descs)]
+
+
+def per_pe_phase_time(mesh, descs):
+    """The phase's wall clock the slow way: the per-PE time of every moving
+    PE, from the stores before the phase and the cost formula written out,
+    maximised.  None when a block the phase lifts is missing."""
+    config = mesh.config
+    worst = Fraction(0)
+    for desc in descs:
+        if not desc.hops:
+            continue
+        per_element = (Fraction(desc.element_bits, config.packet_bits)
+                       * config.cycles_per_packet_per_hop + config.per_element_overhead_cycles)
+        for col in range(desc.col_start, desc.col_stop):
+            stored = mesh._stores.get((desc.row, col), {}).get(desc.name)
+            if stored is None:
+                return None
+            worst = max(worst, config.ramp_cycles + per_element * stored.count
+                        + config.pipeline_fill_cycles_per_hop * (desc.hops - 1))
+    return worst
 
 
 class TestSlideProperties:
@@ -249,8 +342,9 @@ class TestSlideProperties:
     def test_phase_conserves_or_changes_nothing(self, case):
         mesh, descs = case
         before = mesh_state(mesh)
+        slow_time = per_pe_phase_time(mesh, descs)
         try:
-            mesh.slide_phase(descs)
+            report = mesh.slide_phase(descs)
         except (MeshError, KeyError, ValueError):
             assert mesh_state(mesh) == before
             return
@@ -260,6 +354,9 @@ class TestSlideProperties:
         assert blocks(mesh_state(mesh)[0]) == blocks(before[0])
         for pe, slot in mesh._stores.items():
             assert mesh.pe_used(pe) == sum(s.model_bytes for s in slot.values())
+        assert report.exact_cycles == slow_time
+        assert report.booked_cycles == math.ceil(slow_time)
+        assert mesh.wall_clock_cycles == before[3] + report.booked_cycles
 
 
 class TestLedger:

@@ -17,10 +17,10 @@ def wave_mesh(k, **overrides):
     return mesh_create(MeshConfig(rows=1, cols=max(1 << k, 1), **overrides))
 
 
-def run_wave(x, k, element_bits=64, mesh=None, midpoint=False):
+def run_wave(x, k, element_bits=64, mesh=None, midpoint=False, origin=(0, 0)):
     n = x.shape[-1]
     mesh = mesh or wave_mesh(k)
-    layout = plan_wave(n, k, element_bits, mesh)
+    layout = plan_wave(n, k, element_bits, mesh, origin=origin)
     distribute(x, layout, mesh)
     spectrum = slide_fft(mesh, layout, midpoint=midpoint)
     return spectrum, mesh
@@ -133,8 +133,16 @@ class TestTransformAcrossWaveLengths:
         np.testing.assert_array_equal(halfway, overlay)
 
 
-# (n, k, midpoint, wall, transfer, ramp, compute, moved, hops), recorded from
-# the per-PE engine under the default cost parameters with 64-bit elements.
+# A (2, n) batch on a wave at origin (2, 5) of a 3x40 mesh:
+# (batch, (rows, cols), origin).
+OFFSET_BATCH = (2, (3, 40), (2, 5))
+
+# (n, k, midpoint, wall, transfer, ramp, compute, moved, hops[, placement]),
+# recorded from the per-PE engine under the default cost parameters with
+# 64-bit elements; a placement of None is a 1-D input on a wave at (0, 0).
+# n = 2**15 at k = 4 and n = 2**16 at k = 5 hold 2048 elements per PE, four
+# PEs to a group of wave.GROUP_ELEMENTS = 2**13, so every level spans more
+# than one group, and the last levels at k = 5 split crossings across groups.
 PINNED = [
     (64, 0, False, 5760, 0, 0, 5760, 0, 0),
     (64, 1, False, 3514, 148, 6, 5760, 64, 64),
@@ -147,7 +155,12 @@ PINNED = [
     (64, 3, True, 1214, 116, 18, 5760, 320, 448),
     (256, 4, True, 3208, 304, 24, 30720, 1792, 3840),
     (1024, 10, True, 1424, 1064, 60, 153600, 19456, 1047552),
+    (32768, 4, False, 621414, 37710, 24, 7372800, 131072, 491520),
+    (32768, 4, True, 621400, 37696, 24, 7372800, 229376, 491520),
+    (65536, 5, False, 692312, 47162, 30, 15728640, 327680, 2031616, OFFSET_BATCH),
+    (65536, 5, True, 692282, 47132, 30, 15728640, 589824, 2031616, OFFSET_BATCH),
 ]
+PINNED = [row + (None,) * (10 - len(row)) for row in PINNED]
 
 
 class TestAccounting:
@@ -184,14 +197,23 @@ class TestAccounting:
         budget = transfer_budget(plan_wave(1 << m, k, 64, mesh2))
         assert mesh.ledger_report().elements_moved == budget.elements_moved
 
-    # Case ids leave out the midpoint column, tagging only midpoint cases, so
-    # the overlay cases keep the ids they had before the column existed.
-    @pytest.mark.parametrize("n,k,midpoint,wall,transfer,ramp,compute,moved,hops", PINNED,
-                             ids=["-".join(map(str, row[:2] + row[3:]))
-                                  + ("-midpoint" if row[2] else "") for row in PINNED])
+    # Case ids leave out the midpoint and placement columns, tagging only
+    # midpoint and placed cases, so the first overlay cases keep the ids they
+    # had before those columns existed.
+    @pytest.mark.parametrize(
+        "n,k,midpoint,wall,transfer,ramp,compute,moved,hops,placement", PINNED,
+        ids=["-".join(map(str, row[:2] + row[3:9])) + ("-midpoint" if row[2] else "")
+             + ("-batch-offset" if row[9] else "") for row in PINNED])
     def test_ledger_is_pinned(self, n, k, midpoint, wall, transfer, ramp, compute,
-                              moved, hops):
-        _, mesh = run_wave(complex_input(n + k, n), k, midpoint=midpoint)
+                              moved, hops, placement):
+        if placement is None:
+            x, mesh, origin = complex_input(n + k, n), None, (0, 0)
+        else:
+            batch, (rows, cols), origin = placement
+            x = np.stack([complex_input(n + k + i, n) for i in range(batch)])
+            mesh = mesh_create(MeshConfig(rows=rows, cols=cols))
+        spectrum, mesh = run_wave(x, k, mesh=mesh, midpoint=midpoint, origin=origin)
+        np.testing.assert_array_equal(spectrum, fft_serial(x))
         ledger = mesh.ledger_report()
         assert mesh.wall_clock_cycles == wall
         assert (ledger.transfer_cycles, ledger.ramp_cycles, ledger.compute_cycles,
