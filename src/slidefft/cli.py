@@ -1,15 +1,11 @@
 """Benchmark and verification command line: verify, bench-slide, bench-fft, predict.
 
-Benchmark subcommands emit CSV with the fixed header
-
-    pe_count,elements_per_pe,total_elements,total_cycles,cycles_per_element,
-    transfer_cycles,compute_cycles,flops,eta_measured,eta_predicted,status
-
-(one line) to --out or standard output, plus a short human-readable summary
-on standard error.  All randomness flows from one 64-bit --seed through
-numpy's default PCG64 generator, inputs drawn uniformly from the complex
-unit square [0,1) x [0,1); repeated runs with the same arguments produce
-byte-identical CSV.
+Benchmark subcommands emit CSV, one column per field of :class:`BenchRecord`
+in declaration order (``CSV_HEADER``), to --out or standard output, plus a
+short human-readable summary on standard error.  All randomness flows from
+one 64-bit --seed through numpy's default PCG64 generator, inputs drawn
+uniformly from the complex unit square [0,1) x [0,1); repeated runs with the
+same arguments produce byte-identical CSV.
 
 Exit statuses: 0 success, 1 verification failure, 2 usage error,
 3 capacity infeasibility.
@@ -20,19 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
-from .mesh import CapacityExceeded, MeshConfig, PRESETS, mesh_create, preset_config
+from .mesh import CapacityExceeded, MeshConfig, PRESETS, mesh_create
 from .model import CostModel, check_margin, flops_per_transform, predict_efficiency, reconcile
 from .serial import bit_reverse_index, build_permutation, dft_oracle, fft_serial
 from .wave import (distribute, measure_efficiency, min_feasible_k, plan_wave,
                    slide_fft, transfer_budget)
-
-CSV_HEADER = ("pe_count,elements_per_pe,total_elements,total_cycles,cycles_per_element,"
-              "transfer_cycles,compute_cycles,flops,eta_measured,eta_predicted,status")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -110,21 +103,6 @@ def random_batch(seed: int, count: int, n: int) -> np.ndarray:
 # -------------------- records and CSV --------------------
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    pe_count: int
-    elements_per_pe: int
-    total_elements: int
-    total_cycles: Fraction | int
-    cycles_per_element: Fraction
-    transfer_cycles: int
-    compute_cycles: int
-    flops: int
-    eta_measured: Fraction | float
-    eta_predicted: Fraction | float
-    status: str = "ok"
-
-
 def _fmt_cycles(value) -> str:
     frac = Fraction(value)
     if frac.denominator == 1:
@@ -136,13 +114,29 @@ def _fmt_eta(value) -> str:
     return f"{float(value):.6f}"
 
 
+@dataclass(frozen=True)
+class BenchRecord:
+    """One CSV row: the fields are the columns, formatted by ``fmt`` or str."""
+
+    pe_count: int
+    elements_per_pe: int
+    total_elements: int
+    total_cycles: Fraction | int = field(metadata={"fmt": _fmt_cycles})
+    cycles_per_element: Fraction = field(metadata={"fmt": _fmt_cycles})
+    transfer_cycles: int
+    compute_cycles: int
+    flops: int
+    eta_measured: Fraction | float = field(metadata={"fmt": _fmt_eta})
+    eta_predicted: Fraction | float = field(metadata={"fmt": _fmt_eta})
+    status: str = "ok"
+
+
+_COLUMNS = [(f.name, f.metadata.get("fmt", str)) for f in fields(BenchRecord)]
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+
+
 def record_row(r: BenchRecord) -> str:
-    return ",".join([
-        str(r.pe_count), str(r.elements_per_pe), str(r.total_elements),
-        _fmt_cycles(r.total_cycles), _fmt_cycles(r.cycles_per_element),
-        str(r.transfer_cycles), str(r.compute_cycles), str(r.flops),
-        _fmt_eta(r.eta_measured), _fmt_eta(r.eta_predicted), r.status,
-    ])
+    return ",".join(fmt(getattr(r, name)) for name, fmt in _COLUMNS)
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
@@ -215,17 +209,18 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
     """
     m = n.bit_length() - 1
     predicted = predict_efficiency(cost_model, n, m)
-    kmin = min_feasible_k(n, element_bits, MeshConfig(**config_kwargs).local_memory_bytes)
+    infeasible = None    # the CapacityExceeded of an infeasible k, if any
     records, notes, ledgers = [], [], []
     x = random_batch(seed, 1, n)[0]
     for k in sorted(k_values):
         if not 0 <= k <= m:
             raise UsageError(f"k={k} outside 0..{m} for n={n}")
-        config = MeshConfig(rows=1, cols=max(1 << k, 1), **config_kwargs)
+        config = MeshConfig(rows=1, cols=1 << k, **config_kwargs)
         mesh = mesh_create(config)
         try:
             layout = plan_wave(n, k, element_bits, mesh)
-        except CapacityExceeded:
+        except CapacityExceeded as exc:
+            infeasible = exc
             records.append(BenchRecord(1 << k, n >> k, n, 0, Fraction(0),
                                        0, 0, 0, 0.0, float(predicted.eta),
                                        status="infeasible"))
@@ -253,10 +248,10 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
             f"(budget {budget.elements_moved}), deviation "
             f"{float(reconcile(predicted, measured)):.4f}"
         )
-    if kmin is not None and any(r.status == "infeasible" for r in records):
-        notes.append(f"minimal feasible k: {kmin}")
-    elif kmin is None:
-        notes.append("no feasible k for this size and memory")
+    if infeasible is not None:
+        kmin = infeasible.min_feasible_k
+        notes.append(f"minimal feasible k: {kmin}" if kmin is not None
+                     else "no feasible k for this size and memory")
     return records, notes, ledgers
 
 
@@ -318,7 +313,7 @@ def run_verify(max_n: int, seed: int, echo=print) -> bool:
         x = random_batch(seed, seeds, n)
         reference = fft_serial(x)
         oracle = oracles[n]
-        kmin = min_feasible_k(n, 64, MeshConfig().local_memory_bytes) or 0
+        kmin = min_feasible_k(n, 64, MeshConfig().local_memory_bytes)
         for k in range(kmin, m + 1):
             mesh = mesh_create(MeshConfig(rows=1, cols=1 << k))
             layout = plan_wave(n, k, 64, mesh)
@@ -381,24 +376,36 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         description="Cycle-accounted FFT-on-a-mesh simulator and benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=parse_seed, default=0,
-                       help="64-bit seed for all random inputs (default 0)")
-        p.add_argument("--out", default=None, help="write CSV/report here instead of stdout")
-        p.add_argument("--preset", choices=sorted(PRESETS), default="cs2-calibrated",
-                       help="cost preset (default cs2-calibrated)")
-        p.add_argument("--csv", action="store_true",
-                       help="suppress the stderr summary; emit CSV only")
-        p.add_argument("--config", default=None,
-                       help="JSON file of defaults mirroring the flags; flags win")
+    # Flags that several commands take; each command names the ones it takes.
+    shared = {
+        "--seed": dict(type=parse_seed, default=0,
+                       help="64-bit seed for all random inputs (default 0)"),
+        "--out": dict(default=None, help="write CSV/report here instead of stdout"),
+        "--preset": dict(choices=sorted(PRESETS), default="cs2-calibrated",
+                         help="cost preset (default cs2-calibrated)"),
+        "--csv": dict(action="store_true", help="suppress the stderr summary; emit CSV only"),
+        "--config": dict(default=None,
+                         help="JSON file of defaults mirroring the flags; flags win"),
+        "--a": dict(type=parse_rational, default=Fraction(2),
+                    help="model transfer cycles per datum (default 2)"),
+        "--b": dict(type=parse_rational, default=Fraction(3),
+                    help="cycles per FLOP, for the model and bench-fft's mesh (default 3)"),
+        "--doubled-transfer": dict(action="store_true",
+                                   help="charge the transfer term twice in the prediction"),
+    }
 
-    p = sub.add_parser("verify", help="run the self-check suites")
-    common(p)
+    def command(name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
+
+    p = command("verify", "run the self-check suites", "--seed", "--out", "--config")
     p.add_argument("--n", type=parse_power_of_two, default=1024,
                    help="largest transform size to check (default 1024)")
 
-    p = sub.add_parser("bench-slide", help="cost of single one-hop slides")
-    common(p)
+    p = command("bench-slide", "cost of single one-hop slides",
+                "--seed", "--out", "--preset", "--csv", "--config")
     p.add_argument("--pes", type=parse_int_list, default=[8, 16, 32],
                    help="comma list of PE counts (default 8,16,32)")
     p.add_argument("--elements", type=parse_int_list, default=list(range(1, 501)),
@@ -406,31 +413,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--element-bits", type=int, choices=(32, 64), default=32,
                    help="element size on the wire (default 32)")
 
-    p = sub.add_parser("bench-fft", help="distributed transform across wave lengths")
-    common(p)
+    p = command("bench-fft", "distributed transform across wave lengths",
+                "--seed", "--out", "--preset", "--csv", "--config", "--a", "--b",
+                "--doubled-transfer")
     p.add_argument("--n", type=parse_power_of_two, default=1024,
                    help="transform size (default 1024)")
     p.add_argument("--k", type=parse_int_list, default=None,
                    help="wave lengths log2(PEs), e.g. 0..10 (default all)")
     p.add_argument("--element-bits", type=int, choices=(32, 64), default=64,
                    help="datum size on the wire (default 64)")
-    p.add_argument("--a", type=parse_rational, default=Fraction(2),
-                   help="model transfer cycles per datum (default 2)")
-    p.add_argument("--b", type=parse_rational, default=Fraction(3),
-                   help="cycles per FLOP, for both the mesh and the model (default 3)")
-    p.add_argument("--doubled-transfer", action="store_true",
-                   help="charge the transfer term twice in the prediction")
     p.add_argument("--dump-ledger", action="store_true",
                    help="print each run's ledger as key=value lines on stderr")
 
-    p = sub.add_parser("predict", help="closed-form efficiency prediction")
-    common(p)
+    p = command("predict", "closed-form efficiency prediction", "--out", "--config",
+                "--a", "--b", "--doubled-transfer")
     p.add_argument("--n", type=parse_power_of_two, default=None,
                    help="transform size 2**m")
     p.add_argument("--m", type=int, default=None, help="number of levels log2(n)")
-    p.add_argument("--a", type=parse_rational, default=Fraction(2))
-    p.add_argument("--b", type=parse_rational, default=Fraction(3))
-    p.add_argument("--doubled-transfer", action="store_true")
 
     return parser, sub.choices
 
@@ -484,12 +483,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _summarize(args: argparse.Namespace, lines: list[str]) -> None:
-    if not args.csv:
-        for line in lines:
-            print(line, file=sys.stderr)
-
-
 def _cost_model(args: argparse.Namespace) -> CostModel:
     return CostModel(a=args.a, b=args.b, doubled_transfer=args.doubled_transfer)
 
@@ -513,36 +506,6 @@ def main(argv=None) -> int:
             _emit(args, "\n".join(lines) + "\n")
             return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
-        if args.command == "bench-slide":
-            records = bench_slide_records(args.pes, args.elements, args.element_bits,
-                                          dict(PRESETS[args.preset]), args.seed)
-            _emit(args, records_to_csv(records))
-            _summarize(args, [f"bench-slide: {len(records)} rows, "
-                              f"pe counts {args.pes}, element bits {args.element_bits}"])
-            if all(r.status != "ok" for r in records):
-                return EXIT_INFEASIBLE
-            return EXIT_OK
-
-        if args.command == "bench-fft":
-            n = args.n
-            m = n.bit_length() - 1
-            if m < 1:
-                raise UsageError("transform needs at least 2 points")
-            k_values = args.k if args.k is not None else list(range(m + 1))
-            mesh_kwargs = dict(PRESETS[args.preset], cycles_per_flop=args.b)
-            records, notes, ledgers = bench_fft_records(
-                n, k_values, args.element_bits, mesh_kwargs, _cost_model(args), args.seed)
-            _emit(args, records_to_csv(records))
-            _summarize(args, [f"bench-fft: n={n}, k in {k_values}"] + notes)
-            if args.dump_ledger and not args.csv:
-                for k, ledger, wall in ledgers:
-                    print(f"# ledger k={k}", file=sys.stderr)
-                    print(ledger.dump(), file=sys.stderr)
-                    print(f"wall_clock_cycles={wall}", file=sys.stderr)
-            if all(r.status != "ok" for r in records):
-                return EXIT_INFEASIBLE
-            return EXIT_OK
-
         if args.command == "predict":
             m, n = args.m, args.n
             if m is None and n is None:
@@ -558,14 +521,38 @@ def main(argv=None) -> int:
             _emit(args, "\n".join(lines) + "\n")
             return EXIT_OK
 
-        raise UsageError(f"unknown command {args.command!r}")
+        # bench-slide or bench-fft: argparse admits no other command.
+        if args.command == "bench-slide":
+            records = bench_slide_records(args.pes, args.elements, args.element_bits,
+                                          dict(PRESETS[args.preset]), args.seed)
+            summary = [f"bench-slide: {len(records)} rows, "
+                       f"pe counts {args.pes}, element bits {args.element_bits}"]
+        else:
+            n = args.n
+            m = n.bit_length() - 1
+            if m < 1:
+                raise UsageError("transform needs at least 2 points")
+            k_values = args.k if args.k is not None else list(range(m + 1))
+            mesh_kwargs = dict(PRESETS[args.preset], cycles_per_flop=args.b)
+            records, notes, ledgers = bench_fft_records(
+                n, k_values, args.element_bits, mesh_kwargs, _cost_model(args), args.seed)
+            summary = [f"bench-fft: n={n}, k in {k_values}"] + notes
+            if args.dump_ledger:
+                for k, ledger, wall in ledgers:
+                    summary += [f"# ledger k={k}", ledger.dump(), f"wall_clock_cycles={wall}"]
+        _emit(args, records_to_csv(records))
+        if not args.csv:
+            print("\n".join(summary), file=sys.stderr)
+        return EXIT_OK if any(r.status == "ok" for r in records) else EXIT_INFEASIBLE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityExceeded as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
+        # OverflowError: a value whose result outgrows a float or an int shift,
+        # such as --a 1e400 or --m 10**30.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -57,7 +57,7 @@ class OffGridError(MeshError):
     """A PE coordinate or slide destination falls outside the grid."""
 
 
-def _as_cycles(value) -> Fraction:
+def _as_fraction(value) -> Fraction:
     # Floats go through str() so 0.3 means 3/10, not its binary approximation.
     if isinstance(value, float):
         return Fraction(str(value))
@@ -87,7 +87,7 @@ class MeshConfig:
             raise ValueError("ramp latency must be non-negative")
         for name in ("cycles_per_packet_per_hop", "per_element_overhead_cycles",
                      "pipeline_fill_cycles_per_hop", "cycles_per_flop"):
-            object.__setattr__(self, name, _as_cycles(getattr(self, name)))
+            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -331,10 +331,9 @@ class Mesh:
         config = self.config
         rows, cols = config.rows, config.cols
         stores = self._stores
-        moves = []       # (src_pe, dst_pe, name, dest_name, stored, model_bytes)
         deltas: dict[tuple[int, int], int] = {}
-        lifted: set[tuple[tuple[int, int], str]] = set()
-        landing: set[tuple[tuple[int, int], str]] = set()
+        lifted: dict[tuple[tuple[int, int], str], _Stored] = {}
+        landing: dict[tuple[tuple[int, int], str], _Stored] = {}
         largest: dict[tuple[int, int], int] = {}    # (element_bits, hops) -> max count
         elements = 0
         hops_total = 0
@@ -372,11 +371,10 @@ class Mesh:
                     raise ValueError(f"{name!r} on PE {src} is lifted by two slides")
                 if (dst, dest_name) in landing:
                     raise ValueError(f"two slides land on {dest_name!r} at PE {dst}")
-                lifted.add((src, name))
-                landing.add((dst, dest_name))
-                size = stored.model_bytes
-                moves.append((src, dst, name, dest_name, stored, size))
+                lifted[src, name] = stored
+                landing[dst, dest_name] = stored
                 if d > 0:
+                    size = stored.model_bytes
                     deltas[src] = deltas.get(src, 0) - size
                     deltas[dst] = deltas.get(dst, 0) + size
                     span_elements += stored.count
@@ -393,24 +391,25 @@ class Mesh:
                         + config.pipeline_fill_cycles_per_hop * (d - 1)
                         for (bits, d), count in largest.items()), default=Fraction(0))
 
+        used = self._used
         for pe, delta in deltas.items():
-            if self._used.get(pe, 0) + delta > config.local_memory_bytes:
+            if used.get(pe, 0) + delta > config.local_memory_bytes:
                 raise CapacityExceeded(
                     f"PE {pe}: incoming slide data would exceed "
                     f"{config.local_memory_bytes} B of local memory"
                 )
-        for _, dst, _, dest_name, _, _ in moves:
+        for dst, dest_name in landing:
             if dest_name in stores.get(dst, {}) and (dst, dest_name) not in lifted:
                 raise ValueError(f"PE {dst} already holds an array named {dest_name!r}")
 
-        # Commit: lift every source, then land every destination.
-        used = self._used
-        for src, _, name, _, _, size in moves:
+        # Commit: lift every source, land every destination, apply the usage
+        # the capacity check summed (zero-hop moves change none).
+        for src, name in lifted:
             del stores[src][name]
-            used[src] -= size
-        for _, dst, _, dest_name, stored, size in moves:
+        for (dst, dest_name), stored in landing.items():
             stores.setdefault(dst, {})[dest_name] = stored
-            used[dst] = used.get(dst, 0) + size
+        for pe, delta in deltas.items():
+            used[pe] = used.get(pe, 0) + delta
 
         if not participants:
             return PhaseReport(Fraction(0), 0, 0, 0, 0, 0, 0)

@@ -15,13 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .mesh import _as_fraction
 from .serial import log2_exact
-
-
-def _as_ratio(value) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -33,8 +28,8 @@ class CostModel:
     doubled_transfer: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_ratio(self.a))
-        object.__setattr__(self, "b", _as_ratio(self.b))
+        object.__setattr__(self, "a", _as_fraction(self.a))
+        object.__setattr__(self, "b", _as_fraction(self.b))
         if self.a < 0:
             raise ValueError("transfer cost a must be non-negative")
         if self.b <= 0:
@@ -88,7 +83,7 @@ def predict_efficiency(model: CostModel, n: int, m: int) -> EfficiencyReport:
     a_t = model.transfer_cost
     compute = 5 * model.b * m * n
     eta = Fraction(compute, a_t * n + compute) if a_t else Fraction(1)
-    first_order = 1 - (a_t / model.b) / (5 * m)
+    first_order = 1 - check_margin(model, m).margin
     return EfficiencyReport(
         eta=eta,
         eta_first_order=first_order,
@@ -104,7 +99,7 @@ def check_margin(model: CostModel, m: int, threshold=Fraction(1, 20)) -> MarginC
     if m < 1:
         raise ValueError("need at least one level (m >= 1)")
     margin = (model.transfer_cost / model.b) / (5 * m)
-    threshold = _as_ratio(threshold)
+    threshold = _as_fraction(threshold)
     return MarginCheck(margin=margin, threshold=threshold, passed=margin < threshold)
 
 
@@ -112,8 +107,9 @@ def reconcile(predicted, measured) -> Fraction:
     """Relative deviation |measured - predicted| / predicted of an observed
     efficiency from its prediction.  Both sides take an EfficiencyReport or
     a bare ratio."""
-    predicted = predicted.eta if isinstance(predicted, EfficiencyReport) else _as_ratio(predicted)
-    measured = measured.eta if isinstance(measured, EfficiencyReport) else _as_ratio(measured)
+    predicted = (predicted.eta if isinstance(predicted, EfficiencyReport)
+                 else _as_fraction(predicted))
+    measured = measured.eta if isinstance(measured, EfficiencyReport) else _as_fraction(measured)
     if predicted == 0:
         raise ValueError("cannot reconcile against a zero prediction")
     return abs(measured - predicted) / predicted

@@ -41,8 +41,8 @@ import numpy as np
 
 from .mesh import CapacityExceeded, Mesh, OffGridError, SlideDescriptor
 from .model import EfficiencyReport
-from .serial import (FLOPS_PER_PAIR, build_permutation, butterfly, log2_exact,
-                     merge_level, twiddle_table)
+from .serial import (FLOPS_PER_PAIR, _as_samples, build_permutation, butterfly,
+                     log2_exact, merge_level, twiddle_table)
 
 # Block-size buffers reserved per PE: two in use at once, plus headroom.
 BUFFER_FACTOR = 3
@@ -53,10 +53,10 @@ _INCOMING = "__incoming"
 # the transform, not on the whole wave at once.  On bench-fft --n 1048576
 # --k 8 --element-bits 32 (256 PEs of 4096 elements) one whole-wave stack
 # per level took 0.67 s and 134 MiB peak, groups of this size 0.55 s and
-# 116 MiB, the per-PE engine 0.60 s and 116 MiB (medians of 11 runs each on
-# a shared 2-vCPU host).  Groups of 2**14 were as fast, but their 256 KiB
-# arrays raised the peak to 120 MiB in 9 of 31 checkout directories tried,
-# an allocator-layout effect that 2**13 did not show in any of 46.
+# 116 MiB (medians of 11 runs each on a shared 2-vCPU host).  Groups of
+# 2**14 were as fast, but their 256 KiB arrays raised the peak to 120 MiB in
+# 9 of 31 checkout directories tried, an allocator-layout effect that 2**13
+# did not show in any of 46.
 GROUP_ELEMENTS = 1 << 13
 
 
@@ -166,11 +166,9 @@ def distribute(x, layout: WaveLayout, mesh: Mesh) -> None:
     """Store the input across the wave in permuted order, block-contiguous:
     PE j holds permuted elements [j*e, (j+1)*e).  A host-side load, not a
     slide: nothing is booked."""
-    y = np.asarray(x, dtype=np.complex128)
+    y = _as_samples(x)
     if y.shape[-1] != layout.n:
         raise ValueError(f"expected {layout.n} samples, got {y.shape[-1]}")
-    if not np.all(np.isfinite(y.view(np.float64))):
-        raise ValueError("sample vector contains non-finite values")
     if layout.m >= 1:
         y = y[..., build_permutation(layout.m).final_row]
     e = layout.elements_per_pe
@@ -286,7 +284,7 @@ def transfer_budget(layout: WaveLayout) -> TransferBudget:
 
 def measure_efficiency(ledger) -> EfficiencyReport:
     """Fraction of booked cycles spent computing: compute / total."""
-    total = ledger.compute_cycles + ledger.transfer_cycles + ledger.ramp_cycles
+    total = ledger.total_cycles
     if total == 0:
         raise ValueError("ledger holds no booked cycles")
     return EfficiencyReport(eta=Fraction(ledger.compute_cycles, total), flops=ledger.flops)

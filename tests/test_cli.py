@@ -1,8 +1,13 @@
 """Command-line behavior: CSV contract, exit codes, determinism."""
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slidefft.cli import (CSV_HEADER, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
                           bench_slide_records, main)
@@ -231,8 +236,86 @@ def test_config_b_matches_flag_b(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--n", "1"),
     ("bench-slide", "--elements", "0"),
+    ("predict", "--m", "3", "--a", "1e400"),
+    ("predict", "--m", "3", "--b", "1e-400"),
+    ("bench-fft", "--n", "4", "--k", "0..2", "--b", "1e-400"),
 ])
 def test_degenerate_sizes_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "4", "--preset", "pure-packet"),
+    ("verify", "--n", "4", "--csv"),
+    ("predict", "--m", "3", "--seed", "1"),
+    ("predict", "--m", "3", "--preset", "pure-packet"),
+    ("predict", "--m", "3", "--csv"),
+])
+def test_flags_a_command_never_reads_are_rejected(capsys, argv):
+    assert run(capsys, *argv)[0] == EXIT_USAGE
+
+
+# Each command's flags, with values it accepts (None marks a switch); --out
+# is left out so that no example writes a file.  Sizes stay small: verify
+# --n <= 16, bench-fft --n <= 64, bench-slide <= 4 PEs x 3 elements; the
+# flags of REQUIRED are always given, so no default size runs.  AWKWARD
+# values are the ones a flag's parser must reject or survive.
+RATIONALS = ["1/3", "7/2", "1e300", "1e-300", "1e400", "1e-400"]
+FLAGS = {
+    "verify": {"--n": ["2", "16"], "--seed": ["7"]},
+    "bench-slide": {"--pes": ["1", "4", "2,4"], "--elements": ["1", "1..3"],
+                    "--element-bits": ["32", "64"], "--seed": ["7"],
+                    "--preset": ["pure-packet"], "--csv": None},
+    "bench-fft": {"--n": ["4", "64"], "--k": ["0..6", "3"], "--element-bits": ["32", "64"],
+                  "--seed": ["7"], "--preset": ["pure-packet"], "--a": RATIONALS,
+                  "--b": RATIONALS, "--doubled-transfer": None, "--dump-ledger": None,
+                  "--csv": None},
+    "predict": {"--n": ["64"], "--m": ["3", "17"], "--a": RATIONALS, "--b": RATIONALS,
+                "--doubled-transfer": None},
+}
+REQUIRED = {"verify": ["--n"], "bench-slide": ["--pes", "--elements"],
+            "bench-fft": ["--n"], "predict": []}
+AWKWARD = ["0", "-1", "1/0", "1e400", "1e-400", "nan", "4..2", "1,,2", "x"]
+# Config values as JSON text: wrong types, huge and tiny numbers.
+CONFIG_VALUES = ["0", "-1", "3", "0.3", "1e300", "1e-300", "1e400", "1e-400",
+                 "1000000000000000000000000000000", '"8,16"', '"x"', "[1, 2]", "[]",
+                 "true", "null", "{}"]
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    awkward = draw(st.sampled_from([None, *flags]))    # at most one flag gets an AWKWARD value
+    argv = [command]
+    for flag, values in flags.items():
+        if flag in REQUIRED[command] or flag == awkward or draw(st.booleans()):
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(st.sampled_from(AWKWARD if flag == awkward else values)))
+    keys = sorted(flag[2:] for flag in flags) + ["unknown"]
+    entries = st.tuples(st.sampled_from(keys), st.sampled_from(CONFIG_VALUES))
+    config = draw(st.none()
+                  | st.lists(entries, max_size=3).map(
+                      lambda pairs: "{" + ", ".join(f'"{k}": {v}' for k, v in pairs) + "}")
+                  | st.sampled_from(["[]", '"x"', "{"]))
+    return argv, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocations())
+def test_cli_fuzz_ends_in_an_exit_code(invocation):
+    argv, config = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "settings.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(config)
+            argv = argv + ["--config", path]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

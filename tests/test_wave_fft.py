@@ -94,6 +94,15 @@ class TestDistribution:
         order = build_permutation(4).final_row
         np.testing.assert_array_equal(gather(layout, mesh), x[order])
 
+    @pytest.mark.parametrize("x", [np.complex128(1), np.full(8, np.nan), np.ones(4)],
+                             ids=["scalar", "nan", "short"])
+    def test_bad_input_is_rejected_before_any_store(self, x):
+        mesh = wave_mesh(1)
+        layout = plan_wave(8, 1, 64, mesh)
+        with pytest.raises(ValueError):
+            distribute(x, layout, mesh)
+        assert mesh.pe_names((0, 0)) == mesh.pe_names((0, 1)) == ()
+
 
 class TestTransformAcrossWaveLengths:
     def test_maximal_spread_impulse(self):
