@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .mesh import CapacityExceeded, MeshConfig, PRESETS, mesh_create
+from .mesh import CapacityExceeded, MeshConfig, PRESETS, SlideDescriptor, mesh_create
 from .model import CostModel, check_margin, flops_per_transform, predict_efficiency, reconcile
 from .serial import bit_reverse_index, build_permutation, dft_oracle, fft_serial
 from .wave import (distribute, measure_efficiency, min_feasible_k, plan_wave,
@@ -60,8 +60,18 @@ def parse_seed(text: str) -> int:
     return value
 
 
+# Checked before Fraction builds 10**exponent or predict builds 2**m.  By
+# default Python turns no integer of over 4300 digits into text.
+MAX_EXPONENT = 4300
+MAX_LEVELS = 1 << 16
+
+
 def parse_rational(text: str) -> Fraction:
+    _, e, exponent = text.lower().partition("e")
     try:
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} has a decimal exponent beyond {MAX_EXPONENT} in magnitude")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
@@ -147,30 +157,25 @@ def records_to_csv(records: list[BenchRecord]) -> str:
 
 
 def bench_slide_records(pe_counts: list[int], element_counts: list[int],
-                        element_bits: int, config_kwargs: dict,
-                        seed: int = 0) -> list[BenchRecord]:
+                        element_bits: int, config_kwargs: dict) -> list[BenchRecord]:
     """One single-hop slide per (pe_count, elements_per_pe) pair.
 
     The wave's PEs shift one neighbor to the right in lockstep, so the phase
     wall clock is one PE's time and every PE is busy for all of it:
     total_cycles = pe_count * wall clock, kept as an exact rational so
     cycles/element decays smoothly toward the per-element transfer cost.
+    A slide's cost depends on block sizes alone, so the blocks hold zeros.
     """
-    from .mesh import SlideDescriptor
-
     if min(pe_counts) < 1 or min(element_counts) < 1:
         raise ValueError("PE and element counts must be at least 1")
     records = []
-    dtype = np.float32 if element_bits == 32 else np.float64
     for pes in sorted(pe_counts):
         for count in sorted(element_counts):
             config = MeshConfig(rows=1, cols=pes + 1, **config_kwargs)
             mesh = mesh_create(config)
-            rng = np.random.default_rng(seed)
             try:
                 for col in range(pes):
-                    mesh.pe_store((0, col), "block", rng.random(count).astype(dtype),
-                                  element_bits=element_bits)
+                    mesh.pe_store((0, col), "block", np.zeros(count), element_bits=element_bits)
             except CapacityExceeded:
                 records.append(BenchRecord(pes, count, pes * count, 0, Fraction(0),
                                            0, 0, 0, 0.0, 0.0, status="capacity_exceeded"))
@@ -279,40 +284,23 @@ def run_verify(max_n: int, seed: int, echo=print) -> bool:
         tag = "PASS" if passed else "FAIL"
         echo(f"{tag} {name}" + (f" ({detail})" if detail else ""))
 
-    worst = 0.0
-    oracles = {}    # n -> dft_oracle of that size's batch, reused by wave-vs-oracle
-    for n in sizes:
-        x = random_batch(seed, seeds, n)
-        oracles[n] = dft_oracle(x)
-        worst = max(worst, _rel_error(fft_serial(x), oracles[n]))
-    suite("serial-vs-oracle", worst < 1e-9,
-          f"sizes 2..{sizes[-1]}, {seeds} seeds, max rel err {worst:.2e}")
-
-    worst = 0.0
-    for n in sizes:
-        x = random_batch(seed, seeds, n)
-        X = fft_serial(x)
-        energy_t = np.sum(np.abs(x) ** 2, axis=-1)
-        energy_f = np.sum(np.abs(X) ** 2, axis=-1)
-        worst = max(worst, float(np.max(np.abs(energy_f - n * energy_t) / (n * energy_t))))
-    suite("parseval", worst < 1e-9, f"max rel err {worst:.2e}")
-
-    perm_ok = True
-    for m in range(1, 11):
-        table = build_permutation(m)
-        expect = np.array([bit_reverse_index(i, m) for i in range(1 << m)])
-        perm_ok &= bool(np.array_equal(table.final_row, expect))
-        perm_ok &= bool(np.array_equal(table.final_row[table.final_row], np.arange(1 << m)))
-    suite("permutation-vs-bit-reversal", perm_ok, "m = 1..10, involution included")
-
+    # One pass: each size's batch, serial spectrum and oracle feed the serial,
+    # Parseval and wave suites, which keep running maxima and print after.
+    serial_worst = parseval_worst = wave_worst = 0.0
     wave_ok = True
-    worst = 0.0
     detail = ""
     for n in sizes:
         m = n.bit_length() - 1
         x = random_batch(seed, seeds, n)
         reference = fft_serial(x)
-        oracle = oracles[n]
+        oracle = dft_oracle(x)
+        serial_worst = max(serial_worst, _rel_error(reference, oracle))
+        energy_t = np.sum(np.abs(x) ** 2, axis=-1)
+        energy_f = np.sum(np.abs(reference) ** 2, axis=-1)
+        parseval_worst = max(parseval_worst,
+                             float(np.max(np.abs(energy_f - n * energy_t) / (n * energy_t))))
+        if not wave_ok:
+            continue
         kmin = min_feasible_k(n, 64, MeshConfig().local_memory_bytes)
         for k in range(kmin, m + 1):
             mesh = mesh_create(MeshConfig(rows=1, cols=1 << k))
@@ -323,17 +311,28 @@ def run_verify(max_n: int, seed: int, echo=print) -> bool:
             if not np.array_equal(spectrum, reference):
                 wave_ok, detail = False, f"n={n} k={k}: differs from serial transform"
                 break
-            worst = max(worst, _rel_error(spectrum, oracle))
+            wave_worst = max(wave_worst, _rel_error(spectrum, oracle))
             if ledger.flops != flops_per_transform(n):
                 wave_ok, detail = False, f"n={n} k={k}: booked {ledger.flops} FLOPs"
                 break
             if ledger.elements_moved != transfer_budget(layout).elements_moved:
                 wave_ok, detail = False, f"n={n} k={k}: transfer budget mismatch"
                 break
-        if not wave_ok:
-            break
-    suite("wave-vs-oracle", wave_ok and worst < 1e-9,
-          detail or f"all feasible k, bit-exact across k, max rel err {worst:.2e}")
+
+    suite("serial-vs-oracle", serial_worst < 1e-9,
+          f"sizes 2..{sizes[-1]}, {seeds} seeds, max rel err {serial_worst:.2e}")
+    suite("parseval", parseval_worst < 1e-9, f"max rel err {parseval_worst:.2e}")
+
+    perm_ok = True
+    for m in range(1, 11):
+        table = build_permutation(m)
+        expect = np.array([bit_reverse_index(i, m) for i in range(1 << m)])
+        perm_ok &= bool(np.array_equal(table.final_row, expect))
+        perm_ok &= bool(np.array_equal(table.final_row[table.final_row], np.arange(1 << m)))
+    suite("permutation-vs-bit-reversal", perm_ok, "m = 1..10, involution included")
+
+    suite("wave-vs-oracle", wave_ok and wave_worst < 1e-9,
+          detail or f"all feasible k, bit-exact across k, max rel err {wave_worst:.2e}")
 
     impulse = np.zeros(8)
     impulse[0] = 1.0
@@ -405,7 +404,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="largest transform size to check (default 1024)")
 
     p = command("bench-slide", "cost of single one-hop slides",
-                "--seed", "--out", "--preset", "--csv", "--config")
+                "--out", "--preset", "--csv", "--config")
     p.add_argument("--pes", type=parse_int_list, default=[8, 16, 32],
                    help="comma list of PE counts (default 8,16,32)")
     p.add_argument("--elements", type=parse_int_list, default=list(range(1, 501)),
@@ -514,6 +513,8 @@ def main(argv=None) -> int:
                 m = n.bit_length() - 1
             if m < 1:
                 raise UsageError("need at least one level (m >= 1)")
+            if m > MAX_LEVELS:
+                raise UsageError(f"--m {m} exceeds {MAX_LEVELS} levels")
             if n is not None and n != (1 << m):
                 raise UsageError(f"--n {n} and --m {m} disagree")
             lines = []
@@ -524,7 +525,7 @@ def main(argv=None) -> int:
         # bench-slide or bench-fft: argparse admits no other command.
         if args.command == "bench-slide":
             records = bench_slide_records(args.pes, args.elements, args.element_bits,
-                                          dict(PRESETS[args.preset]), args.seed)
+                                          dict(PRESETS[args.preset]))
             summary = [f"bench-slide: {len(records)} rows, "
                        f"pe counts {args.pes}, element bits {args.element_bits}"]
         else:
@@ -551,8 +552,7 @@ def main(argv=None) -> int:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ValueError, OverflowError, OSError) as exc:
-        # OverflowError: a value whose result outgrows a float or an int shift,
-        # such as --a 1e400 or --m 10**30.
+        # OverflowError: a value whose result outgrows a float, such as --a 1e400.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,6 +1,6 @@
 """Deterministic cycle accounting for a 2D grid of processing elements.
 
-Each PE owns a fixed amount of local memory holding named arrays.  The one
+Each PE owns a fixed amount of local memory holding named blocks.  The one
 communication primitive is the *slide*: a rigid translation of a span of
 per-PE arrays by a common displacement, all participants moving in lockstep.
 Costs are charged from a handful of integer/rational parameters, so repeated
@@ -21,10 +21,14 @@ rather than once per PE.  Compute is booked separately as total FLOP volume
 times cycles_per_flop, with the per-phase maximum over PEs advancing the
 wall clock.
 
-Host-side work on the stored blocks goes through the span accessors
-:meth:`Mesh.span_fetch` and :meth:`Mesh.span_update`, which read and write
-one name on a run of PEs in one row as a single stacked array, so arithmetic
-is batched across PEs rather than done one block at a time.
+Each stored name is a data plane (*batch, rows, cols, width), a count plane
+(0: no block) and an element-bits plane; one usage plane holds each PE's
+bytes.  A name's planes go when its last block leaves.  Blocks go in as
+arrays or raw bytes (uint8) and come out read-only: :meth:`Mesh.pe_fetch`
+and :meth:`Mesh.span_fetch` (one name on a run of PEs in a row, blocks on
+axis -2) return views that show later writes, unless the columns are not a
+range; :meth:`Mesh.span_update` writes such a run back in one slice
+assignment, so host arithmetic is batched across PEs.
 """
 
 from __future__ import annotations
@@ -191,20 +195,21 @@ class PhaseReport:
 
 
 @dataclass
-class _Stored:
-    data: object            # bytes or ndarray; last axis is the element axis
-    element_bits: int
-    count: int
+class _Plane:
+    """One stored name: PE (r, c) holds ``data[..., r, c, :count[r, c]]``
+    (count 0: no block) of ``bits[r, c]``-bit elements."""
 
-    @property
-    def model_bytes(self) -> int:
-        return self.count * self.element_bits // 8
+    data: np.ndarray      # (*batch, rows, cols, width)
+    count: np.ndarray     # (rows, cols) int64
+    bits: np.ndarray      # (rows, cols) int64
 
 
-def _element_count(data) -> int:
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        return len(data)
-    return np.asarray(data).shape[-1]
+def _repeated(keys: np.ndarray) -> np.ndarray:
+    """True where an earlier entry of ``keys`` holds the same value."""
+    order = np.argsort(keys, kind="stable")
+    out = np.zeros(len(keys), dtype=bool)
+    out[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return out
 
 
 class Mesh:
@@ -214,8 +219,8 @@ class Mesh:
         self.config = config
         self.ledger = CycleLedger()
         self.wall_clock_cycles = 0
-        self._stores: dict[tuple[int, int], dict[str, _Stored]] = {}
-        self._used: dict[tuple[int, int], int] = {}
+        self._planes: dict[str, _Plane] = {}
+        self._used = np.zeros((config.rows, config.cols), dtype=np.int64)
 
     # -------------------- geometry --------------------
 
@@ -235,77 +240,123 @@ class Mesh:
 
     # -------------------- local stores --------------------
 
+    def _plane(self, name: str, batch: tuple, dtype, width: int) -> _Plane:
+        """The planes of ``name``, made, or widened and promoted, to take blocks
+        of ``batch`` shape, ``dtype`` and ``width`` elements.  Data past a
+        block's count is never read, so it is left uninitialised."""
+        plane = self._planes.get(name)
+        if plane is None:
+            plane = self._planes[name] = _Plane(np.empty(batch + self.shape + (width,), dtype),
+                                                np.zeros(self.shape, np.int64),
+                                                np.zeros(self.shape, np.int64))
+        data = plane.data
+        if data.shape[:-3] != batch:
+            raise ValueError(f"blocks of {name!r} have batch shape {data.shape[:-3]}, not {batch}")
+        dtype = np.result_type(data.dtype, dtype) if dtype != data.dtype else dtype
+        if width > data.shape[-1] or dtype != data.dtype:
+            plane.data = np.empty(data.shape[:-1] + (max(width, data.shape[-1]),), dtype)
+            plane.data[..., : data.shape[-1]] = data
+        return plane
+
+    def _drop_empty(self, names) -> None:
+        for name in names:
+            if name in self._planes and not self._planes[name].count.any():
+                del self._planes[name]
+
     def pe_used(self, pe) -> int:
-        return self._used.get(self._require_pe(pe), 0)
+        return int(self._used[self._require_pe(pe)])
 
     def pe_store(self, pe, name: str, data, element_bits: int = 8) -> None:
-        """Place a named array on a PE, enforcing local memory capacity.
+        """Copy a named block onto a PE, enforcing local memory capacity.
 
-        ``data`` may be raw bytes (one element per byte) or an ndarray whose
-        last axis holds the elements; ``element_bits`` declares the modeled
-        wire size of one element.
+        ``data`` is raw bytes (a uint8 block, one element per byte) or an
+        ndarray whose last axis holds the elements; ``element_bits`` declares
+        the modelled wire size of one element.
         """
-        pe = self._require_pe(pe)
+        r, c = pe = self._require_pe(pe)
         if element_bits < 1 or element_bits % 8:
             raise ValueError("element size must be a positive multiple of 8 bits")
-        slot = self._stores.setdefault(pe, {})
-        if name in slot:
+        block = (np.frombuffer(data, dtype=np.uint8)
+                 if isinstance(data, (bytes, bytearray, memoryview)) else np.asarray(data))
+        if block.ndim < 1 or block.shape[-1] < 1:
+            raise ValueError("a block needs at least one element")
+        if name in self._planes and self._planes[name].count[r, c]:
             raise ValueError(f"PE {pe} already holds an array named {name!r}")
-        stored = _Stored(data=data, element_bits=element_bits, count=_element_count(data))
-        used = self._used.get(pe, 0)
-        if used + stored.model_bytes > self.config.local_memory_bytes:
+        count = block.shape[-1]
+        size = count * element_bits // 8
+        used = int(self._used[r, c])
+        if used + size > self.config.local_memory_bytes:
             raise CapacityExceeded(
-                f"PE {pe}: storing {stored.model_bytes} B of {name!r} over "
+                f"PE {pe}: storing {size} B of {name!r} over "
                 f"{used} B used exceeds {self.config.local_memory_bytes} B"
             )
-        slot[name] = stored
-        self._used[pe] = used + stored.model_bytes
+        plane = self._plane(name, block.shape[:-1], block.dtype, count)
+        plane.data[..., r, c, :count] = block
+        plane.count[r, c] = count
+        plane.bits[r, c] = element_bits
+        self._used[r, c] = used + size
 
-    def pe_fetch(self, pe, name: str):
-        pe = self._require_pe(pe)
-        try:
-            return self._stores[pe][name].data
-        except KeyError:
-            raise KeyError(f"PE {pe} holds no array named {name!r}") from None
-
-    def _span(self, row: int, cols, name: str) -> list[_Stored]:
-        """The stored ``name`` of PEs (row, c), c in ``cols``, in order."""
+    def _run(self, row: int, cols, name: str):
+        """(plane, row, column index, count) of the blocks ``name`` on PEs
+        (row, c), c in ``cols``, which must all hold one of the same count.
+        The index is a slice when ``cols`` is a range, so reads are views."""
         if not len(cols):
             raise ValueError("span is empty")
-        for col in (min(cols), max(cols)):
-            self._require_pe((row, col))
-        stores = self._stores
-        try:
-            return [stores[row, col][name] for col in cols]
-        except KeyError:
-            col = next(c for c in cols if name not in stores.get((row, c), {}))
-            raise KeyError(f"PE {(row, col)} holds no array named {name!r}") from None
+        if isinstance(cols, range) and cols.step > 0:
+            index, low, high = slice(cols[0], cols[-1] + 1, cols.step), cols[0], cols[-1]
+        else:
+            index = np.asarray(cols, dtype=np.intp)
+            low, high = index.min(), index.max()
+        row = self._require_pe((row, low))[0]
+        self._require_pe((row, high))
+        plane = self._planes.get(name)
+        counts = plane.count[row, index] if plane is not None else np.zeros(len(cols), np.int64)
+        count = int(counts[0])
+        if not count or (counts != count).any():
+            if not counts.all():
+                col = int(cols[int(np.argmin(counts))])
+                raise KeyError(f"PE {(row, col)} holds no array named {name!r}")
+            raise ValueError(f"blocks of {name!r} on row {row} differ in element count")
+        return plane, row, index, count
+
+    def pe_fetch(self, pe, name: str) -> np.ndarray:
+        """The block ``name`` on ``pe``: a read-only view, shape (*batch, count)."""
+        return self.span_fetch(pe[0], range(pe[1], pe[1] + 1), name)[..., 0, :]
+
+    def pe_element_bits(self, pe, name: str) -> int:
+        """The modelled size in bits of one element of the block ``name`` on ``pe``."""
+        plane, r, c, _ = self._run(pe[0], range(pe[1], pe[1] + 1), name)
+        return int(plane.bits[r, c][0])
 
     def span_fetch(self, row: int, cols, name: str) -> np.ndarray:
-        """Stack the named ndarray blocks of PEs (row, c), c in ``cols``, on
-        axis -2: the result has shape (..., len(cols), count)."""
-        return np.stack([stored.data for stored in self._span(row, cols, name)], axis=-2)
+        """The named blocks of PEs (row, c), c in ``cols``, stacked on axis -2:
+        shape (*batch, len(cols), count), read-only.  When ``cols`` is a range
+        this is a view of the plane, so later writes show through it."""
+        plane, row, index, count = self._run(row, cols, name)
+        view = plane.data[..., row, index, :count]
+        view.flags.writeable = False
+        return view
 
     def span_update(self, row: int, cols, name: str, blocks) -> None:
-        """Write ``blocks[..., i, :]`` back as the named array of PE
-        (row, cols[i]), the inverse of :meth:`span_fetch`.  No size may
-        change; every PE is checked before any is written."""
-        span = self._span(row, cols, name)
+        """Write ``blocks[..., i, :]`` over the named block of PE (row, cols[i]),
+        the inverse of :meth:`span_fetch`.  ``blocks`` must have exactly the
+        shape that :meth:`span_fetch` returns; nothing is written otherwise."""
+        plane, row, index, count = self._run(row, cols, name)
         blocks = np.asarray(blocks)
-        if blocks.ndim < 2 or blocks.shape[-2] != len(span):
-            raise ValueError(f"expected {len(span)} blocks on axis -2, got shape {blocks.shape}")
-        if any(stored.count != blocks.shape[-1] for stored in span):
-            raise ValueError("updated array must keep its element count")
-        for i, stored in enumerate(span):
-            stored.data = blocks[..., i, :]
+        shape = plane.data.shape[:-3] + (len(cols), count)
+        if blocks.shape != shape:
+            raise ValueError(f"expected blocks of shape {shape}, got {blocks.shape}")
+        self._plane(name, shape[:-2], blocks.dtype, count).data[..., row, index, :count] = blocks
 
     def pe_delete(self, pe, name: str) -> None:
-        pe = self._require_pe(pe)
-        stored = self._stores[pe].pop(name)
-        self._used[pe] -= stored.model_bytes
+        plane, r, c, count = self._run(pe[0], range(pe[1], pe[1] + 1), name)
+        self._used[r, c] -= count * plane.bits[r, c] // 8
+        plane.count[r, c] = plane.bits[r, c] = 0
+        self._drop_empty([name])
 
     def pe_names(self, pe) -> tuple[str, ...]:
-        return tuple(sorted(self._stores.get(self._require_pe(pe), {})))
+        r, c = self._require_pe(pe)
+        return tuple(sorted(name for name, plane in self._planes.items() if plane.count[r, c]))
 
     # -------------------- slides --------------------
 
@@ -323,96 +374,131 @@ class Mesh:
         may be lifted by at most one descriptor and landed on by at most one,
         so a phase can neither drop nor duplicate a block.
 
-        The per-PE time grows with the block's element count alone, so the
-        maximum is taken over (element_bits, hops) groups, each costed once
-        at its largest count; grid bounds are checked once per descriptor,
-        at the end points of its span.
+        Each check is one mask over all the phase's moves; the error raised
+        is the first that moving the descriptors in order, PE by PE, would
+        meet.  Each (element_bits, hops) group is costed at its largest count.
         """
         config = self.config
         rows, cols = config.rows, config.cols
-        stores = self._stores
-        deltas: dict[tuple[int, int], int] = {}
-        lifted: dict[tuple[tuple[int, int], str], _Stored] = {}
-        landing: dict[tuple[tuple[int, int], str], _Stored] = {}
-        largest: dict[tuple[int, int], int] = {}    # (element_bits, hops) -> max count
-        elements = 0
-        hops_total = 0
-        participants = 0
+        ids: dict[str, int] = {}    # every source and destination name, in first use
+        table = np.array([(d.row, d.col_start, d.col_stop, *d.displacement, d.element_bits,
+                           ids.setdefault(d.name, len(ids)),
+                           ids.setdefault(d.dest_name or d.name, len(ids)))
+                          for d in descs], dtype=np.int64).reshape(-1, 8)
+        names = list(ids)
 
-        for desc in descs:
-            row, start, stop = desc.row, desc.col_start, desc.col_stop
-            if stop <= start:
-                raise ValueError("slide source span is empty")
-            name, bits = desc.name, desc.element_bits
-            dr, dc = desc.displacement
-            d = desc.hops
-            dest_name = desc.dest_name or name
-            if not (0 <= row < rows and 0 <= start and stop <= cols):
-                raise OffGridError(f"slide source PEs ({row}, {start}..{stop - 1}) "
-                                   f"outside {rows}x{cols} grid")
-            if not (0 <= row + dr < rows and 0 <= start + dc and stop + dc <= cols):
-                raise OffGridError(f"slide destination PEs ({row + dr}, {start + dc}.."
-                                   f"{stop - 1 + dc}) outside {rows}x{cols} grid")
-            span_elements = 0
-            span_largest = 0
-            for col in range(start, stop):
-                src = (row, col)
-                dst = (row + dr, col + dc)
-                try:
-                    stored = stores[src][name]
-                except KeyError:
-                    raise KeyError(f"PE {src} holds no array named {name!r}") from None
-                if stored.element_bits != bits:
-                    raise ValueError(
-                        f"{name!r} on PE {src} is stored as {stored.element_bits}-bit "
-                        f"elements, descriptor says {bits}"
-                    )
-                if (src, name) in lifted:
-                    raise ValueError(f"{name!r} on PE {src} is lifted by two slides")
-                if (dst, dest_name) in landing:
-                    raise ValueError(f"two slides land on {dest_name!r} at PE {dst}")
-                lifted[src, name] = stored
-                landing[dst, dest_name] = stored
-                if d > 0:
-                    size = stored.model_bytes
-                    deltas[src] = deltas.get(src, 0) - size
-                    deltas[dst] = deltas.get(dst, 0) + size
-                    span_elements += stored.count
-                    if stored.count > span_largest:
-                        span_largest = stored.count
-            if d > 0:
-                largest[bits, d] = max(largest.get((bits, d), 0), span_largest)
-                elements += span_elements
-                hops_total += span_elements * d
-                participants += stop - start
+        # A descriptor off the grid is raised after the block checks of the
+        # descriptors before it.
+        row, start, stop, d_row, d_col = table[:, :5].T
+        empty = stop <= start
+        off_source = (row < 0) | (row >= rows) | (start < 0) | (stop > cols)
+        off_dest = ((row + d_row < 0) | (row + d_row >= rows) | (start + d_col < 0)
+                    | (stop + d_col > cols))
+        grid_error = None
+        failed = np.flatnonzero(empty | off_source | off_dest)
+        if len(failed):
+            j = failed[0]
+            if empty[j]:
+                grid_error = ValueError("slide source span is empty")
+            elif off_source[j]:
+                grid_error = OffGridError(f"slide source PEs ({row[j]}, {start[j]}.."
+                                          f"{stop[j] - 1}) outside {rows}x{cols} grid")
+            else:
+                grid_error = OffGridError(
+                    f"slide destination PEs ({row[j] + d_row[j]}, {start[j] + d_col[j]}.."
+                    f"{stop[j] - 1 + d_col[j]}) outside {rows}x{cols} grid")
+            table = table[:j]
 
-        # One closed form per group; the cost never falls as the count grows.
-        max_time = max((config.ramp_cycles + config.element_cost(bits) * count
-                        + config.pipeline_fill_cycles_per_hop * (d - 1)
-                        for (bits, d), count in largest.items()), default=Fraction(0))
+        # One entry per moved block, descriptor by descriptor, column by column.
+        length = table[:, 2] - table[:, 1]
+        moves = np.repeat(table, length, axis=0)
+        src_r = moves[:, 0]
+        src_c = moves[:, 1] + np.arange(len(moves)) - np.repeat(np.cumsum(length) - length, length)
+        dst_r, dst_c = src_r + moves[:, 3], src_c + moves[:, 4]
+        bits, src_id, dst_id = moves[:, 5], moves[:, 6], moves[:, 7]
+        hops = np.abs(moves[:, 3]) + np.abs(moves[:, 4])
+        count = np.zeros(len(moves), np.int64)      # 0: the source holds no block
+        stored_bits = np.zeros(len(moves), np.int64)
+        occupied = np.zeros(len(moves), bool)
+        for i, plane in enumerate(map(self._planes.get, names)):
+            if plane is not None:
+                lift, land = src_id == i, dst_id == i
+                count[lift] = plane.count[src_r[lift], src_c[lift]]
+                stored_bits[lift] = plane.bits[src_r[lift], src_c[lift]]
+                occupied[land] = plane.count[dst_r[land], dst_c[land]] > 0
 
-        used = self._used
-        for pe, delta in deltas.items():
-            if used.get(pe, 0) + delta > config.local_memory_bytes:
-                raise CapacityExceeded(
-                    f"PE {pe}: incoming slide data would exceed "
-                    f"{config.local_memory_bytes} B of local memory"
-                )
-        for dst, dest_name in landing:
-            if dest_name in stores.get(dst, {}) and (dst, dest_name) not in lifted:
-                raise ValueError(f"PE {dst} already holds an array named {dest_name!r}")
+        lift_key = (src_id * rows + src_r) * cols + src_c
+        land_key = (dst_id * rows + dst_r) * cols + dst_c
+        lifted_twice, landed_twice = _repeated(lift_key), _repeated(land_key)
+        failed = np.flatnonzero((count == 0) | (stored_bits != bits) | lifted_twice | landed_twice)
+        if len(failed):
+            i = failed[0]
+            src, dst = (int(src_r[i]), int(src_c[i])), (int(dst_r[i]), int(dst_c[i]))
+            name = names[src_id[i]]
+            if not count[i]:
+                raise KeyError(f"PE {src} holds no array named {name!r}")
+            if stored_bits[i] != bits[i]:
+                raise ValueError(f"{name!r} on PE {src} is stored as {stored_bits[i]}-bit "
+                                 f"elements, descriptor says {bits[i]}")
+            if lifted_twice[i]:
+                raise ValueError(f"{name!r} on PE {src} is lifted by two slides")
+            raise ValueError(f"two slides land on {names[dst_id[i]]!r} at PE {dst}")
+        if grid_error is not None:
+            raise grid_error
 
-        # Commit: lift every source, land every destination, apply the usage
-        # the capacity check summed (zero-hop moves change none).
-        for src, name in lifted:
-            del stores[src][name]
-        for (dst, dest_name), stored in landing.items():
-            stores.setdefault(dst, {})[dest_name] = stored
-        for pe, delta in deltas.items():
-            used[pe] = used.get(pe, 0) + delta
+        # Usage deltas of the moving blocks (zero-hop moves are renames), as
+        # whole byte counts, which float64 sums exactly.
+        moving = hops > 0
+        size = (count * bits // 8)[moving]
+        src_pe, dst_pe = (src_r * cols + src_c)[moving], (dst_r * cols + dst_c)[moving]
+        delta = (np.bincount(dst_pe, size, rows * cols)
+                 - np.bincount(src_pe, size, rows * cols)).astype(np.int64)
+        touched = np.column_stack([src_pe, dst_pe]).ravel()     # in the order moves touch them
+        over = touched[(self._used.ravel() + delta > config.local_memory_bytes)[touched]]
+        if len(over):
+            raise CapacityExceeded(f"PE {divmod(int(over[0]), cols)}: incoming slide data would "
+                                   f"exceed {config.local_memory_bytes} B of local memory")
+        taken = np.flatnonzero(occupied & ~np.isin(land_key, lift_key))
+        if len(taken):
+            i = taken[0]
+            raise ValueError(f"PE {(int(dst_r[i]), int(dst_c[i]))} already holds an array "
+                             f"named {names[dst_id[i]]!r}")
 
-        if not participants:
+        # Commit: copy every lifted block out, per (source, destination) name
+        # pair; nothing has changed yet, so the batch-shape check may still
+        # raise.  Then clear the lifts, land the copies and apply the usage
+        # the capacity check summed.
+        landings = []
+        for s, d in (divmod(pair, len(names)) for pair in
+                     np.unique(table[:, 6] * len(names) + table[:, 7]).tolist()):
+            source, dest = self._planes[names[s]], self._planes.get(names[d])
+            if dest is not None and dest.data.shape[:-3] != source.data.shape[:-3]:
+                raise ValueError(f"blocks of {names[s]!r} and {names[d]!r} differ in batch shape")
+            move = (src_id == s) & (dst_id == d)
+            width = int(count[move].max())
+            landings.append((source, names[d], move,
+                             source.data[..., src_r[move], src_c[move], :width]))
+        for source, _, move, _ in landings:
+            source.count[src_r[move], src_c[move]] = source.bits[src_r[move], src_c[move]] = 0
+        for _, dest, move, blocks in landings:
+            plane = self._plane(dest, blocks.shape[:-2], blocks.dtype, blocks.shape[-1])
+            plane.data[..., dst_r[move], dst_c[move], : blocks.shape[-1]] = blocks
+            plane.count[dst_r[move], dst_c[move]] = count[move]
+            plane.bits[dst_r[move], dst_c[move]] = bits[move]
+        self._used += delta.reshape(rows, cols)
+        self._drop_empty(names)
+
+        if not moving.any():
             return PhaseReport(Fraction(0), 0, 0, 0, 0, 0, 0)
+        # One closed form per (element_bits, hops) group, at the group's
+        # largest count: the cost never falls as the count grows.
+        group = np.where(moving, bits * (int(hops.max()) + 1) + hops, -1)
+        max_time = max(config.ramp_cycles + config.element_cost(int(bits[i]))
+                       * int(count[group == group[i]].max())
+                       + config.pipeline_fill_cycles_per_hop * (int(hops[i]) - 1)
+                       for i in np.unique(group, return_index=True)[1] if moving[i])
+        elements = int(count[moving].sum())
+        hops_total = int((count * hops)[moving].sum())
 
         ramp_booked = config.ramp_cycles
         transfer_booked = math.ceil(max_time - ramp_booked)
@@ -428,7 +514,7 @@ class Mesh:
             ramp_booked=ramp_booked,
             elements=elements,
             element_hops=hops_total,
-            participants=participants,
+            participants=int(moving.sum()),
         )
 
     # -------------------- compute --------------------

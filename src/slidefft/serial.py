@@ -40,11 +40,11 @@ def log2_exact(n: int) -> int:
     return n.bit_length() - 1
 
 
-def _as_samples(x, dtype=np.complex128) -> np.ndarray:
-    y = np.asarray(x, dtype=dtype)
+def _as_samples(x) -> np.ndarray:
+    y = np.asarray(x, dtype=np.complex128)
     if y.ndim < 1 or y.shape[-1] < 1:
         raise ValueError("sample vector must have at least one element")
-    if not np.all(np.isfinite(y.view(np.float64 if dtype == np.complex128 else np.float32))):
+    if not np.all(np.isfinite(y.view(np.float64))):
         raise ValueError("sample vector contains non-finite values")
     return y
 
@@ -127,37 +127,14 @@ def merge_level(y: np.ndarray, N: int, u: np.ndarray) -> np.ndarray:
     return np.concatenate([l, r], axis=-1).reshape(y.shape)
 
 
-def crossing(e, o, twiddles, counter: FlopCounter | None = None):
-    """Merge segments E and O of one crossing: L = E + U*O, R = E - U*O.
-
-    ``twiddles`` is a :class:`TwiddleTable` or a plain array of its N/2
-    factors.  Books 10 * (N/2) FLOPs into ``counter`` when one is attached.
-    """
-    e = np.asarray(e, dtype=np.complex128)
-    o = np.asarray(o, dtype=np.complex128)
-    factors = twiddles.factors if isinstance(twiddles, TwiddleTable) else np.asarray(twiddles)
-    half = factors.shape[-1]
-    if e.shape[-1] != half or o.shape[-1] != half:
-        raise ValueError(
-            f"segment length mismatch: E has {e.shape[-1]}, O has {o.shape[-1]}, "
-            f"twiddles expect {half}"
-        )
-    l, r = butterfly(e, o, factors)
-    if counter is not None:
-        counter.add(FLOPS_PER_PAIR * half)
-    return l, r
-
-
-def fft_serial(x, counter: FlopCounter | None = None, dtype=np.complex128) -> np.ndarray:
+def fft_serial(x, counter: FlopCounter | None = None) -> np.ndarray:
     """Radix-2 decimation-in-time FFT over the last axis.
 
     The input is permuted by the bit-reversal row of :func:`build_permutation`, then
     levels p = m .. 1 merge segment pairs of size N = 2, 4, ..., n.  Total
-    booked FLOPs come to exactly 5 * n * log2(n).  ``dtype`` may be set to
-    ``numpy.complex64`` for single-precision arithmetic; cost accounting is
-    unaffected by the choice.
+    booked FLOPs come to exactly 5 * n * log2(n).
     """
-    y = _as_samples(x, dtype=dtype)
+    y = _as_samples(x)
     n = y.shape[-1]
     m = log2_exact(n)
     if m == 0:
@@ -166,10 +143,7 @@ def fft_serial(x, counter: FlopCounter | None = None, dtype=np.complex128) -> np
     y = y[..., perm]
     N = 2
     for _ in range(m):
-        u = twiddle_table(N).factors
-        if dtype != np.complex128:
-            u = u.astype(dtype)
-        y = merge_level(y, N, u)
+        y = merge_level(y, N, twiddle_table(N).factors)
         if counter is not None:
             counter.add(FLOPS_PER_PAIR * (n // 2))
         N *= 2

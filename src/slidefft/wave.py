@@ -20,10 +20,11 @@ two at once (resident block and incoming segment); the third is headroom.
 The host does the arithmetic in batches, through the mesh's span accessors:
 the local levels (always the first ones) run in one pass, each group of PEs
 fetched once, merged level by level and written back, and each sliding
-level runs one butterfly per group of meeting sites.  Groups hold about
-GROUP_ELEMENTS elements, not the whole wave, because one stack of the whole
-wave costs memory and time on large blocks (see GROUP_ELEMENTS).  Compute
-is still booked once per level, in level order.
+level runs one butterfly per group of meeting sites, reading the blocks
+as views of the mesh's planes.  Groups hold about GROUP_ELEMENTS elements,
+not the whole wave, because whole-wave temporaries cost memory and time on
+large blocks (see GROUP_ELEMENTS).  Compute is still booked once per
+level, in level order.
 
 Values are carried in double precision regardless of the modeled wire size
 ``element_bits`` (64 bits models a complex single-precision datum).  Inputs
@@ -173,8 +174,8 @@ def distribute(x, layout: WaveLayout, mesh: Mesh) -> None:
         y = y[..., build_permutation(layout.m).final_row]
     e = layout.elements_per_pe
     for j in range(layout.pe_count):
-        shard = np.ascontiguousarray(y[..., j * e : (j + 1) * e])
-        mesh.pe_store(layout.pe(j), layout.name, shard, element_bits=layout.element_bits)
+        mesh.pe_store(layout.pe(j), layout.name, y[..., j * e : (j + 1) * e],
+                      element_bits=layout.element_bits)
 
 
 def _groups(count: int, elements_per_pe: int):
@@ -185,7 +186,8 @@ def _groups(count: int, elements_per_pe: int):
 
 
 def gather(layout: WaveLayout, mesh: Mesh) -> np.ndarray:
-    """Concatenate the wave's blocks back into one array (host-side)."""
+    """The wave's blocks as one array (host-side): a read-only view of the
+    mesh's wave, so a later transform on the same mesh shows through it."""
     row, col0 = layout.origin
     blocks = mesh.span_fetch(row, range(col0, col0 + layout.pe_count), layout.name)
     return blocks.reshape(blocks.shape[:-2] + (layout.n,))
@@ -232,24 +234,22 @@ def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
 
     phase([(0, layout.name, layout.name, shift),
            (span, layout.name, _INCOMING, shift - span)])
-    # Site i is PE base + shift + t of crossing i // span, t = i % span, and
-    # merges with twiddle row t.  Group sizes and spans are powers of two, so
-    # a group is whole crossings or a run of sites inside one crossing: its
-    # blocks reshape to (..., crossings, width, e) and share twiddle rows
-    # t0 .. t0 + width - 1 by broadcasting, not by copying them per site.
-    sites = [base + shift + t for base in bases for t in range(span)]
+    # Site t of a crossing is PE base + shift + t, merged with twiddle row t.
+    # Sites are read as ranges, so as views: one strided range per row t when
+    # crossings outnumber the sites of one, else one range per crossing.
     rows = factors.reshape(span, e)
-    for group in _groups(len(sites), e):
-        cols = sites[group]
-        width = min(span, len(cols))
-        t0 = group.start % span
-        evens = mesh.span_fetch(row, cols, layout.name)
-        batch = evens.shape[:-2]
-        odds = mesh.span_fetch(row, cols, _INCOMING)
-        l, r = butterfly(evens.reshape(batch + (-1, width, e)),
-                         odds.reshape(batch + (-1, width, e)), rows[t0 : t0 + width])
-        mesh.span_update(row, cols, layout.name, l.reshape(batch + (-1, e)))
-        mesh.span_update(row, cols, _INCOMING, r.reshape(batch + (-1, e)))
+    if span <= len(bases):
+        runs = [(range(col0 + shift + t, col0 + layout.pe_count, 2 * span),
+                 np.broadcast_to(rows[t], (len(bases), e))) for t in range(span)]
+    else:
+        runs = [(range(base + shift, base + shift + span), rows) for base in bases]
+    for cols, u in runs:
+        for group in _groups(len(cols), e):
+            evens = mesh.span_fetch(row, cols[group], layout.name)
+            odds = mesh.span_fetch(row, cols[group], _INCOMING)
+            l, r = butterfly(evens, odds, u[group])
+            mesh.span_update(row, cols[group], layout.name, l)
+            mesh.span_update(row, cols[group], _INCOMING, r)
     mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
                         max_flops_per_pe=FLOPS_PER_PAIR * e)
     phase([(shift, layout.name, layout.name, -shift),
@@ -257,7 +257,8 @@ def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
 
 
 def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndarray:
-    """Run the distributed transform in place and gather the spectrum.
+    """Run the distributed transform in place and gather the spectrum, a
+    read-only view of the wave's blocks (see :func:`gather`).
 
     Produces output identical to :func:`slidefft.serial.fft_serial` (the
     crossings perform the same operations in the same order for every wave

@@ -102,7 +102,7 @@ def test_criterion_4_slide_linear_scaling(capsys):
     element_counts = list(range(1, 501))
     by_pe = {}
     for pes in (8, 16, 32):
-        records = bench_slide_records([pes], element_counts, 32, {}, seed=SEED)
+        records = bench_slide_records([pes], element_counts, 32, {})
         by_pe[pes] = records
     # (i) affine fit, per PE count
     min_r2 = 1.0
@@ -222,9 +222,9 @@ def test_criterion_8_property_suites(capsys):
         checks["capacity"] = True
 
     first = records_to_csv(bench_slide_records([8, 16], list(range(1, 50)),
-                                               32, {}, seed=SEED))
+                                               32, {}))
     second = records_to_csv(bench_slide_records([8, 16], list(range(1, 50)),
-                                                32, {}, seed=SEED))
+                                                32, {}))
     checks["csv-determinism"] = first == second
 
     def ledger_snapshot():

@@ -53,8 +53,7 @@ def test_bench_slide_csv_shape(capsys):
 
 
 def test_bench_slide_is_deterministic(capsys):
-    args = ("bench-slide", "--pes", "8,16", "--elements", "1..20",
-            "--seed", "3", "--csv")
+    args = ("bench-slide", "--pes", "8,16", "--elements", "1..20", "--csv")
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
@@ -252,9 +251,23 @@ def test_degenerate_sizes_are_usage_errors(capsys, argv):
     ("predict", "--m", "3", "--seed", "1"),
     ("predict", "--m", "3", "--preset", "pure-packet"),
     ("predict", "--m", "3", "--csv"),
+    ("bench-slide", "--seed", "1"),
 ])
 def test_flags_a_command_never_reads_are_rejected(capsys, argv):
     assert run(capsys, *argv)[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("predict", "--m", "3", "--a", "1e999999999"),
+    ("predict", "--m", "3", "--b", "-1e999999999"),
+    ("bench-fft", "--n", "4", "--k", "0", "--a", "1e-999999999"),
+    ("predict", "--m", "10000000000"),
+])
+def test_huge_values_are_rejected_before_they_are_built(capsys, argv):
+    """10**999999999 and 1 << 10**10 would each take gigabytes to build."""
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
 
 
 # Each command's flags, with values it accepts (None marks a switch); --out
@@ -262,18 +275,19 @@ def test_flags_a_command_never_reads_are_rejected(capsys, argv):
 # --n <= 16, bench-fft --n <= 64, bench-slide <= 4 PEs x 3 elements; the
 # flags of REQUIRED are always given, so no default size runs.  AWKWARD
 # values are the ones a flag's parser must reject or survive.
-RATIONALS = ["1/3", "7/2", "1e300", "1e-300", "1e400", "1e-400"]
+RATIONALS = ["1/3", "7/2", "1e300", "1e-300", "1e400", "1e-400", "1e999999999",
+             "-1e999999999"]
 FLAGS = {
     "verify": {"--n": ["2", "16"], "--seed": ["7"]},
     "bench-slide": {"--pes": ["1", "4", "2,4"], "--elements": ["1", "1..3"],
-                    "--element-bits": ["32", "64"], "--seed": ["7"],
-                    "--preset": ["pure-packet"], "--csv": None},
+                    "--element-bits": ["32", "64"], "--preset": ["pure-packet"],
+                    "--csv": None},
     "bench-fft": {"--n": ["4", "64"], "--k": ["0..6", "3"], "--element-bits": ["32", "64"],
                   "--seed": ["7"], "--preset": ["pure-packet"], "--a": RATIONALS,
                   "--b": RATIONALS, "--doubled-transfer": None, "--dump-ledger": None,
                   "--csv": None},
-    "predict": {"--n": ["64"], "--m": ["3", "17"], "--a": RATIONALS, "--b": RATIONALS,
-                "--doubled-transfer": None},
+    "predict": {"--n": ["64"], "--m": ["3", "17", "10000000000"], "--a": RATIONALS,
+                "--b": RATIONALS, "--doubled-transfer": None},
 }
 REQUIRED = {"verify": ["--n"], "bench-slide": ["--pes", "--elements"],
             "bench-fft": ["--n"], "predict": []}

@@ -1,5 +1,6 @@
 """Mesh storage, slide phases, and the cycle ledger."""
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -16,11 +17,17 @@ def one_row_mesh(cols, **overrides):
     return mesh_create(MeshConfig(rows=1, cols=cols, **overrides))
 
 
+def every_pe(mesh):
+    rows, cols = mesh.shape
+    return [(r, c) for r in range(rows) for c in range(cols)]
+
+
 def mesh_state(mesh):
-    """Every stored block (by identity), every PE's usage, ledger and wall clock."""
-    stores = {pe: {name: (id(stored.data), stored.count, stored.element_bits)
-                   for name, stored in slot.items()}
-              for pe, slot in mesh._stores.items() if slot}
+    """Every stored block (by content), every PE's usage, ledger and wall clock."""
+    stores = {pe: {name: (mesh.pe_fetch(pe, name).tobytes(), mesh.pe_fetch(pe, name).shape[-1],
+                          mesh.pe_element_bits(pe, name))
+                   for name in mesh.pe_names(pe)}
+              for pe in every_pe(mesh) if mesh.pe_names(pe)}
     used = {pe: mesh.pe_used(pe) for pe in stores}
     return stores, used, mesh.ledger_report(), mesh.wall_clock_cycles
 
@@ -33,7 +40,7 @@ class TestStorage:
     def test_store_fetch_bytes(self):
         mesh = one_row_mesh(1)
         mesh.pe_store((0, 0), "blob", b"\x01\x02\x03")
-        assert mesh.pe_fetch((0, 0), "blob") == b"\x01\x02\x03"
+        assert mesh.pe_fetch((0, 0), "blob").tobytes() == b"\x01\x02\x03"
         assert mesh.pe_used((0, 0)) == 3
 
     def test_exact_capacity_fits(self):
@@ -219,6 +226,26 @@ class TestSlide:
         ])
         assert mesh.wall_clock_cycles == 133  # the 100-element mover dominates
 
+    def test_each_group_is_costed_at_its_largest_block(self):
+        """The phase costs its (size, hops) groups at their largest blocks: here
+        the 50-element block of group (32 bits, 1 hop), which sits at the
+        second PE of its span and is followed by a smaller block of the same
+        group, while an earlier 3-hop block shares its element size."""
+        mesh = one_row_mesh(12)
+        mesh.pe_store((0, 0), "c", np.zeros(5, np.float32), element_bits=32)
+        for col, count in ((4, 1), (5, 50)):
+            mesh.pe_store((0, col), "a", np.zeros(count, np.float32), element_bits=32)
+        mesh.pe_store((0, 8), "b", np.zeros(10, np.float32), element_bits=32)
+        report = mesh.slide_phase([
+            SlideDescriptor(row=0, col_start=0, col_stop=1, name="c",
+                            displacement=(0, 3), element_bits=32),
+            SlideDescriptor(row=0, col_start=4, col_stop=6, name="a",
+                            displacement=(0, 1), element_bits=32, dest_name="moved"),
+            SlideDescriptor(row=0, col_start=8, col_stop=9, name="b",
+                            displacement=(0, 1), element_bits=32),
+        ])
+        assert report.exact_cycles == 3 + Fraction(13, 10) * 50
+
     def test_ramp_booked_once_per_phase(self):
         mesh = one_row_mesh(4)
         for col in (0, 2):
@@ -266,12 +293,13 @@ def meshes_and_phases(draw):
     """A small grid with random named blocks, and up to three random slides.
 
     Each name has its own element size, so one phase can mix sizes; block
-    counts vary from PE to PE, so one descriptor can mix counts.  Half the
-    phases are tidy: displacements stay on the grid, sizes match, no two
-    descriptors lift from one row under one name, and each lands under a
-    fresh name, so most are accepted and their cost can be checked.  The
-    rest draw two names, spans and displacements from small sets so that
-    they often collide, overlap, fan out or leave the grid.
+    counts vary from PE to PE, so one descriptor can mix counts.  Every
+    element stored is distinct, so a dropped or duplicated block shows in the
+    blocks' contents.  Half the phases are tidy: displacements stay on the
+    grid, sizes match, no two descriptors lift from one row under one name,
+    and each lands under a fresh name, so most are accepted and their cost
+    can be checked.  The rest draw two names, spans and displacements from
+    small sets so that they often collide, overlap, fan out or leave the grid.
     """
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     sizes = (8, 32, 64)
@@ -279,11 +307,14 @@ def meshes_and_phases(draw):
     bits = {name: draw(st.sampled_from(sizes)) for name in names}
     mesh = mesh_create(MeshConfig(rows=rows, cols=cols,
                                   local_memory_bytes=draw(st.sampled_from([256, 48]))))
-    for pe in [(r, c) for r in range(rows) for c in range(cols)]:
+    serial = itertools.count()
+    for pe in every_pe(mesh):
         for name in names:
             if draw(st.sampled_from([True] * 7 + [False])):
+                first = 4 * next(serial)
                 try:
-                    mesh.pe_store(pe, name, np.zeros(draw(st.integers(1, 4))),
+                    mesh.pe_store(pe, name, np.arange(first, first + draw(st.integers(1, 4)),
+                                                      dtype=float),
                                   element_bits=bits[name])
                 except CapacityExceeded:
                     pass
@@ -328,10 +359,10 @@ def per_pe_phase_time(mesh, descs):
         per_element = (Fraction(desc.element_bits, config.packet_bits)
                        * config.cycles_per_packet_per_hop + config.per_element_overhead_cycles)
         for col in range(desc.col_start, desc.col_stop):
-            stored = mesh._stores.get((desc.row, col), {}).get(desc.name)
-            if stored is None:
+            if desc.name not in mesh.pe_names((desc.row, col)):
                 return None
-            worst = max(worst, config.ramp_cycles + per_element * stored.count
+            count = mesh.pe_fetch((desc.row, col), desc.name).shape[-1]
+            worst = max(worst, config.ramp_cycles + per_element * count
                         + config.pipeline_fill_cycles_per_hop * (desc.hops - 1))
     return worst
 
@@ -352,8 +383,10 @@ class TestSlideProperties:
             return sorted(b for slot in stores.values() for b in slot.values())
 
         assert blocks(mesh_state(mesh)[0]) == blocks(before[0])
-        for pe, slot in mesh._stores.items():
-            assert mesh.pe_used(pe) == sum(s.model_bytes for s in slot.values())
+        for pe in every_pe(mesh):
+            assert mesh.pe_used(pe) == sum(
+                mesh.pe_fetch(pe, name).shape[-1] * mesh.pe_element_bits(pe, name) // 8
+                for name in mesh.pe_names(pe))
         assert report.exact_cycles == slow_time
         assert report.booked_cycles == math.ceil(slow_time)
         assert mesh.wall_clock_cycles == before[3] + report.booked_cycles
