@@ -319,7 +319,7 @@ def run_verify(max_n: int, seed: int, echo=print) -> bool:
                 wave_ok, detail = False, f"n={n} k={k}: transfer budget mismatch"
                 break
 
-    suite("serial-vs-oracle", serial_worst < 1e-9,
+    suite("serial-vs-oracle", serial_worst < 1e-12,
           f"sizes 2..{sizes[-1]}, {seeds} seeds, max rel err {serial_worst:.2e}")
     suite("parseval", parseval_worst < 1e-9, f"max rel err {parseval_worst:.2e}")
 
@@ -331,7 +331,7 @@ def run_verify(max_n: int, seed: int, echo=print) -> bool:
         perm_ok &= bool(np.array_equal(table.final_row[table.final_row], np.arange(1 << m)))
     suite("permutation-vs-bit-reversal", perm_ok, "m = 1..10, involution included")
 
-    suite("wave-vs-oracle", wave_ok and wave_worst < 1e-9,
+    suite("wave-vs-oracle", wave_ok and wave_worst < 1e-12,
           detail or f"all feasible k, bit-exact across k, max rel err {wave_worst:.2e}")
 
     impulse = np.zeros(8)

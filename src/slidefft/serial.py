@@ -113,40 +113,45 @@ def twiddle_table(N: int) -> TwiddleTable:
     return TwiddleTable(N=N, factors=factors)
 
 
-def butterfly(e: np.ndarray, o: np.ndarray, u: np.ndarray):
-    """L = E + U*O and R = E - U*O, the one arithmetic step of every level."""
+def butterfly(e: np.ndarray, o: np.ndarray, u: np.ndarray, l: np.ndarray, r: np.ndarray):
+    """Write L = E + U*O into l and R = E - U*O into r, the one arithmetic step
+    of every level; l must not overlap e, which R still reads."""
     op = u * o
-    return e + op, e - op
+    np.add(e, op, out=l)
+    np.subtract(e, op, out=r)
+    return l, r
 
 
-def merge_level(y: np.ndarray, N: int, u: np.ndarray) -> np.ndarray:
-    """Merge every adjacent segment pair of size N along the last axis of y,
-    writing each pair's L over its first half and R over its second."""
+def merge_level(y: np.ndarray, N: int, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Merge every adjacent segment pair of size N along the last axis of y
+    into ``out``, an array of y's shape that does not overlap it:
+    each pair's L over its first half and R over its second.  Returns out."""
     v = y.reshape(y.shape[:-1] + (y.shape[-1] // N, N))
-    l, r = butterfly(v[..., : N // 2], v[..., N // 2 :], u)
-    return np.concatenate([l, r], axis=-1).reshape(y.shape)
+    w = out.reshape(v.shape)
+    butterfly(v[..., : N // 2], v[..., N // 2 :], u, w[..., : N // 2], w[..., N // 2 :])
+    return out
 
 
 def fft_serial(x, counter: FlopCounter | None = None) -> np.ndarray:
     """Radix-2 decimation-in-time FFT over the last axis.
 
     The input is permuted by the bit-reversal row of :func:`build_permutation`, then
-    levels p = m .. 1 merge segment pairs of size N = 2, 4, ..., n.  Total
-    booked FLOPs come to exactly 5 * n * log2(n).
+    levels p = m .. 1 merge segment pairs of size N = 2, 4, ..., n, alternating
+    between the permuted copy and one spare buffer.  Total booked FLOPs come
+    to exactly 5 * n * log2(n).
     """
     y = _as_samples(x)
     n = y.shape[-1]
     m = log2_exact(n)
     if m == 0:
         return y.copy()
-    perm = build_permutation(m).final_row
-    y = y[..., perm]
-    N = 2
-    for _ in range(m):
-        y = merge_level(y, N, twiddle_table(N).factors)
+    y = np.take(y, build_permutation(m).final_row, axis=-1)
+    buffers = (np.empty_like(y), y)
+    for level in range(m):
+        N = 2 << level
+        y = merge_level(y, N, twiddle_table(N).factors, buffers[level % 2])
         if counter is not None:
             counter.add(FLOPS_PER_PAIR * (n // 2))
-        N *= 2
     return y
 
 
@@ -160,16 +165,19 @@ def ifft_serial(X, counter: FlopCounter | None = None) -> np.ndarray:
 def dft_oracle(x) -> np.ndarray:
     """Brute-force O(n^2) DFT over the last axis, X[j] = sum_k x[k] e^{-2pi i jk/n}.
 
-    Independent of the radix-2 machinery above; evaluated row-block by
-    row-block to bound the size of the phase matrix held in memory.
+    Independent of the radix-2 machinery above and of any length restriction.
+    It builds its own table of the n roots e^{-2pi i t/n} and indexes it with
+    the exact integer (j*k) mod n, so no root is evaluated at a large angle.
+    The DFT matrix is built in blocks of about 2**20 entries, max(1, 2**20 // n)
+    output bins j at a time, which bounds the oracle's memory for every n.
     """
     x = _as_samples(x)
     n = x.shape[-1]
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)
     X = np.empty_like(x)
     k = np.arange(n)
-    block = 1024
+    block = max(1, 2**20 // n)
     for j0 in range(0, n, block):
-        j = np.arange(j0, min(j0 + block, n))
-        w = np.exp(-2j * np.pi * np.outer(j, k) / n)
-        X[..., j0 : j0 + len(j)] = x @ w.T
+        j = k[j0 : j0 + block]
+        X[..., j0 : j0 + len(j)] = x @ roots[np.outer(k, j) % n]
     return X

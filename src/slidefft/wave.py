@@ -200,10 +200,16 @@ def _run_local_levels(mesh: Mesh, layout: WaveLayout, levels: list[LevelDescript
     cols = range(col0, col0 + layout.pe_count)
     tables = [(level.segment_pair, twiddle_table(level.segment_pair).factors)
               for level in levels]
-    for group in _groups(layout.pe_count, layout.elements_per_pe):
+    groups = _groups(layout.pe_count, layout.elements_per_pe)
+    first = mesh.span_fetch(row, cols[groups[0]], layout.name)
+    # Two buffers the size of the first (largest) group, which the levels of
+    # every group alternate between.
+    pair = np.empty((2, first.size), first.dtype)
+    for group in groups:
         y = mesh.span_fetch(row, cols[group], layout.name)
-        for N, factors in tables:
-            y = merge_level(y, N, factors)
+        buffers = [buffer[: y.size].reshape(y.shape) for buffer in pair]
+        for i, (N, factors) in enumerate(tables):
+            y = merge_level(y, N, factors, buffers[i % 2])
         mesh.span_update(row, cols[group], layout.name, y)
     for _ in levels:
         mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
@@ -247,7 +253,7 @@ def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
         for group in _groups(len(cols), e):
             evens = mesh.span_fetch(row, cols[group], layout.name)
             odds = mesh.span_fetch(row, cols[group], _INCOMING)
-            l, r = butterfly(evens, odds, u[group])
+            l, r = butterfly(evens, odds, u[group], np.empty_like(evens), np.empty_like(odds))
             mesh.span_update(row, cols[group], layout.name, l)
             mesh.span_update(row, cols[group], _INCOMING, r)
     mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),

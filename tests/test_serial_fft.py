@@ -5,14 +5,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import slidefft.serial as serial
 from slidefft.serial import (FlopCounter, bit_reverse_index, build_permutation, butterfly,
-                             dft_oracle, fft_serial, ifft_serial, log2_exact, twiddle_table)
+                             dft_oracle, fft_serial, ifft_serial, log2_exact, merge_level,
+                             twiddle_table)
 
 
 def complex_input(seed, n, batch=None):
     rng = np.random.default_rng(seed)
     shape = (n,) if batch is None else (batch, n)
     return rng.random(shape) + 1j * rng.random(shape)
+
+
+def crossing(e, o, u):
+    return butterfly(e, o, u, np.empty_like(e), np.empty_like(o))
+
+
+def rel_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 class TestPermutation:
@@ -78,13 +88,13 @@ class TestTwiddles:
 
 class TestCrossing:
     def test_sum_difference(self):
-        l, r = butterfly(np.array([1.0 + 0j]), np.array([1.0 + 0j]),
-                         np.array([1.0 + 0j]))
+        l, r = crossing(np.array([1.0 + 0j]), np.array([1.0 + 0j]),
+                        np.array([1.0 + 0j]))
         assert l.tolist() == [2 + 0j]
         assert r.tolist() == [0 + 0j]
 
     def test_quarter_turn(self):
-        l, r = butterfly(np.array([0j]), np.array([1 + 0j]), np.array([-1j]))
+        l, r = crossing(np.array([0j]), np.array([1 + 0j]), np.array([-1j]))
         assert l.tolist() == [-1j]
         assert r.tolist() == [1j]
 
@@ -94,9 +104,19 @@ class TestCrossing:
         e = rng.random(4) + 1j * rng.random(4)
         o = rng.random(4) + 1j * rng.random(4)
         u = twiddle_table(8).factors
-        l, r = butterfly(e, o, u)
+        l, r = crossing(e, o, u)
         np.testing.assert_allclose(l, e + u * o, atol=1e-15)
         np.testing.assert_allclose(r, e - u * o, atol=1e-15)
+
+    def test_merge_level_writes_only_into_out(self):
+        y = complex_input(12, 16, batch=2)
+        before = y.copy()
+        out = np.empty_like(y)
+        assert merge_level(y, 4, twiddle_table(4).factors, out) is out
+        np.testing.assert_array_equal(y, before)
+        l, r = crossing(y.reshape(2, 4, 4)[..., :2], y.reshape(2, 4, 4)[..., 2:],
+                        twiddle_table(4).factors)
+        np.testing.assert_array_equal(out.reshape(2, 4, 4), np.concatenate([l, r], axis=-1))
 
 
 class TestTransform:
@@ -120,7 +140,13 @@ class TestTransform:
     def test_matches_quadratic_oracle(self, m):
         x = complex_input(100 + m, 1 << m)
         got, want = fft_serial(x), dft_oracle(x)
-        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-9
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
+
+    def test_input_unchanged_and_output_contiguous(self):
+        x = complex_input(14, 64, batch=3)
+        before = x.copy()
+        assert fft_serial(x).flags.c_contiguous
+        np.testing.assert_array_equal(x, before)
 
     def test_batched_axis(self):
         x = complex_input(4, 64, batch=5)
@@ -182,3 +208,38 @@ class TestTransform:
         for bad in (0, -4, 3, 12):
             with pytest.raises(ValueError):
                 log2_exact(bad)
+
+
+class TestOracle:
+    def test_matches_numpy_at_4096(self):
+        x = complex_input(21, 4096, batch=10)
+        assert rel_error(dft_oracle(x), np.fft.fft(x)) < 1e-14
+
+    @pytest.mark.parametrize("n", [3, 12, 1000])
+    def test_matches_numpy_at_any_length(self, n):
+        x = complex_input(n, n, batch=4)
+        assert rel_error(dft_oracle(x), np.fft.fft(x)) < 1e-14
+
+    def test_any_batch_shape(self):
+        x = complex_input(22, 2 * 3 * 10).reshape(2, 3, 10)
+        np.testing.assert_allclose(dft_oracle(x), np.fft.fft(x), atol=1e-13)
+
+    def test_independent_of_the_radix_2_code(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dft_oracle used the code it checks")
+
+        for name in ("twiddle_table", "merge_level", "butterfly", "build_permutation",
+                     "fft_serial"):
+            monkeypatch.setattr(serial, name, refuse)
+        x = complex_input(23, 64, batch=2)
+        assert rel_error(serial.dft_oracle(x), np.fft.fft(x)) < 1e-14
+
+    def test_bounded_memory(self):
+        x = complex_input(24, 4096, batch=10)
+        tracemalloc.start()
+        try:
+            dft_oracle(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
