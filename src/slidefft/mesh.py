@@ -3,8 +3,10 @@
 Each PE owns a fixed amount of local memory holding named blocks.  The one
 communication primitive is the *slide*: a rigid translation of a span of
 per-PE arrays by a common displacement, all participants moving in lockstep.
-Costs are charged from a handful of integer/rational parameters, so repeated
-runs with the same configuration produce bit-identical ledgers.
+One descriptor names a *comb* of such spans, equally wide and a fixed period
+apart, so a phase that moves every crossing of a wave needs one descriptor
+per leg.  Costs are charged from a handful of integer/rational parameters,
+so repeated runs with the same configuration produce bit-identical ledgers.
 
 Cost model for one slide over d = |dx| + |dy| hops, per participating PE
 holding E elements:
@@ -25,10 +27,13 @@ Each stored name is a data plane (*batch, rows, cols, width), a count plane
 (0: no block) and an element-bits plane; one usage plane holds each PE's
 bytes.  A name's planes go when its last block leaves.  Blocks go in as
 arrays or raw bytes (uint8) and come out read-only: :meth:`Mesh.pe_fetch`
-and :meth:`Mesh.span_fetch` (one name on a run of PEs in a row, blocks on
-axis -2) return views that show later writes, unless the columns are not a
-range; :meth:`Mesh.span_update` writes such a run back in one slice
-assignment, so host arithmetic is batched across PEs.
+and :meth:`Mesh.span_fetch` (one name on a range of PEs in a row, blocks on
+axis -2) return views that show later writes; :meth:`Mesh.span_update`
+writes such a range back in one slice assignment, so host arithmetic is
+batched across PEs.  A slide phase checks one entry per moved block, then
+commits each comb as one copy from a strided view of the source plane into
+the same view of the destination plane (through a temporary only when the
+source plane also takes landings in that phase).
 """
 
 from __future__ import annotations
@@ -130,9 +135,12 @@ def preset_config(name: str, **overrides) -> MeshConfig:
 
 @dataclass(frozen=True)
 class SlideDescriptor:
-    """One rigid translation: the named arrays on PEs (row, col_start..col_stop-1)
-    move by ``displacement`` = (d_row, d_col), landing under ``dest_name``
-    (source name if None).  Hop count is |d_row| + |d_col|."""
+    """A comb of rigid translations: the named arrays on PEs (row, col_start +
+    i*period .. col_stop-1 + i*period), for i in 0..repeats-1, move by
+    ``displacement`` = (d_row, d_col), landing under ``dest_name`` (source
+    name if None).  The spans of a comb must not overlap (period >= width
+    when repeats > 1); the defaults describe one span.  Hop count is
+    |d_row| + |d_col|."""
 
     row: int
     col_start: int
@@ -141,6 +149,8 @@ class SlideDescriptor:
     displacement: tuple[int, int]
     element_bits: int = 32
     dest_name: str | None = None
+    period: int = 0
+    repeats: int = 1
 
     @property
     def hops(self) -> int:
@@ -202,6 +212,18 @@ class _Plane:
     data: np.ndarray      # (*batch, rows, cols, width)
     count: np.ndarray     # (rows, cols) int64
     bits: np.ndarray      # (rows, cols) int64
+
+
+def _comb(data: np.ndarray, row: int, start: int, period: int, repeats: int, width: int,
+          count: int) -> np.ndarray:
+    """A view of ``data[..., row, c, :count]`` on the columns c of a comb,
+    shape (*batch, repeats, width, count).  ``data`` is a whole plane, so
+    C-contiguous, and the view is built on its buffer directly, which takes
+    a fifth of the time of ``np.lib.stride_tricks.as_strided``."""
+    *batch, row_stride, col_stride, item = data.strides
+    return np.ndarray(data.shape[:-3] + (repeats, width, count), data.dtype, data,
+                      row * row_stride + start * col_stride,
+                      (*batch, period * col_stride, col_stride, item))
 
 
 def _repeated(keys: np.ndarray) -> np.ndarray:
@@ -296,19 +318,16 @@ class Mesh:
         plane.bits[r, c] = element_bits
         self._used[r, c] = used + size
 
-    def _run(self, row: int, cols, name: str):
-        """(plane, row, column index, count) of the blocks ``name`` on PEs
-        (row, c), c in ``cols``, which must all hold one of the same count.
-        The index is a slice when ``cols`` is a range, so reads are views."""
+    def _run(self, row: int, cols: range, name: str):
+        """(plane, row, column slice, count) of the blocks ``name`` on PEs
+        (row, c), c in ``cols``, which must all hold one of the same count."""
+        if not isinstance(cols, range) or cols.step < 1:
+            raise TypeError(f"columns must be an increasing range, not {cols!r}")
         if not len(cols):
             raise ValueError("span is empty")
-        if isinstance(cols, range) and cols.step > 0:
-            index, low, high = slice(cols[0], cols[-1] + 1, cols.step), cols[0], cols[-1]
-        else:
-            index = np.asarray(cols, dtype=np.intp)
-            low, high = index.min(), index.max()
-        row = self._require_pe((row, low))[0]
-        self._require_pe((row, high))
+        index = slice(cols[0], cols[-1] + 1, cols.step)
+        row = self._require_pe((row, cols[0]))[0]
+        self._require_pe((row, cols[-1]))
         plane = self._planes.get(name)
         counts = plane.count[row, index] if plane is not None else np.zeros(len(cols), np.int64)
         count = int(counts[0])
@@ -328,16 +347,16 @@ class Mesh:
         plane, r, c, _ = self._run(pe[0], range(pe[1], pe[1] + 1), name)
         return int(plane.bits[r, c][0])
 
-    def span_fetch(self, row: int, cols, name: str) -> np.ndarray:
+    def span_fetch(self, row: int, cols: range, name: str) -> np.ndarray:
         """The named blocks of PEs (row, c), c in ``cols``, stacked on axis -2:
-        shape (*batch, len(cols), count), read-only.  When ``cols`` is a range
-        this is a view of the plane, so later writes show through it."""
+        shape (*batch, len(cols), count), read-only: a view of the plane, so
+        later writes show through it."""
         plane, row, index, count = self._run(row, cols, name)
         view = plane.data[..., row, index, :count]
         view.flags.writeable = False
         return view
 
-    def span_update(self, row: int, cols, name: str, blocks) -> None:
+    def span_update(self, row: int, cols: range, name: str, blocks) -> None:
         """Write ``blocks[..., i, :]`` over the named block of PE (row, cols[i]),
         the inverse of :meth:`span_fetch`.  ``blocks`` must have exactly the
         shape that :meth:`span_fetch` returns; nothing is written otherwise."""
@@ -374,22 +393,38 @@ class Mesh:
         may be lifted by at most one descriptor and landed on by at most one,
         so a phase can neither drop nor duplicate a block.
 
-        Each check is one mask over all the phase's moves; the error raised
-        is the first that moving the descriptors in order, PE by PE, would
-        meet.  Each (element_bits, hops) group is costed at its largest count.
+        A comb counts as its spans, in column order.  Each check is one mask
+        over all the phase's moves; the error raised is the first that moving
+        the spans in order, PE by PE, would meet.  Each (element_bits, hops)
+        group is costed at its largest count.  The commit copies each comb's
+        blocks from a strided view of its source plane into the same view of
+        its destination plane.
         """
         config = self.config
         rows, cols = config.rows, config.cols
         ids: dict[str, int] = {}    # every source and destination name, in first use
         table = np.array([(d.row, d.col_start, d.col_stop, *d.displacement, d.element_bits,
                            ids.setdefault(d.name, len(ids)),
-                           ids.setdefault(d.dest_name or d.name, len(ids)))
-                          for d in descs], dtype=np.int64).reshape(-1, 8)
+                           ids.setdefault(d.dest_name or d.name, len(ids)), d.period, d.repeats)
+                          for d in descs], dtype=np.int64).reshape(-1, 10)
         names = list(ids)
+        width, period, repeats = table[:, 2] - table[:, 1], table[:, 8], table[:, 9]
+        bad = np.flatnonzero((repeats < 1) | ((repeats > 1) & (period < width)))
+        if len(bad):
+            d = descs[bad[0]]
+            raise ValueError(f"comb of {d.repeats} spans of {d.col_stop - d.col_start} PEs "
+                             f"{d.period} apart: it needs at least one span and no overlap")
 
-        # A descriptor off the grid is raised after the block checks of the
-        # descriptors before it.
-        row, start, stop, d_row, d_col = table[:, :5].T
+        # One row per span, comb by comb, column by column.  A comb's span
+        # number cols is off the grid, so no later span can raise first.
+        kept = np.minimum(repeats, cols + 1)
+        spans = np.repeat(table, kept, axis=0)
+        first = np.repeat(np.cumsum(kept) - kept, kept)
+        spans[:, 1:3] += ((np.arange(len(spans)) - first) * spans[:, 8])[:, None]
+
+        # A span off the grid is raised after the block checks of the spans
+        # before it.
+        row, start, stop, d_row, d_col = spans[:, :5].T
         empty = stop <= start
         off_source = (row < 0) | (row >= rows) | (start < 0) | (stop > cols)
         off_dest = ((row + d_row < 0) | (row + d_row >= rows) | (start + d_col < 0)
@@ -407,28 +442,28 @@ class Mesh:
                 grid_error = OffGridError(
                     f"slide destination PEs ({row[j] + d_row[j]}, {start[j] + d_col[j]}.."
                     f"{stop[j] - 1 + d_col[j]}) outside {rows}x{cols} grid")
-            table = table[:j]
+            spans = spans[:j]
 
-        # One entry per moved block, descriptor by descriptor, column by column.
-        length = table[:, 2] - table[:, 1]
-        moves = np.repeat(table, length, axis=0)
+        # One entry per moved block, span by span, column by column.  A
+        # block's key is its flat index into the phase's (name, row, col)
+        # stack of count and element-size planes.
+        length = spans[:, 2] - spans[:, 1]
+        moves = np.repeat(spans, length, axis=0)
         src_r = moves[:, 0]
         src_c = moves[:, 1] + np.arange(len(moves)) - np.repeat(np.cumsum(length) - length, length)
         dst_r, dst_c = src_r + moves[:, 3], src_c + moves[:, 4]
         bits, src_id, dst_id = moves[:, 5], moves[:, 6], moves[:, 7]
         hops = np.abs(moves[:, 3]) + np.abs(moves[:, 4])
-        count = np.zeros(len(moves), np.int64)      # 0: the source holds no block
-        stored_bits = np.zeros(len(moves), np.int64)
-        occupied = np.zeros(len(moves), bool)
-        for i, plane in enumerate(map(self._planes.get, names)):
-            if plane is not None:
-                lift, land = src_id == i, dst_id == i
-                count[lift] = plane.count[src_r[lift], src_c[lift]]
-                stored_bits[lift] = plane.bits[src_r[lift], src_c[lift]]
-                occupied[land] = plane.count[dst_r[land], dst_c[land]] > 0
-
         lift_key = (src_id * rows + src_r) * cols + src_c
         land_key = (dst_id * rows + dst_r) * cols + dst_c
+        counts = np.zeros((len(names), rows, cols), np.int64)      # 0: no block
+        sizes = np.zeros_like(counts)
+        for i, plane in enumerate(map(self._planes.get, names)):
+            if plane is not None:
+                counts[i], sizes[i] = plane.count, plane.bits
+        counts, sizes = counts.reshape(-1), sizes.reshape(-1)
+        count, stored_bits = counts[lift_key], sizes[lift_key]
+
         lifted_twice, landed_twice = _repeated(lift_key), _repeated(land_key)
         failed = np.flatnonzero((count == 0) | (stored_bits != bits) | lifted_twice | landed_twice)
         if len(failed):
@@ -458,45 +493,53 @@ class Mesh:
         if len(over):
             raise CapacityExceeded(f"PE {divmod(int(over[0]), cols)}: incoming slide data would "
                                    f"exceed {config.local_memory_bytes} B of local memory")
-        taken = np.flatnonzero(occupied & ~np.isin(land_key, lift_key))
+        counts[lift_key] = sizes[lift_key] = 0      # the stacks as the phase leaves them
+        taken = np.flatnonzero(counts[land_key])
         if len(taken):
             i = taken[0]
             raise ValueError(f"PE {(int(dst_r[i]), int(dst_c[i]))} already holds an array "
                              f"named {names[dst_id[i]]!r}")
+        counts[land_key], sizes[land_key] = count, bits
 
-        # Commit: copy every lifted block out, per (source, destination) name
-        # pair; nothing has changed yet, so the batch-shape check may still
-        # raise.  Then clear the lifts, land the copies and apply the usage
-        # the capacity check summed.
-        landings = []
-        for s, d in (divmod(pair, len(names)) for pair in
-                     np.unique(table[:, 6] * len(names) + table[:, 7]).tolist()):
+        # Commit, one descriptor at a time: lift each comb as a view of its
+        # source plane, copied out only if that plane also takes landings;
+        # nothing has changed yet, so the batch-shape check may still raise.
+        # Then land each comb into the same view of its destination plane,
+        # and write back the count and element-size stacks and the usage the
+        # capacity check summed.
+        landed = set(table[:, 7].tolist())
+        batches: dict[int, tuple] = {}      # the batch shape each destination takes
+        largest: dict[tuple[int, int], int] = {}    # (element_bits, hops) -> largest count
+        lifts = []
+        for (r, c, _, dr, dc, b, s, d, p, n), w, end in zip(
+                table.tolist(), width.tolist(), np.cumsum(repeats * width).tolist()):
             source, dest = self._planes[names[s]], self._planes.get(names[d])
-            if dest is not None and dest.data.shape[:-3] != source.data.shape[:-3]:
+            batch = source.data.shape[:-3]
+            if batches.setdefault(d, batch if dest is None else dest.data.shape[:-3]) != batch:
                 raise ValueError(f"blocks of {names[s]!r} and {names[d]!r} differ in batch shape")
-            move = (src_id == s) & (dst_id == d)
-            width = int(count[move].max())
-            landings.append((source, names[d], move,
-                             source.data[..., src_r[move], src_c[move], :width]))
-        for source, _, move, _ in landings:
-            source.count[src_r[move], src_c[move]] = source.bits[src_r[move], src_c[move]] = 0
-        for _, dest, move, blocks in landings:
-            plane = self._plane(dest, blocks.shape[:-2], blocks.dtype, blocks.shape[-1])
-            plane.data[..., dst_r[move], dst_c[move], : blocks.shape[-1]] = blocks
-            plane.count[dst_r[move], dst_c[move]] = count[move]
-            plane.bits[dst_r[move], dst_c[move]] = bits[move]
+            most = int(count[end - n * w : end].max())
+            group = (b, abs(dr) + abs(dc))
+            if group[1]:
+                largest[group] = max(most, largest.get(group, 0))
+            blocks = _comb(source.data, r, c, p, n, w, most)
+            lifts.append((names[d], blocks.copy() if s in landed else blocks,
+                          (r + dr, c + dc, p, n, w)))
+        for dest, blocks, comb in lifts:
+            plane = self._plane(dest, blocks.shape[:-3], blocks.dtype, blocks.shape[-1])
+            _comb(plane.data, *comb, blocks.shape[-1])[...] = blocks
+        for name, count_plane, size_plane in zip(names, counts.reshape(-1, rows, cols),
+                                                 sizes.reshape(-1, rows, cols)):
+            self._planes[name].count[...], self._planes[name].bits[...] = count_plane, size_plane
         self._used += delta.reshape(rows, cols)
         self._drop_empty(names)
 
-        if not moving.any():
+        if not largest:
             return PhaseReport(Fraction(0), 0, 0, 0, 0, 0, 0)
         # One closed form per (element_bits, hops) group, at the group's
         # largest count: the cost never falls as the count grows.
-        group = np.where(moving, bits * (int(hops.max()) + 1) + hops, -1)
-        max_time = max(config.ramp_cycles + config.element_cost(int(bits[i]))
-                       * int(count[group == group[i]].max())
-                       + config.pipeline_fill_cycles_per_hop * (int(hops[i]) - 1)
-                       for i in np.unique(group, return_index=True)[1] if moving[i])
+        max_time = config.ramp_cycles + max(
+            config.element_cost(b) * most + config.pipeline_fill_cycles_per_hop * (d - 1)
+            for (b, d), most in largest.items())
         elements = int(count[moving].sum())
         hops_total = int((count * hops)[moving].sum())
 

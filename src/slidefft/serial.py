@@ -44,7 +44,7 @@ def _as_samples(x) -> np.ndarray:
     y = np.asarray(x, dtype=np.complex128)
     if y.ndim < 1 or y.shape[-1] < 1:
         raise ValueError("sample vector must have at least one element")
-    if not np.all(np.isfinite(y.view(np.float64))):
+    if not np.all(np.isfinite(y)):
         raise ValueError("sample vector contains non-finite values")
     return y
 
@@ -168,15 +168,18 @@ def dft_oracle(x) -> np.ndarray:
     Independent of the radix-2 machinery above and of any length restriction.
     It builds its own table of the n roots e^{-2pi i t/n} and indexes it with
     the exact integer (j*k) mod n, so no root is evaluated at a large angle.
-    The DFT matrix is built in blocks of about 2**20 entries, max(1, 2**20 // n)
-    output bins j at a time, which bounds the oracle's memory for every n.
+    The index is held in the narrowest unsigned type that holds (n-1)**2
+    (``np.min_scalar_type``), so j*k never overflows.  The DFT matrix is built
+    in blocks of about 2**16 entries, max(1, 2**16 // n) output bins j at a
+    time, which bounds the oracle's memory for every n and keeps each block
+    in cache.
     """
     x = _as_samples(x)
     n = x.shape[-1]
     roots = np.exp(-2j * np.pi * np.arange(n) / n)
     X = np.empty_like(x)
-    k = np.arange(n)
-    block = max(1, 2**20 // n)
+    k = np.arange(n, dtype=np.min_scalar_type((n - 1) ** 2))
+    block = max(1, 2**16 // n)
     for j0 in range(0, n, block):
         j = k[j0 : j0 + block]
         X[..., j0 : j0 + len(j)] = x @ roots[np.outer(k, j) % n]

@@ -230,12 +230,14 @@ def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
     bases = range(col0, col0 + layout.pe_count, 2 * span)
 
     def phase(legs):
-        # Zero-hop legs stay out of the phase: a rename would only add moves.
+        # Each leg is one comb over every crossing.  Zero-hop legs stay out of
+        # the phase: a rename would only add moves.
         mesh.slide_phase([
-            SlideDescriptor(row=row, col_start=base + offset, col_stop=base + offset + span,
+            SlideDescriptor(row=row, col_start=col0 + offset, col_stop=col0 + offset + span,
                             name=name, displacement=(0, d_col),
-                            element_bits=layout.element_bits, dest_name=dest_name)
-            for base in bases for offset, name, dest_name, d_col in legs if d_col
+                            element_bits=layout.element_bits, dest_name=dest_name,
+                            period=2 * span, repeats=len(bases))
+            for offset, name, dest_name, d_col in legs if d_col
         ])
 
     phase([(0, layout.name, layout.name, shift),

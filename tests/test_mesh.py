@@ -1,5 +1,6 @@
 """Mesh storage, slide phases, and the cycle ledger."""
 
+import copy
 import itertools
 import math
 from dataclasses import replace
@@ -101,7 +102,7 @@ class TestSpanAccess:
 
     def test_update_writes_each_block_back(self):
         mesh = span_mesh()
-        cols = [0, 2]
+        cols = range(0, 4, 2)
         blocks = mesh.span_fetch(1, cols, "w") * 2 + 1
         mesh.span_update(1, cols, "w", blocks)
         for i, col in enumerate(cols):
@@ -115,9 +116,9 @@ class TestSpanAccess:
         (lambda mesh: mesh.span_fetch(0, range(2), "w"), KeyError),
         (lambda mesh: mesh.span_fetch(1, range(2, 5), "w"), OffGridError),
         (lambda mesh: mesh.span_fetch(2, range(2), "w"), OffGridError),
-        (lambda mesh: mesh.span_fetch(1, [], "w"), ValueError),
+        (lambda mesh: mesh.span_fetch(1, range(0), "w"), ValueError),
         (lambda mesh: mesh.span_update(1, range(4), "v", np.zeros((4, 3))), KeyError),
-        (lambda mesh: mesh.span_update(1, [-1, 0], "w", np.zeros((2, 2, 3))), OffGridError),
+        (lambda mesh: mesh.span_update(1, range(-1, 1), "w", np.zeros((2, 2, 3))), OffGridError),
         (lambda mesh: mesh.span_update(1, range(4), "w", np.zeros((2, 4, 4))), ValueError),
         (lambda mesh: mesh.span_update(1, range(3), "v", np.zeros((3, 3))), ValueError),
         (lambda mesh: mesh.span_update(1, range(4), "w", np.zeros((2, 3, 3))), ValueError),
@@ -287,21 +288,99 @@ class TestSlide:
             ])
         assert mesh_state(mesh) == before
 
+    def test_comb_moves_every_span(self):
+        """Spans (0, 1..2) and (0, 5..6) of "w" slide left by one into "v"."""
+        mesh = one_row_mesh(8)
+        for col in range(8):
+            mesh.pe_store((0, col), "w", np.full(3, col, np.float32), element_bits=32)
+        report = mesh.slide_phase([SlideDescriptor(
+            row=0, col_start=1, col_stop=3, name="w", displacement=(0, -1),
+            element_bits=32, dest_name="v", period=4, repeats=2)])
+        assert report.elements == 12 and report.participants == 4
+        for col in range(8):
+            assert mesh.pe_names((0, col)) == {
+                0: ("v", "w"), 1: ("v",), 2: (), 4: ("v", "w"), 5: ("v",), 6: ()}.get(col, ("w",))
+        for col in (0, 1, 4, 5):
+            np.testing.assert_array_equal(mesh.pe_fetch((0, col), "v"), np.full(3, col + 1))
+
+    def test_source_plane_that_takes_landings_is_lifted_first(self):
+        """The midpoint's first phase: "w" on PE 0 slides right onto PE 1,
+        whose own "w" slides on to PE 2 as "in".  Landing the first before
+        lifting the second would copy PE 0's block twice."""
+        mesh = one_row_mesh(3)
+        for col in range(2):
+            mesh.pe_store((0, col), "w", np.full(4, col, np.float32), element_bits=32)
+        mesh.slide_phase([
+            SlideDescriptor(row=0, col_start=0, col_stop=1, name="w", displacement=(0, 1)),
+            SlideDescriptor(row=0, col_start=1, col_stop=2, name="w", displacement=(0, 1),
+                            dest_name="in"),
+        ])
+        np.testing.assert_array_equal(mesh.pe_fetch((0, 1), "w"), np.zeros(4))
+        np.testing.assert_array_equal(mesh.pe_fetch((0, 2), "in"), np.ones(4))
+
+    @pytest.mark.parametrize("period,repeats", [(2, 0), (2, -1), (1, 2), (0, 3)])
+    def test_bad_comb_refused_before_anything_moves(self, period, repeats):
+        """No spans, or spans of width 2 that overlap, are refused even after
+        a descriptor that would move."""
+        mesh = one_row_mesh(8)
+        for col in range(8):
+            mesh.pe_store((0, col), "w", np.zeros(2, np.float32), element_bits=32)
+        before = mesh_state(mesh)
+        with pytest.raises(ValueError, match="comb"):
+            mesh.slide_phase([
+                SlideDescriptor(row=0, col_start=0, col_stop=1, name="w", displacement=(0, 0),
+                                dest_name="v"),
+                SlideDescriptor(row=0, col_start=2, col_stop=4, name="w", displacement=(0, 0),
+                                dest_name="u", period=period, repeats=repeats),
+            ])
+        assert mesh_state(mesh) == before
+
+    @pytest.mark.parametrize("dest", ["b", "new"])
+    def test_batch_shapes_that_differ_raise_and_change_nothing(self, dest):
+        """A (2, 3) block of "a" cannot land beside 3-element blocks, whether
+        on the existing name "b" or on a name that "b" also slides to."""
+        mesh = one_row_mesh(4)
+        mesh.pe_store((0, 0), "a", np.zeros((2, 3), np.float32), element_bits=32)
+        mesh.pe_store((0, 2), "b", np.zeros(3, np.float32), element_bits=32)
+        before = mesh_state(mesh)
+        with pytest.raises(ValueError, match="batch shape"):
+            mesh.slide_phase([
+                SlideDescriptor(row=0, col_start=2, col_stop=3, name="b", displacement=(0, 1),
+                                dest_name=dest),
+                SlideDescriptor(row=0, col_start=0, col_stop=1, name="a", displacement=(0, 1),
+                                dest_name=dest),
+            ])
+        assert mesh_state(mesh) == before
+
+    def test_long_comb_is_refused_at_its_first_span_off_the_grid(self):
+        """Spans past the grid's width are never expanded: a comb of 10**12
+        spans on a 4-column row fails at span 4, as its unrolled list would."""
+        mesh = one_row_mesh(4)
+        for col in range(4):
+            mesh.pe_store((0, col), "w", np.zeros(2, np.float32), element_bits=32)
+        before = mesh_state(mesh)
+        with pytest.raises(OffGridError, match=r"\(0, 4\.\.4\)"):
+            mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
+                                              displacement=(0, 0), dest_name="v",
+                                              period=1, repeats=10**12)])
+        assert mesh_state(mesh) == before
+
 
 @st.composite
 def meshes_and_phases(draw):
-    """A small grid with random named blocks, and up to three random slides.
+    """A small grid with random named blocks, and up to three random combs.
 
     Each name has its own element size, so one phase can mix sizes; block
-    counts vary from PE to PE, so one descriptor can mix counts.  Every
+    counts vary from PE to PE, so one descriptor can mix counts.  A comb has
+    one to three spans, from zero to two columns apart.  Every
     element stored is distinct, so a dropped or duplicated block shows in the
-    blocks' contents.  Half the phases are tidy: displacements stay on the
-    grid, sizes match, no two descriptors lift from one row under one name,
+    blocks' contents.  Half the phases are tidy: combs stay on the grid,
+    sizes match, no two descriptors lift from one row under one name,
     and each lands under a fresh name, so most are accepted and their cost
     can be checked.  The rest draw two names, spans and displacements from
     small sets so that they often collide, overlap, fan out or leave the grid.
     """
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     sizes = (8, 32, 64)
     names = ("a", "b", "c")
     bits = {name: draw(st.sampled_from(sizes)) for name in names}
@@ -325,11 +404,15 @@ def meshes_and_phases(draw):
         row = draw(st.integers(0, rows - 1))
         start = draw(st.integers(0, cols - 1))
         stop = draw(st.integers(start + 1, cols))
+        period = draw(st.integers(stop - start, stop - start + 2))
         name = draw(st.sampled_from(names if tidy else names[:2]))
         if tidy or draw(st.sampled_from([True] * 3 + [False])):
+            repeats = draw(st.integers(1, min(3, (cols - stop) // period + 1)))
+            last = stop + (repeats - 1) * period        # the last span's stop
             displacement = (draw(st.integers(-row, rows - 1 - row)),
-                            draw(st.integers(-start, cols - stop)))
+                            draw(st.integers(-start, cols - last)))
         else:
+            repeats = draw(st.integers(1, 3))
             displacement = (draw(st.integers(1 - rows, rows - 1)),
                             draw(st.integers(-cols, cols)))
         wrong = [size for size in sizes if size != bits[name]]
@@ -338,6 +421,7 @@ def meshes_and_phases(draw):
             displacement=displacement,
             element_bits=bits[name] if tidy else draw(st.sampled_from([bits[name]] * 4 + wrong)),
             dest_name=None if tidy else draw(st.sampled_from((None,) + names[:2])),
+            period=period, repeats=repeats,
         )
 
     if not tidy:
@@ -347,21 +431,29 @@ def meshes_and_phases(draw):
     return mesh, [replace(desc, dest_name=f"to{i}") for i, desc in enumerate(descs)]
 
 
+def unrolled(descs):
+    """Each comb as its spans in order, one single-span descriptor each."""
+    return [replace(desc, col_start=desc.col_start + i * desc.period,
+                    col_stop=desc.col_stop + i * desc.period, period=0, repeats=1)
+            for desc in descs for i in range(desc.repeats)]
+
+
 def per_pe_phase_time(mesh, descs):
     """The phase's wall clock the slow way: the per-PE time of every moving
     PE, from the stores before the phase and the cost formula written out,
-    maximised.  None when a block the phase lifts is missing."""
+    maximised.  None when a block the phase lifts is missing or off the grid."""
     config = mesh.config
     worst = Fraction(0)
-    for desc in descs:
+    for desc in unrolled(descs):
         if not desc.hops:
             continue
         per_element = (Fraction(desc.element_bits, config.packet_bits)
                        * config.cycles_per_packet_per_hop + config.per_element_overhead_cycles)
         for col in range(desc.col_start, desc.col_stop):
-            if desc.name not in mesh.pe_names((desc.row, col)):
+            pe = (desc.row, col)
+            if not mesh.in_bounds(pe) or desc.name not in mesh.pe_names(pe):
                 return None
-            count = mesh.pe_fetch((desc.row, col), desc.name).shape[-1]
+            count = mesh.pe_fetch(pe, desc.name).shape[-1]
             worst = max(worst, config.ramp_cycles + per_element * count
                         + config.pipeline_fill_cycles_per_hop * (desc.hops - 1))
     return worst
@@ -390,6 +482,23 @@ class TestSlideProperties:
         assert report.exact_cycles == slow_time
         assert report.booked_cycles == math.ceil(slow_time)
         assert mesh.wall_clock_cycles == before[3] + report.booked_cycles
+
+    @settings(max_examples=300, deadline=None)
+    @given(meshes_and_phases())
+    def test_comb_equals_its_spans(self, case):
+        """A comb and the list of its spans give the same report and final
+        state, or raise the same error."""
+        mesh, descs = case
+        twin = copy.deepcopy(mesh)
+
+        def outcome(mesh, descs):
+            try:
+                report = mesh.slide_phase(descs)
+            except (MeshError, KeyError, ValueError) as error:
+                return type(error), str(error), mesh_state(mesh)
+            return report, mesh_state(mesh)
+
+        assert outcome(mesh, descs) == outcome(twin, unrolled(descs))
 
 
 class TestLedger:
