@@ -60,10 +60,12 @@ def parse_seed(text: str) -> int:
     return value
 
 
-# Checked before Fraction builds 10**exponent or predict builds 2**m.  By
-# default Python turns no integer of over 4300 digits into text.
+# Checked before Fraction builds 10**exponent, predict builds 2**m or an
+# integer list is built.  By default Python turns no integer of over 4300
+# digits into text.
 MAX_EXPONENT = 4300
 MAX_LEVELS = 1 << 16
+MAX_LIST_VALUES = 1 << 16
 
 
 def parse_rational(text: str) -> Fraction:
@@ -90,12 +92,16 @@ def parse_int_list(text: str) -> list[int]:
                 raise argparse.ArgumentTypeError(f"bad range {part!r}") from None
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {part!r}")
-            out.extend(range(lo, hi + 1))
         elif part:
             try:
-                out.append(int(part))
+                lo = hi = int(part)
             except ValueError:
                 raise argparse.ArgumentTypeError(f"bad integer {part!r}") from None
+        else:
+            continue
+        if len(out) + hi - lo + 1 > MAX_LIST_VALUES:
+            raise argparse.ArgumentTypeError(f"{text!r} lists more than {MAX_LIST_VALUES} values")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise argparse.ArgumentTypeError(f"no values in {text!r}")
     return out

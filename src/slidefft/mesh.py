@@ -30,15 +30,16 @@ arrays or raw bytes (uint8) and come out read-only: :meth:`Mesh.pe_fetch`
 and :meth:`Mesh.span_fetch` (one name on a range of PEs in a row, blocks on
 axis -2) return views that show later writes; :meth:`Mesh.span_update`
 writes such a range back in one slice assignment, so host arithmetic is
-batched across PEs.  A slide phase checks one entry per moved block, then
-commits each comb as one copy from a strided view of the source plane into
-the same view of the destination plane (through a temporary only when the
-source plane also takes landings in that phase).
+batched across PEs.  A slide phase checks each comb as one (spans, width)
+grid of its columns, then commits it as one copy from a strided view of the
+source plane into the same view of the destination plane (through a
+temporary only when the source plane also takes landings in that phase).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
@@ -226,14 +227,6 @@ def _comb(data: np.ndarray, row: int, start: int, period: int, repeats: int, wid
                       (*batch, period * col_stride, col_stride, item))
 
 
-def _repeated(keys: np.ndarray) -> np.ndarray:
-    """True where an earlier entry of ``keys`` holds the same value."""
-    order = np.argsort(keys, kind="stable")
-    out = np.zeros(len(keys), dtype=bool)
-    out[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-    return out
-
-
 class Mesh:
     """A rows x cols grid of PEs with local stores and a shared cycle ledger."""
 
@@ -393,145 +386,130 @@ class Mesh:
         may be lifted by at most one descriptor and landed on by at most one,
         so a phase can neither drop nor duplicate a block.
 
-        A comb counts as its spans, in column order.  Each check is one mask
-        over all the phase's moves; the error raised is the first that moving
-        the spans in order, PE by PE, would meet.  Each (element_bits, hops)
+        A comb counts as its spans, in column order, and the error raised is
+        the first that moving the spans in order, PE by PE, would meet: a
+        span empty or off the grid (after the blocks of the spans before
+        it), a missing block, a wrong element size, a block lifted twice or
+        landed on twice; then a PE over capacity, in the order the moves
+        touch PEs; then a destination that already holds the name.  Each
+        comb is checked as one (spans, width) grid of its columns against a
+        lifted and a landed mark plane per name.  Each (element_bits, hops)
         group is costed at its largest count.  The commit copies each comb's
         blocks from a strided view of its source plane into the same view of
         its destination plane.
         """
         config = self.config
         rows, cols = config.rows, config.cols
-        ids: dict[str, int] = {}    # every source and destination name, in first use
-        table = np.array([(d.row, d.col_start, d.col_stop, *d.displacement, d.element_bits,
-                           ids.setdefault(d.name, len(ids)),
-                           ids.setdefault(d.dest_name or d.name, len(ids)), d.period, d.repeats)
-                          for d in descs], dtype=np.int64).reshape(-1, 10)
-        names = list(ids)
-        width, period, repeats = table[:, 2] - table[:, 1], table[:, 8], table[:, 9]
-        bad = np.flatnonzero((repeats < 1) | ((repeats > 1) & (period < width)))
-        if len(bad):
-            d = descs[bad[0]]
-            raise ValueError(f"comb of {d.repeats} spans of {d.col_stop - d.col_start} PEs "
-                             f"{d.period} apart: it needs at least one span and no overlap")
+        for d in descs:
+            if d.repeats < 1 or (d.repeats > 1 and d.period < d.col_stop - d.col_start):
+                raise ValueError(f"comb of {d.repeats} spans of {d.col_stop - d.col_start} PEs "
+                                 f"{d.period} apart: it needs at least one span and no overlap")
 
-        # One row per span, comb by comb, column by column.  A comb's span
-        # number cols is off the grid, so no later span can raise first.
-        kept = np.minimum(repeats, cols + 1)
-        spans = np.repeat(table, kept, axis=0)
-        first = np.repeat(np.cumsum(kept) - kept, kept)
-        spans[:, 1:3] += ((np.arange(len(spans)) - first) * spans[:, 8])[:, None]
+        # Each comb's blocks as a (spans, width) grid of columns, up to its
+        # first span that is empty or off the grid.  Spans step right, so
+        # only the right edge can cut a comb short.  A move is indexed by
+        # its source (row, columns) and its destination (row, columns).
+        lifted = defaultdict(lambda: np.zeros(self.shape, bool))    # name -> PEs lifted from
+        landed = defaultdict(lambda: np.zeros(self.shape, bool))    # name -> PEs landed on
+        moves = []      # (descriptor, source, destination name, destination, counts)
+        for d in descs:
+            (d_row, d_col), width, row = d.displacement, d.col_stop - d.col_start, d.row
+            edge = min(cols, cols - d_col)      # no span's source may stop past it
+            spans = 0
+            if (width > 0 and 0 <= row < rows and 0 <= row + d_row < rows
+                    and max(0, -d_col) <= d.col_start and d.col_stop <= edge):
+                spans = min(d.repeats, (edge - d.col_stop) // max(d.period, 1) + 1)
+            error = None        # raised after the block checks of the spans before it
+            if spans < d.repeats:
+                start, stop = d.col_start + spans * d.period, d.col_stop + spans * d.period
+                if width <= 0:
+                    error = ValueError("slide source span is empty")
+                elif not (0 <= row < rows and start >= 0 and stop <= cols):
+                    error = OffGridError(f"slide source PEs ({row}, {start}..{stop - 1}) "
+                                         f"outside {rows}x{cols} grid")
+                else:
+                    error = OffGridError(f"slide destination PEs ({row + d_row}, {start + d_col}"
+                                         f"..{stop - 1 + d_col}) outside {rows}x{cols} grid")
+                if not spans:
+                    raise error
+            grid = (d.col_start + d.period * np.arange(spans))[:, None] + np.arange(width)
+            src, dest, dst = (row, grid), d.dest_name or d.name, (row + d_row, grid + d_col)
+            plane = self._planes.get(d.name)
+            count = plane.count[src] if plane is not None else np.zeros(grid.shape, np.int64)
+            stored_bits = plane.bits[src] if plane is not None else count
+            twice_lifted, twice_landed = lifted[d.name][src], landed[dest][dst]
+            failed = np.flatnonzero((count == 0) | (stored_bits != d.element_bits)
+                                    | twice_lifted | twice_landed)
+            if len(failed):
+                i = failed[0]
+                pe = (row, int(grid.flat[i]))
+                if not count.flat[i]:
+                    raise KeyError(f"PE {pe} holds no array named {d.name!r}")
+                if stored_bits.flat[i] != d.element_bits:
+                    raise ValueError(f"{d.name!r} on PE {pe} is stored as {stored_bits.flat[i]}"
+                                     f"-bit elements, descriptor says {d.element_bits}")
+                if twice_lifted.flat[i]:
+                    raise ValueError(f"{d.name!r} on PE {pe} is lifted by two slides")
+                raise ValueError(f"two slides land on {dest!r} at PE "
+                                 f"{(pe[0] + d_row, pe[1] + d_col)}")
+            if error is not None:
+                raise error
+            lifted[d.name][src] = landed[dest][dst] = True
+            moves.append((d, src, dest, dst, count))
 
-        # A span off the grid is raised after the block checks of the spans
-        # before it.
-        row, start, stop, d_row, d_col = spans[:, :5].T
-        empty = stop <= start
-        off_source = (row < 0) | (row >= rows) | (start < 0) | (stop > cols)
-        off_dest = ((row + d_row < 0) | (row + d_row >= rows) | (start + d_col < 0)
-                    | (stop + d_col > cols))
-        grid_error = None
-        failed = np.flatnonzero(empty | off_source | off_dest)
-        if len(failed):
-            j = failed[0]
-            if empty[j]:
-                grid_error = ValueError("slide source span is empty")
-            elif off_source[j]:
-                grid_error = OffGridError(f"slide source PEs ({row[j]}, {start[j]}.."
-                                          f"{stop[j] - 1}) outside {rows}x{cols} grid")
-            else:
-                grid_error = OffGridError(
-                    f"slide destination PEs ({row[j] + d_row[j]}, {start[j] + d_col[j]}.."
-                    f"{stop[j] - 1 + d_col[j]}) outside {rows}x{cols} grid")
-            spans = spans[:j]
-
-        # One entry per moved block, span by span, column by column.  A
-        # block's key is its flat index into the phase's (name, row, col)
-        # stack of count and element-size planes.
-        length = spans[:, 2] - spans[:, 1]
-        moves = np.repeat(spans, length, axis=0)
-        src_r = moves[:, 0]
-        src_c = moves[:, 1] + np.arange(len(moves)) - np.repeat(np.cumsum(length) - length, length)
-        dst_r, dst_c = src_r + moves[:, 3], src_c + moves[:, 4]
-        bits, src_id, dst_id = moves[:, 5], moves[:, 6], moves[:, 7]
-        hops = np.abs(moves[:, 3]) + np.abs(moves[:, 4])
-        lift_key = (src_id * rows + src_r) * cols + src_c
-        land_key = (dst_id * rows + dst_r) * cols + dst_c
-        counts = np.zeros((len(names), rows, cols), np.int64)      # 0: no block
-        sizes = np.zeros_like(counts)
-        for i, plane in enumerate(map(self._planes.get, names)):
-            if plane is not None:
-                counts[i], sizes[i] = plane.count, plane.bits
-        counts, sizes = counts.reshape(-1), sizes.reshape(-1)
-        count, stored_bits = counts[lift_key], sizes[lift_key]
-
-        lifted_twice, landed_twice = _repeated(lift_key), _repeated(land_key)
-        failed = np.flatnonzero((count == 0) | (stored_bits != bits) | lifted_twice | landed_twice)
-        if len(failed):
-            i = failed[0]
-            src, dst = (int(src_r[i]), int(src_c[i])), (int(dst_r[i]), int(dst_c[i]))
-            name = names[src_id[i]]
-            if not count[i]:
-                raise KeyError(f"PE {src} holds no array named {name!r}")
-            if stored_bits[i] != bits[i]:
-                raise ValueError(f"{name!r} on PE {src} is stored as {stored_bits[i]}-bit "
-                                 f"elements, descriptor says {bits[i]}")
-            if lifted_twice[i]:
-                raise ValueError(f"{name!r} on PE {src} is lifted by two slides")
-            raise ValueError(f"two slides land on {names[dst_id[i]]!r} at PE {dst}")
-        if grid_error is not None:
-            raise grid_error
-
-        # Usage deltas of the moving blocks (zero-hop moves are renames), as
-        # whole byte counts, which float64 sums exactly.
-        moving = hops > 0
-        size = (count * bits // 8)[moving]
-        src_pe, dst_pe = (src_r * cols + src_c)[moving], (dst_r * cols + dst_c)[moving]
-        delta = (np.bincount(dst_pe, size, rows * cols)
-                 - np.bincount(src_pe, size, rows * cols)).astype(np.int64)
-        touched = np.column_stack([src_pe, dst_pe]).ravel()     # in the order moves touch them
-        over = touched[(self._used.ravel() + delta > config.local_memory_bytes)[touched]]
-        if len(over):
-            raise CapacityExceeded(f"PE {divmod(int(over[0]), cols)}: incoming slide data would "
-                                   f"exceed {config.local_memory_bytes} B of local memory")
-        counts[lift_key] = sizes[lift_key] = 0      # the stacks as the phase leaves them
-        taken = np.flatnonzero(counts[land_key])
-        if len(taken):
-            i = taken[0]
-            raise ValueError(f"PE {(int(dst_r[i]), int(dst_c[i]))} already holds an array "
-                             f"named {names[dst_id[i]]!r}")
-        counts[land_key], sizes[land_key] = count, bits
+        # Usage deltas of the moving combs (zero-hop moves are renames); no
+        # column repeats within a comb, so each adds through its columns.
+        moving = [move for move in moves if move[0].hops]
+        delta = np.zeros(self.shape, np.int64)
+        for d, src, _, dst, count in moving:
+            delta[src] -= count * d.element_bits // 8
+            delta[dst] += count * d.element_bits // 8
+        over = self._used + delta > config.local_memory_bytes
+        for _, src, _, dst, _ in moving:
+            failed = np.flatnonzero(np.stack([over[src], over[dst]], axis=-1))     # in touch order
+            if len(failed):
+                i, lands = divmod(int(failed[0]), 2)
+                r, c = dst if lands else src
+                raise CapacityExceeded(f"PE {(r, int(c.flat[i]))}: incoming slide data would "
+                                       f"exceed {config.local_memory_bytes} B of local memory")
+        for _, _, dest, dst, _ in moves:
+            if dest in self._planes:
+                taken = np.flatnonzero((self._planes[dest].count[dst] != 0) & ~lifted[dest][dst])
+                if len(taken):
+                    raise ValueError(f"PE {(dst[0], int(dst[1].flat[taken[0]]))} already holds "
+                                     f"an array named {dest!r}")
 
         # Commit, one descriptor at a time: lift each comb as a view of its
         # source plane, copied out only if that plane also takes landings;
         # nothing has changed yet, so the batch-shape check may still raise.
         # Then land each comb into the same view of its destination plane,
-        # and write back the count and element-size stacks and the usage the
-        # capacity check summed.
-        landed = set(table[:, 7].tolist())
-        batches: dict[int, tuple] = {}      # the batch shape each destination takes
+        # and move the counts, element sizes and usage the checks read.
+        batches: dict[str, tuple] = {}      # the batch shape each destination takes
         largest: dict[tuple[int, int], int] = {}    # (element_bits, hops) -> largest count
         lifts = []
-        for (r, c, _, dr, dc, b, s, d, p, n), w, end in zip(
-                table.tolist(), width.tolist(), np.cumsum(repeats * width).tolist()):
-            source, dest = self._planes[names[s]], self._planes.get(names[d])
+        for d, _, dest, _, count in moves:
+            source, plane = self._planes[d.name], self._planes.get(dest)
             batch = source.data.shape[:-3]
-            if batches.setdefault(d, batch if dest is None else dest.data.shape[:-3]) != batch:
-                raise ValueError(f"blocks of {names[s]!r} and {names[d]!r} differ in batch shape")
-            most = int(count[end - n * w : end].max())
-            group = (b, abs(dr) + abs(dc))
-            if group[1]:
+            dest_batch = batch if plane is None else plane.data.shape[:-3]
+            if batches.setdefault(dest, dest_batch) != batch:
+                raise ValueError(f"blocks of {d.name!r} and {dest!r} differ in batch shape")
+            most = int(count.max())
+            if d.hops:
+                group = (d.element_bits, d.hops)
                 largest[group] = max(most, largest.get(group, 0))
-            blocks = _comb(source.data, r, c, p, n, w, most)
-            lifts.append((names[d], blocks.copy() if s in landed else blocks,
-                          (r + dr, c + dc, p, n, w)))
+            comb = (d.period, d.repeats, d.col_stop - d.col_start)
+            blocks = _comb(source.data, d.row, d.col_start, *comb, most)
+            lifts.append((dest, blocks.copy() if d.name in landed else blocks,
+                          (d.row + d.displacement[0], d.col_start + d.displacement[1], *comb)))
         for dest, blocks, comb in lifts:
             plane = self._plane(dest, blocks.shape[:-3], blocks.dtype, blocks.shape[-1])
             _comb(plane.data, *comb, blocks.shape[-1])[...] = blocks
-        for name, count_plane, size_plane in zip(names, counts.reshape(-1, rows, cols),
-                                                 sizes.reshape(-1, rows, cols)):
-            self._planes[name].count[...], self._planes[name].bits[...] = count_plane, size_plane
-        self._used += delta.reshape(rows, cols)
-        self._drop_empty(names)
+        for d, src, _, _, _ in moves:
+            self._planes[d.name].count[src] = self._planes[d.name].bits[src] = 0
+        for d, _, dest, dst, count in moves:
+            self._planes[dest].count[dst], self._planes[dest].bits[dst] = count, d.element_bits
+        self._used += delta
+        self._drop_empty(list(lifted))
 
         if not largest:
             return PhaseReport(Fraction(0), 0, 0, 0, 0, 0, 0)
@@ -540,8 +518,8 @@ class Mesh:
         max_time = config.ramp_cycles + max(
             config.element_cost(b) * most + config.pipeline_fill_cycles_per_hop * (d - 1)
             for (b, d), most in largest.items())
-        elements = int(count[moving].sum())
-        hops_total = int((count * hops)[moving].sum())
+        elements = sum(int(count.sum()) for *_, count in moving)
+        hops_total = sum(d.hops * int(count.sum()) for d, *_, count in moving)
 
         ramp_booked = config.ramp_cycles
         transfer_booked = math.ceil(max_time - ramp_booked)
@@ -557,7 +535,7 @@ class Mesh:
             ramp_booked=ramp_booked,
             elements=elements,
             element_hops=hops_total,
-            participants=int(moving.sum()),
+            participants=sum(count.size for *_, count in moving),
         )
 
     # -------------------- compute --------------------

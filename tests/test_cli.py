@@ -262,9 +262,11 @@ def test_flags_a_command_never_reads_are_rejected(capsys, argv):
     ("predict", "--m", "3", "--b", "-1e999999999"),
     ("bench-fft", "--n", "4", "--k", "0", "--a", "1e-999999999"),
     ("predict", "--m", "10000000000"),
+    ("bench-fft", "--n", "4", "--k", "0..10000000000"),
 ])
 def test_huge_values_are_rejected_before_they_are_built(capsys, argv):
-    """10**999999999 and 1 << 10**10 would each take gigabytes to build."""
+    """10**999999999, 1 << 10**10 and a list of 10**10 integers would each
+    take gigabytes to build."""
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert "Traceback" not in err

@@ -379,6 +379,8 @@ def meshes_and_phases(draw):
     and each lands under a fresh name, so most are accepted and their cost
     can be checked.  The rest draw two names, spans and displacements from
     small sets so that they often collide, overlap, fan out or leave the grid.
+    Half the tidy phases also begin with a feeder comb that lands, under
+    the lifted name, on the PEs that a later comb lifts from.
     """
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     sizes = (8, 32, 64)
@@ -428,7 +430,20 @@ def meshes_and_phases(draw):
         return mesh, draw(st.lists(descriptor(), min_size=1, max_size=3))
     descs = draw(st.lists(descriptor(), min_size=1, max_size=3,
                           unique_by=lambda desc: (desc.row, desc.name)))
-    return mesh, [replace(desc, dest_name=f"to{i}") for i, desc in enumerate(descs)]
+    descs = [replace(desc, dest_name=f"to{i}") for i, desc in enumerate(descs)]
+    if draw(st.booleans()):
+        # A feeder comb first lands on the very blocks that a later comb
+        # lifts, as the midpoint's first phase does.
+        target = draw(st.sampled_from(descs))
+        last = target.col_stop + (target.repeats - 1) * target.period
+        d_row = draw(st.integers(target.row - rows + 1, target.row))
+        d_col = draw(st.integers(last - cols, target.col_start))
+        name = draw(st.sampled_from(names))
+        descs.insert(0, replace(target, row=target.row - d_row, col_start=target.col_start - d_col,
+                                col_stop=target.col_stop - d_col, name=name,
+                                displacement=(d_row, d_col), element_bits=bits[name],
+                                dest_name=target.name))
+    return mesh, descs
 
 
 def unrolled(descs):
@@ -459,6 +474,73 @@ def per_pe_phase_time(mesh, descs):
     return worst
 
 
+def per_pe_phase_outcome(mesh, descs):
+    """The error a phase must raise, as (type, message), the slow way; None
+    if it must be accepted.  Each comb is walked as its spans, in order, PE
+    by PE: a span empty or off the grid, then for each of its PEs a missing
+    block, a wrong element size, a block lifted twice or landed on twice.
+    Then the moved bytes are summed and each PE over capacity is looked for
+    in the order the moves touch PEs, and last each destination that already
+    holds the name and does not lose it in the phase."""
+    def outcome(error):
+        return type(error), str(error)
+
+    config = mesh.config
+    rows, cols = mesh.shape
+    for desc in descs:
+        width = desc.col_stop - desc.col_start
+        if desc.repeats < 1 or (desc.repeats > 1 and desc.period < width):
+            return outcome(ValueError(f"comb of {desc.repeats} spans of {width} PEs "
+                                      f"{desc.period} apart: it needs at least one span and "
+                                      f"no overlap"))
+    lifted, landed, moves, moving = set(), set(), [], []
+    for desc in unrolled(descs):
+        d_row, d_col = desc.displacement
+        start, stop, row = desc.col_start, desc.col_stop, desc.row
+        if stop <= start:
+            return outcome(ValueError("slide source span is empty"))
+        if not (mesh.in_bounds((row, start)) and mesh.in_bounds((row, stop - 1))):
+            return outcome(OffGridError(f"slide source PEs ({row}, {start}..{stop - 1}) "
+                                        f"outside {rows}x{cols} grid"))
+        if not (mesh.in_bounds((row + d_row, start + d_col))
+                and mesh.in_bounds((row + d_row, stop - 1 + d_col))):
+            return outcome(OffGridError(
+                f"slide destination PEs ({row + d_row}, {start + d_col}..{stop - 1 + d_col}) "
+                f"outside {rows}x{cols} grid"))
+        name, dest = desc.name, desc.dest_name or desc.name
+        for col in range(start, stop):
+            src, dst = (row, col), (row + d_row, col + d_col)
+            if name not in mesh.pe_names(src):
+                return outcome(KeyError(f"PE {src} holds no array named {name!r}"))
+            bits = mesh.pe_element_bits(src, name)
+            if bits != desc.element_bits:
+                return outcome(ValueError(f"{name!r} on PE {src} is stored as {bits}-bit "
+                                          f"elements, descriptor says {desc.element_bits}"))
+            if (src, name) in lifted:
+                return outcome(ValueError(f"{name!r} on PE {src} is lifted by two slides"))
+            if (dst, dest) in landed:
+                return outcome(ValueError(f"two slides land on {dest!r} at PE {dst}"))
+            lifted.add((src, name))
+            landed.add((dst, dest))
+            moves.append((dst, dest))
+            if desc.hops:       # zero-hop moves are renames
+                moving.append((src, dst, mesh.pe_fetch(src, name).shape[-1] * bits // 8))
+    used = {pe: mesh.pe_used(pe) for pe in every_pe(mesh)}
+    for src, dst, size in moving:
+        used[src] -= size
+        used[dst] += size
+    for src, dst, _ in moving:
+        for pe in (src, dst):
+            if used[pe] > config.local_memory_bytes:
+                return outcome(CapacityExceeded(
+                    f"PE {pe}: incoming slide data would exceed "
+                    f"{config.local_memory_bytes} B of local memory"))
+    for dst, dest in moves:
+        if dest in mesh.pe_names(dst) and (dst, dest) not in lifted:
+            return outcome(ValueError(f"PE {dst} already holds an array named {dest!r}"))
+    return None
+
+
 class TestSlideProperties:
     @settings(max_examples=300, deadline=None)
     @given(meshes_and_phases())
@@ -466,11 +548,14 @@ class TestSlideProperties:
         mesh, descs = case
         before = mesh_state(mesh)
         slow_time = per_pe_phase_time(mesh, descs)
+        expected = per_pe_phase_outcome(mesh, descs)
         try:
             report = mesh.slide_phase(descs)
-        except (MeshError, KeyError, ValueError):
+        except (MeshError, KeyError, ValueError) as error:
+            assert (type(error), str(error)) == expected
             assert mesh_state(mesh) == before
             return
+        assert expected is None
         def blocks(stores):
             return sorted(b for slot in stores.values() for b in slot.values())
 
