@@ -50,6 +50,19 @@ def parse_power_of_two(text: str) -> int:
     return value
 
 
+def power_of_two_at_most(limit: int):
+    """A flag parser taking powers of two up to ``limit``."""
+    largest = 1 << (limit.bit_length() - 1)
+
+    def parse(text: str) -> int:
+        value = parse_power_of_two(text)
+        if value > largest:
+            raise argparse.ArgumentTypeError(f"{text!r} is larger than {largest}, "
+                                             "the largest size this command takes")
+        return value
+    return parse
+
+
 def parse_seed(text: str) -> int:
     try:
         value = int(text)
@@ -66,6 +79,12 @@ def parse_seed(text: str) -> int:
 MAX_EXPONENT = 4300
 MAX_LEVELS = 1 << 16
 MAX_LIST_VALUES = 1 << 16
+# The most elements one array of a run may hold, checked before it is
+# built: a transform's points (verify: its batch of VERIFY_SEEDS
+# transforms), or bench-slide's PEs times elements per PE.  2**22 complex
+# values take 64 MiB.
+MAX_ELEMENTS = 1 << 22
+VERIFY_SEEDS = 10
 
 
 def parse_rational(text: str) -> Fraction:
@@ -108,12 +127,15 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def random_batch(seed: int, count: int, n: int) -> np.ndarray:
-    """(count, n) complex inputs, one PCG64 stream per consecutive seed."""
-    rows = []
-    for s in range(seed, seed + count):
+    """(count, n) complex inputs, one PCG64 stream per consecutive seed: row
+    i is ``rng.random(n) + 1j * rng.random(n)`` for
+    ``rng = np.random.default_rng(seed + i)``, filled in place."""
+    batch = np.empty((count, n), np.complex128)
+    for row, s in zip(batch, range(seed, seed + count)):
         rng = np.random.default_rng(s)
-        rows.append(rng.random(n) + 1j * rng.random(n))
-    return np.stack(rows)
+        row.real = rng.random(n)
+        row.imag = rng.random(n)
+    return batch
 
 
 # -------------------- records and CSV --------------------
@@ -174,6 +196,9 @@ def bench_slide_records(pe_counts: list[int], element_counts: list[int],
     """
     if min(pe_counts) < 1 or min(element_counts) < 1:
         raise ValueError("PE and element counts must be at least 1")
+    if max(pe_counts) * max(element_counts) > MAX_ELEMENTS:
+        raise ValueError(f"{max(pe_counts)} PEs of {max(element_counts)} elements hold more "
+                         f"than {MAX_ELEMENTS} elements")
     records = []
     for pes in sorted(pe_counts):
         for count in sorted(element_counts):
@@ -281,7 +306,6 @@ def run_verify(max_n: int, seed: int, echo=print) -> bool:
     if max_n < 2:
         raise ValueError(f"verify needs n >= 2, got {max_n}")
     sizes = [1 << m for m in range(1, max_n.bit_length())]
-    seeds = 10
     ok = True
 
     def suite(name: str, passed: bool, detail: str = "") -> None:
@@ -297,7 +321,7 @@ def run_verify(max_n: int, seed: int, echo=print) -> bool:
     detail = ""
     for n in sizes:
         m = n.bit_length() - 1
-        x = random_batch(seed, seeds, n)
+        x = random_batch(seed, VERIFY_SEEDS, n)
         reference = fft_serial(x)
         oracle = dft_oracle(x)
         serial_worst = max(serial_worst, _rel_error(reference, oracle))
@@ -326,7 +350,7 @@ def run_verify(max_n: int, seed: int, echo=print) -> bool:
                 break
 
     suite("serial-vs-oracle", serial_worst < 1e-12,
-          f"sizes 2..{sizes[-1]}, {seeds} seeds, max rel err {serial_worst:.2e}")
+          f"sizes 2..{sizes[-1]}, {VERIFY_SEEDS} seeds, max rel err {serial_worst:.2e}")
     suite("parseval", parseval_worst < 1e-9, f"max rel err {parseval_worst:.2e}")
 
     perm_ok = True
@@ -406,7 +430,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         return p
 
     p = command("verify", "run the self-check suites", "--seed", "--out", "--config")
-    p.add_argument("--n", type=parse_power_of_two, default=1024,
+    p.add_argument("--n", type=power_of_two_at_most(MAX_ELEMENTS // VERIFY_SEEDS), default=1024,
                    help="largest transform size to check (default 1024)")
 
     p = command("bench-slide", "cost of single one-hop slides",
@@ -421,7 +445,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = command("bench-fft", "distributed transform across wave lengths",
                 "--seed", "--out", "--preset", "--csv", "--config", "--a", "--b",
                 "--doubled-transfer")
-    p.add_argument("--n", type=parse_power_of_two, default=1024,
+    p.add_argument("--n", type=power_of_two_at_most(MAX_ELEMENTS), default=1024,
                    help="transform size (default 1024)")
     p.add_argument("--k", type=parse_int_list, default=None,
                    help="wave lengths log2(PEs), e.g. 0..10 (default all)")

@@ -26,14 +26,15 @@ wall clock.
 Each stored name is a data plane (*batch, rows, cols, width), a count plane
 (0: no block) and an element-bits plane; one usage plane holds each PE's
 bytes.  A name's planes go when its last block leaves.  Blocks go in as
-arrays or raw bytes (uint8) and come out read-only: :meth:`Mesh.pe_fetch`
-and :meth:`Mesh.span_fetch` (one name on a range of PEs in a row, blocks on
-axis -2) return views that show later writes; :meth:`Mesh.span_update`
-writes such a range back in one slice assignment, so host arithmetic is
-batched across PEs.  A slide phase checks each comb as one (spans, width)
-grid of its columns, then commits it as one copy from a strided view of the
-source plane into the same view of the destination plane (through a
-temporary only when the source plane also takes landings in that phase).
+arrays or raw bytes (uint8).  :meth:`Mesh.pe_fetch` and
+:meth:`Mesh.span_fetch` (one name on a range of PEs in a row, blocks on
+axis -2) return read-only views that show later writes;
+:meth:`Mesh.comb_view` returns one name on a comb of PEs as a writable
+view, so host arithmetic runs in place, batched across PEs.  A slide phase
+checks each comb as one (spans, width) grid of its columns, then commits it
+as one copy from a strided view of the source plane into the same view of
+the destination plane (through a temporary only when the source plane also
+takes landings in that phase).
 """
 
 from __future__ import annotations
@@ -311,25 +312,28 @@ class Mesh:
         plane.bits[r, c] = element_bits
         self._used[r, c] = used + size
 
-    def _run(self, row: int, cols: range, name: str):
-        """(plane, row, column slice, count) of the blocks ``name`` on PEs
-        (row, c), c in ``cols``, which must all hold one of the same count."""
-        if not isinstance(cols, range) or cols.step < 1:
-            raise TypeError(f"columns must be an increasing range, not {cols!r}")
-        if not len(cols):
+    def _run(self, row: int, starts: range, width: int, name: str):
+        """(plane, row, columns, count) of the blocks ``name`` on the comb of
+        PEs (row, s + j), s in ``starts``, 0 <= j < ``width``, which must all
+        hold one of the same count; columns is their (spans, width) grid."""
+        if not isinstance(starts, range) or starts.step < 1:
+            raise TypeError(f"columns must be an increasing range, not {starts!r}")
+        if not len(starts) or width < 1:
             raise ValueError("span is empty")
-        index = slice(cols[0], cols[-1] + 1, cols.step)
-        row = self._require_pe((row, cols[0]))[0]
-        self._require_pe((row, cols[-1]))
+        if len(starts) > 1 and starts.step < width:
+            raise ValueError(f"spans of {width} PEs {starts.step} apart overlap")
+        row = self._require_pe((row, starts[0]))[0]
+        self._require_pe((row, starts[-1] + width - 1))
+        grid = np.arange(starts.start, starts.stop, starts.step)[:, None] + np.arange(width)
         plane = self._planes.get(name)
-        counts = plane.count[row, index] if plane is not None else np.zeros(len(cols), np.int64)
-        count = int(counts[0])
+        counts = plane.count[row, grid] if plane is not None else np.zeros(grid.shape, np.int64)
+        count = int(counts.flat[0])
         if not count or (counts != count).any():
             if not counts.all():
-                col = int(cols[int(np.argmin(counts))])
+                col = int(grid.flat[int(np.argmin(counts))])
                 raise KeyError(f"PE {(row, col)} holds no array named {name!r}")
             raise ValueError(f"blocks of {name!r} on row {row} differ in element count")
-        return plane, row, index, count
+        return plane, row, grid, count
 
     def pe_fetch(self, pe, name: str) -> np.ndarray:
         """The block ``name`` on ``pe``: a read-only view, shape (*batch, count)."""
@@ -337,31 +341,28 @@ class Mesh:
 
     def pe_element_bits(self, pe, name: str) -> int:
         """The modelled size in bits of one element of the block ``name`` on ``pe``."""
-        plane, r, c, _ = self._run(pe[0], range(pe[1], pe[1] + 1), name)
-        return int(plane.bits[r, c][0])
+        plane, r, c, _ = self._run(pe[0], range(pe[1], pe[1] + 1), 1, name)
+        return int(plane.bits[r, c].flat[0])
 
     def span_fetch(self, row: int, cols: range, name: str) -> np.ndarray:
         """The named blocks of PEs (row, c), c in ``cols``, stacked on axis -2:
         shape (*batch, len(cols), count), read-only: a view of the plane, so
         later writes show through it."""
-        plane, row, index, count = self._run(row, cols, name)
-        view = plane.data[..., row, index, :count]
+        view = self.comb_view(row, cols, 1, name)[..., 0, :]
         view.flags.writeable = False
         return view
 
-    def span_update(self, row: int, cols: range, name: str, blocks) -> None:
-        """Write ``blocks[..., i, :]`` over the named block of PE (row, cols[i]),
-        the inverse of :meth:`span_fetch`.  ``blocks`` must have exactly the
-        shape that :meth:`span_fetch` returns; nothing is written otherwise."""
-        plane, row, index, count = self._run(row, cols, name)
-        blocks = np.asarray(blocks)
-        shape = plane.data.shape[:-3] + (len(cols), count)
-        if blocks.shape != shape:
-            raise ValueError(f"expected blocks of shape {shape}, got {blocks.shape}")
-        self._plane(name, shape[:-2], blocks.dtype, count).data[..., row, index, :count] = blocks
+    def comb_view(self, row: int, starts: range, width: int, name: str) -> np.ndarray:
+        """The named blocks of the comb of PEs (row, s + j), s in ``starts``,
+        0 <= j < ``width``, as one writable view of the plane, shape
+        (*batch, len(starts), width, count): host arithmetic writes through
+        it in place.  The spans must not overlap, and every PE must hold a
+        block of the same count."""
+        plane, row, _, count = self._run(row, starts, width, name)
+        return _comb(plane.data, row, starts[0], starts.step, len(starts), width, count)
 
     def pe_delete(self, pe, name: str) -> None:
-        plane, r, c, count = self._run(pe[0], range(pe[1], pe[1] + 1), name)
+        plane, r, c, count = self._run(pe[0], range(pe[1], pe[1] + 1), 1, name)
         self._used[r, c] -= count * plane.bits[r, c] // 8
         plane.count[r, c] = plane.bits[r, c] = 0
         self._drop_empty([name])

@@ -97,10 +97,15 @@ def build_permutation(m: int) -> PermutationTable:
 
 @dataclass(frozen=True)
 class TwiddleTable:
-    """Unit-circle factors exp(-2*pi*i*k/N) for k = 0 .. N/2 - 1."""
+    """Unit-circle factors exp(-2*pi*i*k/N) for k = 0 .. N/2 - 1, and
+    ``levels``: the factors of every segment-pair size 2, 4, ..., N of an
+    N-point transform, each a contiguous copy of every (N/size)-th entry of
+    ``factors`` (the last is ``factors`` itself), so a transform evaluates
+    one exp table."""
 
     N: int
     factors: np.ndarray
+    levels: tuple[np.ndarray, ...]
 
 
 @lru_cache(maxsize=None)
@@ -109,16 +114,24 @@ def twiddle_table(N: int) -> TwiddleTable:
         raise ValueError(f"segment pair size must be a power of two >= 2, got {N}")
     k = np.arange(N // 2)
     factors = np.exp(-2j * np.pi * k / N)
-    factors.setflags(write=False)
-    return TwiddleTable(N=N, factors=factors)
+    # A level of size N >> j reads every (2**j)-th root.  The angles agree
+    # bit for bit: scaling k and N by a power of two is exact.  Copies, not
+    # strided views: a multiply reading every 128th element is several
+    # times slower.
+    levels = tuple(factors[:: 1 << j].copy()
+                   for j in range(log2_exact(N) - 1, 0, -1)) + (factors,)
+    for table in levels:
+        table.setflags(write=False)
+    return TwiddleTable(N=N, factors=factors, levels=levels)
 
 
 def butterfly(e: np.ndarray, o: np.ndarray, u: np.ndarray, l: np.ndarray, r: np.ndarray):
-    """Write L = E + U*O into l and R = E - U*O into r, the one arithmetic step
-    of every level; l must not overlap e, which R still reads."""
+    """Write R = E - U*O into r, then L = E + U*O into l, the one arithmetic
+    step of every level.  r may be o and l may be e, so a level can run in
+    place; r must not otherwise overlap e, which L still reads."""
     op = u * o
-    np.add(e, op, out=l)
     np.subtract(e, op, out=r)
+    np.add(e, op, out=l)
     return l, r
 
 
@@ -136,9 +149,10 @@ def fft_serial(x, counter: FlopCounter | None = None) -> np.ndarray:
     """Radix-2 decimation-in-time FFT over the last axis.
 
     The input is permuted by the bit-reversal row of :func:`build_permutation`, then
-    levels p = m .. 1 merge segment pairs of size N = 2, 4, ..., n, alternating
-    between the permuted copy and one spare buffer.  Total booked FLOPs come
-    to exactly 5 * n * log2(n).
+    levels p = m .. 1 merge segment pairs of size N = 2, 4, ..., n, with the
+    level tables of ``twiddle_table(n)``, alternating between the permuted
+    copy and one spare buffer.  Total booked FLOPs come to exactly
+    5 * n * log2(n).
     """
     y = _as_samples(x)
     n = y.shape[-1]
@@ -147,9 +161,8 @@ def fft_serial(x, counter: FlopCounter | None = None) -> np.ndarray:
         return y.copy()
     y = np.take(y, build_permutation(m).final_row, axis=-1)
     buffers = (np.empty_like(y), y)
-    for level in range(m):
-        N = 2 << level
-        y = merge_level(y, N, twiddle_table(N).factors, buffers[level % 2])
+    for level, factors in enumerate(twiddle_table(n).levels):
+        y = merge_level(y, 2 << level, factors, buffers[level % 2])
         if counter is not None:
             counter.add(FLOPS_PER_PAIR * (n // 2))
     return y

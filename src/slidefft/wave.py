@@ -17,14 +17,17 @@ Planning reserves three buffers of the block size per PE, which bounds the
 feasible wave lengths for a given local memory size.  A level holds at most
 two at once (resident block and incoming segment); the third is headroom.
 
-The host does the arithmetic in batches, through the mesh's span accessors:
-the local levels (always the first ones) run in one pass, each group of PEs
-fetched once, merged level by level and written back, and each sliding
-level runs one butterfly per group of meeting sites, reading the blocks
-as views of the mesh's planes.  Groups hold about GROUP_ELEMENTS elements,
-not the whole wave, because whole-wave temporaries cost memory and time on
-large blocks (see GROUP_ELEMENTS).  Compute is still booked once per
-level, in level order.
+The host does the arithmetic in place, on writable views of the mesh's
+planes (:meth:`Mesh.comb_view`), as a PE computes a crossing in its own
+memory: the local levels (always the first ones) run in one pass, each
+group of PEs merged level by level between its view and one spare buffer,
+and each sliding level runs one butterfly per group of meeting sites,
+writing R over O in ``__incoming`` and L over E in the wave's plane.
+Groups hold about GROUP_ELEMENTS elements, not the whole wave, because
+whole-wave temporaries cost memory and time on large blocks (see
+GROUP_ELEMENTS).  Every level's twiddles come from the one exp table of
+``twiddle_table(n)``.  Compute is still booked once per level, in level
+order.
 
 Values are carried in double precision regardless of the modeled wire size
 ``element_bits`` (64 bits models a complex single-precision datum).  Inputs
@@ -50,14 +53,14 @@ BUFFER_FACTOR = 3
 
 _INCOMING = "__incoming"
 
-# Host arithmetic runs on groups of PEs holding about this many elements of
-# the transform, not on the whole wave at once.  On bench-fft --n 1048576
-# --k 8 --element-bits 32 (256 PEs of 4096 elements) one whole-wave stack
-# per level took 0.67 s and 134 MiB peak, groups of this size 0.55 s and
-# 116 MiB (medians of 11 runs each on a shared 2-vCPU host).  Groups of
-# 2**14 were as fast, but their 256 KiB arrays raised the peak to 120 MiB in
-# 9 of 31 checkout directories tried, an allocator-layout effect that 2**13
-# did not show in any of 46.
+# Host arithmetic runs on groups of about this many elements of the
+# transform, not on the whole wave at once: a group bounds the temporaries
+# (the local levels' spare buffer, a sliding butterfly's U*O) to 128 KiB.
+# In-process main() of bench-fft --n 1048576 --k 8 --element-bits 32 (256
+# PEs of 4096 elements) took 0.32-0.39 s and 104.5 MiB peak with groups of
+# this size, 0.42-0.55 s and 112.5 MiB with the whole wave as one group
+# (5 runs each on a shared 2-vCPU host); groups of 2**12 to 2**15 took the
+# same time and peak.
 GROUP_ELEMENTS = 1 << 13
 
 
@@ -193,24 +196,28 @@ def gather(layout: WaveLayout, mesh: Mesh) -> np.ndarray:
     return blocks.reshape(blocks.shape[:-2] + (layout.n,))
 
 
-def _run_local_levels(mesh: Mesh, layout: WaveLayout, levels: list[LevelDescriptor]) -> None:
-    """Run every local level in one pass: each group of PEs is fetched once,
-    merged level by level, and written back."""
+def _run_local_levels(mesh: Mesh, layout: WaveLayout,
+                      levels: list[tuple[LevelDescriptor, np.ndarray]]) -> None:
+    """Run every local level, given as (level, factors) pairs, in one pass:
+    each group of PEs is merged in place, level by level, alternating
+    between its view of the wave's plane and one spare buffer so that the
+    last level lands in the plane.  An odd number of levels costs one copy
+    of the group into the buffer first."""
     row, col0 = layout.origin
     cols = range(col0, col0 + layout.pe_count)
-    tables = [(level.segment_pair, twiddle_table(level.segment_pair).factors)
-              for level in levels]
-    groups = _groups(layout.pe_count, layout.elements_per_pe)
-    first = mesh.span_fetch(row, cols[groups[0]], layout.name)
-    # Two buffers the size of the first (largest) group, which the levels of
-    # every group alternate between.
-    pair = np.empty((2, first.size), first.dtype)
-    for group in groups:
-        y = mesh.span_fetch(row, cols[group], layout.name)
-        buffers = [buffer[: y.size].reshape(y.shape) for buffer in pair]
-        for i, (N, factors) in enumerate(tables):
-            y = merge_level(y, N, factors, buffers[i % 2])
-        mesh.span_update(row, cols[group], layout.name, y)
+    spare = None
+    for group in _groups(layout.pe_count, layout.elements_per_pe):
+        plane = mesh.comb_view(row, cols[group], 1, layout.name)[..., 0, :]
+        if spare is None:       # sized by the first group, the largest
+            spare = np.empty(plane.size, plane.dtype)
+        buffer = spare[: plane.size].reshape(plane.shape)
+        y, out = plane, buffer
+        if len(levels) % 2:
+            buffer[...] = plane
+            y, out = buffer, plane
+        for level, factors in levels:
+            merge_level(y, level.segment_pair, factors, out)
+            y, out = out, y
     for _ in levels:
         mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
                             max_flops_per_pe=FLOPS_PER_PAIR * (layout.elements_per_pe // 2))
@@ -242,22 +249,25 @@ def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
 
     phase([(0, layout.name, layout.name, shift),
            (span, layout.name, _INCOMING, shift - span)])
-    # Site t of a crossing is PE base + shift + t, merged with twiddle row t.
-    # Sites are read as ranges, so as views: one strided range per row t when
-    # crossings outnumber the sites of one, else one range per crossing.
+    # Site t of a crossing is PE base + shift + t, merged with twiddle row t:
+    # one comb of the meeting sites, viewed in both planes, shape
+    # (*batch, crossings, span, e).  The butterfly runs in place on groups
+    # of whole crossings, or of rows t of one crossing when a crossing
+    # holds more than GROUP_ELEMENTS.
+    sites = range(col0 + shift, col0 + layout.pe_count, 2 * span)
+    evens = mesh.comb_view(row, sites, span, layout.name)
+    odds = mesh.comb_view(row, sites, span, _INCOMING)
     rows = factors.reshape(span, e)
-    if span <= len(bases):
-        runs = [(range(col0 + shift + t, col0 + layout.pe_count, 2 * span),
-                 np.broadcast_to(rows[t], (len(bases), e))) for t in range(span)]
+    if span * e <= GROUP_ELEMENTS:
+        per = GROUP_ELEMENTS // (span * e)
+        groups = [(np.s_[..., i : i + per, :, :], rows) for i in range(0, len(sites), per)]
     else:
-        runs = [(range(base + shift, base + shift + span), rows) for base in bases]
-    for cols, u in runs:
-        for group in _groups(len(cols), e):
-            evens = mesh.span_fetch(row, cols[group], layout.name)
-            odds = mesh.span_fetch(row, cols[group], _INCOMING)
-            l, r = butterfly(evens, odds, u[group], np.empty_like(evens), np.empty_like(odds))
-            mesh.span_update(row, cols[group], layout.name, l)
-            mesh.span_update(row, cols[group], _INCOMING, r)
+        per = max(1, GROUP_ELEMENTS // e)
+        groups = [(np.s_[..., i, t : t + per, :], rows[t : t + per])
+                  for i in range(len(sites)) for t in range(0, span, per)]
+    for index, u in groups:
+        l, r = evens[index], odds[index]
+        butterfly(l, r, u, l, r)
     mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
                         max_flops_per_pe=FLOPS_PER_PAIR * e)
     phase([(shift, layout.name, layout.name, -shift),
@@ -270,17 +280,18 @@ def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndar
 
     Produces output identical to :func:`slidefft.serial.fft_serial` (the
     crossings perform the same operations in the same order for every wave
-    length), with all compute, transfer, and ramp cycles booked to the
-    mesh's ledger.  The local levels (N <= elements_per_pe) are the first
-    ones, so they run together before the first slide.
+    length, with the same level tables of ``twiddle_table(n)``), with all
+    compute, transfer, and ramp cycles booked to the mesh's ledger.  The
+    local levels (N <= elements_per_pe) are the first ones, so they run
+    together before the first slide.
     """
     levels = level_plan(layout)
-    local = [level for level in levels if level.local]
+    tables = list(zip(levels, twiddle_table(layout.n).levels)) if levels else []
+    local = [(level, factors) for level, factors in tables if level.local]
     if local:
         _run_local_levels(mesh, layout, local)
-    for level in levels[len(local):]:
-        _run_sliding_level(mesh, layout, level, twiddle_table(level.segment_pair).factors,
-                           midpoint)
+    for level, factors in tables[len(local):]:
+        _run_sliding_level(mesh, layout, level, factors, midpoint)
     return gather(layout, mesh)
 
 

@@ -4,13 +4,19 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slidefft.cli import (CSV_HEADER, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
-                          bench_slide_records, main)
+import slidefft.cli as cli
+import slidefft.serial as serial
+import slidefft.wave as wave
+from slidefft.cli import (CSV_HEADER, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, MAX_ELEMENTS,
+                          bench_slide_records, main, random_batch)
+from slidefft.mesh import Mesh
 
 
 def run(capsys, *argv):
@@ -270,6 +276,80 @@ def test_huge_values_are_rejected_before_they_are_built(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench-slide", "--pes", "1000000000", "--elements", "1"),
+    ("bench-slide", "--pes", "4096", "--elements", "1..1025"),
+    ("bench-fft", "--n", str(1 << 30), "--k", "30"),
+    ("bench-fft", "--n", str(2 * MAX_ELEMENTS), "--k", "8"),
+    ("verify", "--n", str(1 << 30)),
+    ("verify", "--n", str(1 << 19)),
+])
+def test_oversized_runs_are_refused_before_anything_is_allocated(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert peak < 1 << 20
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
+
+
+def test_largest_sizes_are_accepted():
+    parser, _ = cli._build_parser()
+    assert parser.parse_args(["bench-fft", "--n", str(MAX_ELEMENTS)]).n == MAX_ELEMENTS
+    assert parser.parse_args(["verify", "--n", str(1 << 18)]).n == 1 << 18
+    assert len(bench_slide_records([1024], [4096], 32, {})) == 1
+
+
+def test_oversized_config_value_is_refused(tmp_path, capsys):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"n": 1 << 30}))
+    code, _, err = run(capsys, "bench-fft", "--config", str(config))
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and err.startswith("error: config key 'n'")
+
+
+@pytest.mark.parametrize("seed,count,n", [(0, 1, 1), (7, 10, 64), (2**63, 3, 1 << 16)])
+def test_random_batch_is_the_documented_formula(seed, count, n):
+    batch = random_batch(seed, count, n)
+    assert batch.shape == (count, n) and batch.dtype == np.complex128
+    for i, row in enumerate(batch):
+        rng = np.random.default_rng(seed + i)
+        assert row.tobytes() == (rng.random(n) + 1j * rng.random(n)).tobytes()
+
+
+# What perfbench/traced.py wraps, by layer, where callers look it up.  A
+# layer whose wrap target is gone, or is never called, reports no per-layer
+# metric, and a benchmark result without one is refused.
+TRACED = [("wave.distribute", cli, "distribute"), ("wave.slide_fft", cli, "slide_fft"),
+          ("serial.twiddle_table", wave, "twiddle_table"),
+          ("serial.twiddle_table", serial, "twiddle_table"),
+          ("wave.gather", wave, "gather"), ("mesh.slide_phase", Mesh, "slide_phase"),
+          ("mesh.record_compute", Mesh, "record_compute"), ("mesh.pe_access", Mesh, "pe_store")]
+
+
+@pytest.mark.parametrize("argv", [("bench-fft", "--n", "64", "--k", "3"),
+                                  ("verify", "--n", "16")])
+def test_benchmark_wrap_targets_exist_and_are_called(monkeypatch, capsys, argv):
+    calls = dict.fromkeys([layer for layer, _, _ in TRACED], 0)
+
+    def counted(layer, fn):
+        def wrapper(*args, **kwargs):
+            calls[layer] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for layer, namespace, name in TRACED:
+        assert name in namespace.__dict__, f"{layer}: {name} is gone"
+        monkeypatch.setattr(namespace, name, counted(layer, namespace.__dict__[name]))
+    assert run(capsys, *argv)[0] == EXIT_OK
+    assert [layer for layer, count in calls.items() if not count] == []
 
 
 # Each command's flags, with values it accepts (None marks a switch); --out

@@ -104,11 +104,35 @@ class TestSpanAccess:
         mesh = span_mesh()
         cols = range(0, 4, 2)
         blocks = mesh.span_fetch(1, cols, "w") * 2 + 1
-        mesh.span_update(1, cols, "w", blocks)
+        mesh.comb_view(1, cols, 1, "w")[..., 0, :] = blocks
         for i, col in enumerate(cols):
             np.testing.assert_array_equal(mesh.pe_fetch((1, col), "w"), blocks[..., i, :])
         np.testing.assert_array_equal(mesh.pe_fetch((1, 1), "w"), np.full((2, 3), 1))
         assert mesh.pe_used((1, 0)) == (3 + 3) * 8    # "w" and "v": 3 elements each
+
+    @pytest.mark.parametrize("starts,width", [
+        (range(1, 2), 5), (range(0, 12, 4), 2), (range(1, 12, 3), 1), (range(2, 10, 5), 3),
+    ])
+    def test_comb_view_writes_land_on_exactly_the_comb(self, starts, width):
+        mesh = mesh_create(MeshConfig(rows=3, cols=12))
+        for r, c in itertools.product(range(3), range(12)):
+            mesh.pe_store((r, c), "w", np.full((2, 4), 100 * r + c, np.complex128),
+                          element_bits=64)
+            mesh.pe_store((r, c), "v", np.full((2, 3), -c, np.float64), element_bits=64)
+        stores, used, ledger, wall = mesh_state(mesh)
+        view = mesh.comb_view(1, starts, width, "w")
+        assert view.shape == (2, len(starts), width, 4)
+        comb = {(1, s + j): (i, j) for i, s in enumerate(starts) for j in range(width)}
+        for pe, (i, j) in comb.items():
+            np.testing.assert_array_equal(view[..., i, j, :], mesh.pe_fetch(pe, "w"))
+        view[...] = -1 - np.arange(view.size).reshape(view.shape)
+        for pe, (i, j) in comb.items():
+            stores[pe]["w"] = (view[..., i, j, :].tobytes(),) + stores[pe]["w"][1:]
+        assert mesh_state(mesh) == (stores, used, ledger, wall)
+
+    @staticmethod
+    def write(view, blocks):
+        view[...] = blocks
 
     @pytest.mark.parametrize("call,error", [
         (lambda mesh: mesh.span_fetch(1, range(4), "u"), KeyError),
@@ -117,16 +141,32 @@ class TestSpanAccess:
         (lambda mesh: mesh.span_fetch(1, range(2, 5), "w"), OffGridError),
         (lambda mesh: mesh.span_fetch(2, range(2), "w"), OffGridError),
         (lambda mesh: mesh.span_fetch(1, range(0), "w"), ValueError),
-        (lambda mesh: mesh.span_update(1, range(4), "v", np.zeros((4, 3))), KeyError),
-        (lambda mesh: mesh.span_update(1, range(-1, 1), "w", np.zeros((2, 2, 3))), OffGridError),
-        (lambda mesh: mesh.span_update(1, range(4), "w", np.zeros((2, 4, 4))), ValueError),
-        (lambda mesh: mesh.span_update(1, range(3), "v", np.zeros((3, 3))), ValueError),
-        (lambda mesh: mesh.span_update(1, range(4), "w", np.zeros((2, 3, 3))), ValueError),
+        # Updates go through comb_view, the one writable accessor.
+        (lambda mesh: mesh.comb_view(1, range(4), 1, "v"), KeyError),
+        (lambda mesh: mesh.comb_view(1, range(-1, 1), 1, "w"), OffGridError),
+        (lambda mesh: TestSpanAccess.write(mesh.comb_view(1, range(4), 1, "w"),
+                                           np.zeros((2, 4, 1, 4))), ValueError),
+        (lambda mesh: mesh.comb_view(1, range(3), 1, "v"), ValueError),
+        (lambda mesh: TestSpanAccess.write(mesh.comb_view(1, range(4), 1, "w"),
+                                           np.zeros((2, 3, 1, 3))), ValueError),
+        (lambda mesh: mesh.comb_view(1, range(0, 4, 2), 2, "u"), KeyError),
+        (lambda mesh: mesh.comb_view(0, range(0, 4, 2), 2, "w"), KeyError),
+        (lambda mesh: mesh.comb_view(1, range(1, 2), 4, "w"), OffGridError),
+        (lambda mesh: mesh.comb_view(2, range(0, 4, 2), 2, "w"), OffGridError),
+        (lambda mesh: mesh.comb_view(1, range(0, 3, 2), 1, "v"), ValueError),
+        (lambda mesh: mesh.comb_view(1, range(1), 3, "v"), ValueError),
+        (lambda mesh: mesh.comb_view(1, range(0), 1, "w"), ValueError),
+        (lambda mesh: mesh.comb_view(1, range(2), 0, "w"), ValueError),
+        (lambda mesh: mesh.comb_view(1, range(0, 2), 2, "w"), ValueError),
+        (lambda mesh: mesh.comb_view(1, [0, 2], 1, "w"), TypeError),
     ], ids=["fetch-missing-name", "fetch-name-missing-on-one-pe", "fetch-empty-row",
             "fetch-off-grid-column", "fetch-off-grid-row", "fetch-no-columns",
             "update-name-missing-on-one-pe", "update-off-grid-column",
             "update-changes-every-count", "update-changes-last-count",
-            "update-too-few-blocks"])
+            "update-too-few-blocks", "comb-missing-name", "comb-empty-row",
+            "comb-off-grid-width", "comb-off-grid-row", "comb-unequal-counts-across-spans",
+            "comb-unequal-counts-within-a-span", "comb-no-spans", "comb-zero-width",
+            "comb-overlapping-spans", "comb-columns-not-a-range"])
     def test_bad_call_raises_and_changes_nothing(self, call, error):
         mesh = span_mesh()
         before = mesh_state(mesh)

@@ -87,6 +87,20 @@ class TestTwiddles:
         with pytest.raises(ValueError):
             twiddle_table(6)
 
+    def test_every_level_table_is_its_own_exp(self):
+        """Each level of the 2**20-point table, a copy of every (2**20/N)-th
+        root, is bit for bit the exp of its own angles 2*pi*k/N."""
+        top = twiddle_table(1 << 20)
+        assert len(top.levels) == 20 and top.levels[-1] is top.factors
+        for level, factors in enumerate(top.levels):
+            N = 2 << level
+            expect = np.exp(-2j * np.pi * np.arange(N // 2) / N)
+            assert factors.tobytes() == expect.tobytes(), N
+            assert factors.flags.c_contiguous and not factors.flags.writeable
+            if N <= 1 << 12:
+                assert [t.tobytes() for t in twiddle_table(N).levels] == \
+                    [t.tobytes() for t in top.levels[: level + 1]]
+
 
 class TestCrossing:
     def test_sum_difference(self):

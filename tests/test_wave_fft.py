@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import slidefft.wave as wave
 from slidefft.mesh import (CapacityExceeded, CycleLedger, MeshConfig,
                            OffGridError, mesh_create, preset_config)
 from slidefft.model import CostModel, flops_per_transform, predict_efficiency, reconcile
@@ -133,6 +134,19 @@ class TestTransformAcrossWaveLengths:
         x = rng.random((3, 64)) + 1j * rng.random((3, 64))
         spectrum, _ = run_wave(x, 3)
         np.testing.assert_array_equal(spectrum, fft_serial(x))
+
+    @pytest.mark.parametrize("group", [1, 4, 32])
+    def test_group_size_does_not_change_the_spectrum(self, monkeypatch, group):
+        """Groups smaller than a block, a crossing or a level take every path
+        of the in-place butterflies, each bit for bit the serial transform."""
+        monkeypatch.setattr(wave, "GROUP_ELEMENTS", group)
+        rng = np.random.default_rng(group)
+        x = rng.random((2, 256)) + 1j * rng.random((2, 256))
+        reference = fft_serial(x)
+        for k in range(9):
+            for midpoint in (False, True):
+                spectrum, _ = run_wave(x, k, midpoint=midpoint)
+                assert spectrum.tobytes() == reference.tobytes(), (k, midpoint)
 
     @pytest.mark.parametrize("m,k", [(4, 2), (6, 3), (8, 5)])
     def test_midpoint_meeting_matches_overlay(self, m, k):
