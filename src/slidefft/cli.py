@@ -244,13 +244,14 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
     prediction, which does not depend on k.
     """
     m = n.bit_length() - 1
+    for k in sorted(k_values):     # every k, before the first mesh is built
+        if not 0 <= k <= m:
+            raise UsageError(f"k={k} outside 0..{m} for n={n}")
     predicted = predict_efficiency(cost_model, n, m)
     infeasible = None    # the CapacityExceeded of an infeasible k, if any
     records, notes, ledgers = [], [], []
     x = random_batch(seed, 1, n)[0]
     for k in sorted(k_values):
-        if not 0 <= k <= m:
-            raise UsageError(f"k={k} outside 0..{m} for n={n}")
         config = MeshConfig(rows=1, cols=1 << k, **config_kwargs)
         mesh = mesh_create(config)
         try:

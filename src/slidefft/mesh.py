@@ -545,12 +545,15 @@ class Mesh:
         """Book one parallel compute phase.
 
         ``flops`` is the total volume over all PEs; ``max_flops_per_pe``
-        (defaulting to the total) sets how far the wall clock advances.
+        (defaulting to the total, and at most the total) sets how far the
+        wall clock advances.
         """
         if flops < 0:
             raise ValueError("FLOP count must be non-negative")
         if max_flops_per_pe is None:
             max_flops_per_pe = flops
+        if not 0 <= max_flops_per_pe <= flops:
+            raise ValueError(f"per-PE FLOPs {max_flops_per_pe} outside 0..{flops}")
         self.ledger.flops += flops
         self.ledger.compute_cycles += math.ceil(self.config.cycles_per_flop * flops)
         self.wall_clock_cycles += math.ceil(self.config.cycles_per_flop * max_flops_per_pe)

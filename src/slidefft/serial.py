@@ -125,34 +125,31 @@ def twiddle_table(N: int) -> TwiddleTable:
     return TwiddleTable(N=N, factors=factors, levels=levels)
 
 
-def butterfly(e: np.ndarray, o: np.ndarray, u: np.ndarray, l: np.ndarray, r: np.ndarray):
-    """Write R = E - U*O into r, then L = E + U*O into l, the one arithmetic
-    step of every level.  r may be o and l may be e, so a level can run in
-    place; r must not otherwise overlap e, which L still reads."""
+def butterfly(e: np.ndarray, o: np.ndarray, u: np.ndarray) -> None:
+    """The one arithmetic step of every level, in place: R = E - U*O over o,
+    then L = E + U*O over e.  e and o must not overlap."""
     op = u * o
-    np.subtract(e, op, out=r)
-    np.add(e, op, out=l)
-    return l, r
+    np.subtract(e, op, out=o)
+    np.add(e, op, out=e)
 
 
-def merge_level(y: np.ndarray, N: int, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Merge every adjacent segment pair of size N along the last axis of y
-    into ``out``, an array of y's shape that does not overlap it:
-    each pair's L over its first half and R over its second.  Returns out."""
+def merge_level(y: np.ndarray, u: np.ndarray) -> None:
+    """Merge, in place, every adjacent segment pair of size N = 2 * len(u)
+    along the last axis of y: each pair's L over its first half and R over
+    its second.  Splitting one axis always gives a view, so y may itself be
+    a view, such as a comb of mesh blocks."""
+    N = 2 * len(u)
     v = y.reshape(y.shape[:-1] + (y.shape[-1] // N, N))
-    w = out.reshape(v.shape)
-    butterfly(v[..., : N // 2], v[..., N // 2 :], u, w[..., : N // 2], w[..., N // 2 :])
-    return out
+    butterfly(v[..., : N // 2], v[..., N // 2 :], u)
 
 
 def fft_serial(x, counter: FlopCounter | None = None) -> np.ndarray:
     """Radix-2 decimation-in-time FFT over the last axis.
 
-    The input is permuted by the bit-reversal row of :func:`build_permutation`, then
-    levels p = m .. 1 merge segment pairs of size N = 2, 4, ..., n, with the
-    level tables of ``twiddle_table(n)``, alternating between the permuted
-    copy and one spare buffer.  Total booked FLOPs come to exactly
-    5 * n * log2(n).
+    The input is permuted by the bit-reversal row of :func:`build_permutation`
+    into a new array, and levels p = m .. 1 merge its segment pairs of size
+    N = 2, 4, ..., n in place, with the level tables of ``twiddle_table(n)``.
+    Total booked FLOPs come to exactly 5 * n * log2(n).
     """
     y = _as_samples(x)
     n = y.shape[-1]
@@ -160,9 +157,8 @@ def fft_serial(x, counter: FlopCounter | None = None) -> np.ndarray:
     if m == 0:
         return y.copy()
     y = np.take(y, build_permutation(m).final_row, axis=-1)
-    buffers = (np.empty_like(y), y)
-    for level, factors in enumerate(twiddle_table(n).levels):
-        y = merge_level(y, 2 << level, factors, buffers[level % 2])
+    for factors in twiddle_table(n).levels:
+        merge_level(y, factors)
         if counter is not None:
             counter.add(FLOPS_PER_PAIR * (n // 2))
     return y

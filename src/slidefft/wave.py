@@ -19,10 +19,12 @@ two at once (resident block and incoming segment); the third is headroom.
 
 The host does the arithmetic in place, on writable views of the mesh's
 planes (:meth:`Mesh.comb_view`), as a PE computes a crossing in its own
-memory: the local levels (always the first ones) run in one pass, each
-group of PEs merged level by level between its view and one spare buffer,
-and each sliding level runs one butterfly per group of meeting sites,
-writing R over O in ``__incoming`` and L over E in the wave's plane.
+memory, and every level runs the one butterfly of
+:func:`slidefft.serial.butterfly`, R over O and then L over E: the local
+levels (always the first ones) run in one pass, each group of PEs merged
+level by level in its view of the wave's plane, as ``fft_serial`` merges
+its permuted copy; each sliding level runs one butterfly per group of
+meeting sites, with O in ``__incoming`` and E in the wave's plane.
 Groups hold about GROUP_ELEMENTS elements, not the whole wave, because
 whole-wave temporaries cost memory and time on large blocks (see
 GROUP_ELEMENTS).  Every level's twiddles come from the one exp table of
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,11 +54,13 @@ from .serial import (FLOPS_PER_PAIR, _as_samples, build_permutation, butterfly,
 # Block-size buffers reserved per PE: two in use at once, plus headroom.
 BUFFER_FACTOR = 3
 
+# Stored names: the wave's blocks, and the odd segments that slide in.
+_WAVE = "wave"
 _INCOMING = "__incoming"
 
 # Host arithmetic runs on groups of about this many elements of the
-# transform, not on the whole wave at once: a group bounds the temporaries
-# (the local levels' spare buffer, a sliding butterfly's U*O) to 128 KiB.
+# transform, not on the whole wave at once: a group bounds a butterfly's
+# U*O temporary to half a group, 64 KiB per transform of the batch.
 # In-process main() of bench-fft --n 1048576 --k 8 --element-bits 32 (256
 # PEs of 4096 elements) took 0.32-0.39 s and 104.5 MiB peak with groups of
 # this size, 0.42-0.55 s and 112.5 MiB with the whole wave as one group
@@ -74,7 +79,7 @@ class WaveLayout:
     origin: tuple[int, int]
     elements_per_pe: int
     element_bits: int
-    name: str = "wave"
+    name: ClassVar[str] = _WAVE
 
     @property
     def pe_count(self) -> int:
@@ -86,12 +91,10 @@ class WaveLayout:
 
 @dataclass(frozen=True)
 class LevelDescriptor:
-    """One transform level: segment pairs of size N, n/N crossings, and
-    whether both segments of a crossing are co-resident on single PEs."""
+    """One transform level: segment pairs of size N, and whether both
+    segments of a crossing are co-resident on single PEs."""
 
-    p: int
     segment_pair: int
-    crossings: int
     local: bool
 
 
@@ -118,7 +121,7 @@ def min_feasible_k(n: int, element_bits: int, local_memory_bytes: int) -> int | 
 
 
 def plan_wave(n: int, k: int, element_bits: int, mesh: Mesh,
-              origin: tuple[int, int] = (0, 0), name: str = "wave") -> WaveLayout:
+              origin: tuple[int, int] = (0, 0)) -> WaveLayout:
     """Lay out an n-point transform on 2**k PEs starting at ``origin``.
 
     Raises CapacityExceeded (carrying the minimal feasible k) when the per-PE
@@ -144,7 +147,7 @@ def plan_wave(n: int, k: int, element_bits: int, mesh: Mesh,
             f"{mesh.config.rows}x{mesh.config.cols} grid"
         )
     return WaveLayout(n=n, m=m, k=k, origin=(row, col),
-                      elements_per_pe=elements_per_pe, element_bits=element_bits, name=name)
+                      elements_per_pe=elements_per_pe, element_bits=element_bits)
 
 
 def level_plan(layout: WaveLayout) -> list[LevelDescriptor]:
@@ -154,16 +157,8 @@ def level_plan(layout: WaveLayout) -> list[LevelDescriptor]:
     PE, i.e. N <= elements_per_pe; otherwise its odd segments live
     (N/2)/elements_per_pe PEs away from their even partners.
     """
-    levels = []
-    for p in range(layout.m, 0, -1):
-        N = 1 << (layout.m - p + 1)
-        levels.append(LevelDescriptor(
-            p=p,
-            segment_pair=N,
-            crossings=layout.n // N,
-            local=N <= layout.elements_per_pe,
-        ))
-    return levels
+    return [LevelDescriptor(segment_pair=N, local=N <= layout.elements_per_pe)
+            for N in (1 << j for j in range(1, layout.m + 1))]
 
 
 def distribute(x, layout: WaveLayout, mesh: Mesh) -> None:
@@ -181,10 +176,11 @@ def distribute(x, layout: WaveLayout, mesh: Mesh) -> None:
                       element_bits=layout.element_bits)
 
 
-def _groups(count: int, elements_per_pe: int):
-    """Slices of ``count`` PEs holding about GROUP_ELEMENTS elements each;
+def _groups(count: int, size: int):
+    """Slices of ``count`` items of ``size`` elements each (PEs, crossings
+    or rows of one crossing), about GROUP_ELEMENTS elements to a slice;
     every slice but the last has the same power-of-two length."""
-    per = max(1, GROUP_ELEMENTS // elements_per_pe)
+    per = max(1, GROUP_ELEMENTS // size)
     return [slice(i, i + per) for i in range(0, count, per)]
 
 
@@ -196,42 +192,31 @@ def gather(layout: WaveLayout, mesh: Mesh) -> np.ndarray:
     return blocks.reshape(blocks.shape[:-2] + (layout.n,))
 
 
-def _run_local_levels(mesh: Mesh, layout: WaveLayout,
-                      levels: list[tuple[LevelDescriptor, np.ndarray]]) -> None:
-    """Run every local level, given as (level, factors) pairs, in one pass:
-    each group of PEs is merged in place, level by level, alternating
-    between its view of the wave's plane and one spare buffer so that the
-    last level lands in the plane.  An odd number of levels costs one copy
-    of the group into the buffer first."""
+def _run_local_levels(mesh: Mesh, layout: WaveLayout, tables: tuple[np.ndarray, ...]) -> None:
+    """Run every local level, given by its twiddle table, in one pass: each
+    group of PEs is merged in place, level by level, in its view of the
+    wave's plane."""
     row, col0 = layout.origin
     cols = range(col0, col0 + layout.pe_count)
-    spare = None
     for group in _groups(layout.pe_count, layout.elements_per_pe):
         plane = mesh.comb_view(row, cols[group], 1, layout.name)[..., 0, :]
-        if spare is None:       # sized by the first group, the largest
-            spare = np.empty(plane.size, plane.dtype)
-        buffer = spare[: plane.size].reshape(plane.shape)
-        y, out = plane, buffer
-        if len(levels) % 2:
-            buffer[...] = plane
-            y, out = buffer, plane
-        for level, factors in levels:
-            merge_level(y, level.segment_pair, factors, out)
-            y, out = out, y
-    for _ in levels:
+        for factors in tables:
+            merge_level(plane, factors)
+    for _ in tables:
         mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
                             max_flops_per_pe=FLOPS_PER_PAIR * (layout.elements_per_pe // 2))
 
 
-def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
-                       factors: np.ndarray, midpoint: bool) -> None:
-    """Each crossing's E segment (PEs base .. base+span-1) slides right by
+def _run_sliding_level(mesh: Mesh, layout: WaveLayout, factors: np.ndarray,
+                       midpoint: bool) -> None:
+    """Run the level of segment pairs of size N = 2 * len(factors): each
+    crossing's E segment (PEs base .. base+span-1) slides right by
     ``shift`` and its O segment left by ``span - shift``; on the PEs where
     they meet L overwrites E and R overwrites O, and both slide back.
     ``shift`` is span // 2 for the midpoint (0 at span 1), 0 for the overlay.
     """
     e = layout.elements_per_pe
-    span = (level.segment_pair // 2) // e    # PEs per segment
+    span = len(factors) // e    # PEs per segment
     shift = span // 2 if midpoint else 0
     row, col0 = layout.origin
     bases = range(col0, col0 + layout.pe_count, 2 * span)
@@ -259,15 +244,12 @@ def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
     odds = mesh.comb_view(row, sites, span, _INCOMING)
     rows = factors.reshape(span, e)
     if span * e <= GROUP_ELEMENTS:
-        per = GROUP_ELEMENTS // (span * e)
-        groups = [(np.s_[..., i : i + per, :, :], rows) for i in range(0, len(sites), per)]
+        groups = [(np.s_[..., g, :, :], rows) for g in _groups(len(sites), span * e)]
     else:
-        per = max(1, GROUP_ELEMENTS // e)
-        groups = [(np.s_[..., i, t : t + per, :], rows[t : t + per])
-                  for i in range(len(sites)) for t in range(0, span, per)]
+        groups = [(np.s_[..., i, g, :], rows[g])
+                  for i in range(len(sites)) for g in _groups(span, e)]
     for index, u in groups:
-        l, r = evens[index], odds[index]
-        butterfly(l, r, u, l, r)
+        butterfly(evens[index], odds[index], u)
     mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
                         max_flops_per_pe=FLOPS_PER_PAIR * e)
     phase([(shift, layout.name, layout.name, -shift),
@@ -285,13 +267,12 @@ def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndar
     local levels (N <= elements_per_pe) are the first ones, so they run
     together before the first slide.
     """
-    levels = level_plan(layout)
-    tables = list(zip(levels, twiddle_table(layout.n).levels)) if levels else []
-    local = [(level, factors) for level, factors in tables if level.local]
+    tables = twiddle_table(layout.n).levels if layout.m else ()
+    local = sum(level.local for level in level_plan(layout))
     if local:
-        _run_local_levels(mesh, layout, local)
-    for level, factors in tables[len(local):]:
-        _run_sliding_level(mesh, layout, level, factors, midpoint)
+        _run_local_levels(mesh, layout, tables[:local])
+    for factors in tables[local:]:
+        _run_sliding_level(mesh, layout, factors, midpoint)
     return gather(layout, mesh)
 
 

@@ -117,6 +117,16 @@ def test_bench_fft_all_infeasible_exit(capsys):
     assert code == EXIT_INFEASIBLE
 
 
+def test_bench_fft_refuses_a_bad_k_before_running_any(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transform ran before every k was checked")
+
+    monkeypatch.setattr(cli, "distribute", refuse)
+    code, out, err = run(capsys, "bench-fft", "--n", "1024", "--k", "2,11")
+    assert code == EXIT_USAGE
+    assert out == "" and err == "error: k=11 outside 0..10 for n=1024\n"
+
+
 def test_bench_fft_ledger_dump(capsys):
     _, _, err = run(capsys, "bench-fft", "--n", "64", "--k", "2",
                     "--dump-ledger")

@@ -662,6 +662,15 @@ class TestLedger:
 
         assert run() == run()
 
+    @pytest.mark.parametrize("flops,per_pe", [(10, -5), (10, 50), (0, 1)])
+    def test_impossible_per_pe_path_is_refused(self, flops, per_pe):
+        mesh = one_row_mesh(1)
+        mesh.record_compute(20, max_flops_per_pe=10)
+        before = mesh.ledger_report(), mesh.wall_clock_cycles
+        with pytest.raises(ValueError):
+            mesh.record_compute(flops, max_flops_per_pe=per_pe)
+        assert (mesh.ledger_report(), mesh.wall_clock_cycles) == before
+
     def test_compute_volume_vs_critical_path(self):
         mesh = one_row_mesh(1, cycles_per_flop=Fraction(3))
         mesh.record_compute(100, max_flops_per_pe=25)

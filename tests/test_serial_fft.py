@@ -20,7 +20,9 @@ def complex_input(seed, n, batch=None):
 
 
 def crossing(e, o, u):
-    return butterfly(e, o, u, np.empty_like(e), np.empty_like(o))
+    l, r = e.copy(), o.copy()
+    butterfly(l, r, u)
+    return l, r
 
 
 def rel_error(got, want):
@@ -124,15 +126,19 @@ class TestCrossing:
         np.testing.assert_allclose(l, e + u * o, atol=1e-15)
         np.testing.assert_allclose(r, e - u * o, atol=1e-15)
 
-    def test_merge_level_writes_only_into_out(self):
-        y = complex_input(12, 16, batch=2)
-        before = y.copy()
-        out = np.empty_like(y)
-        assert merge_level(y, 4, twiddle_table(4).factors, out) is out
-        np.testing.assert_array_equal(y, before)
-        l, r = crossing(y.reshape(2, 4, 4)[..., :2], y.reshape(2, 4, 4)[..., 2:],
-                        twiddle_table(4).factors)
-        np.testing.assert_array_equal(out.reshape(2, 4, 4), np.concatenate([l, r], axis=-1))
+    @pytest.mark.parametrize("N", [2, 4, 16])
+    def test_merge_level_runs_in_place_through_a_view(self, N):
+        """Merging a strided view writes L = E + U*O over each pair's first
+        half and R = E - U*O over its second, and touches nothing else."""
+        planes = complex_input(12, 3 * 16, batch=2).reshape(2, 3, 16)
+        before = planes.copy()
+        u = twiddle_table(N).factors
+        assert merge_level(planes[:, 1, :], u) is None
+        pairs = before[:, 1, :].reshape(2, 16 // N, N)
+        e, o = pairs[..., : N // 2], pairs[..., N // 2 :]
+        expect = np.concatenate([e + u * o, e - u * o], axis=-1).reshape(2, 16)
+        assert planes[:, 1, :].tobytes() == expect.tobytes()
+        np.testing.assert_array_equal(planes[:, ::2, :], before[:, ::2, :])
 
 
 class TestTransform:
@@ -217,6 +223,20 @@ class TestTransform:
         x[3] = np.nan
         with pytest.raises(ValueError):
             fft_serial(x)
+
+    def test_levels_run_in_place(self):
+        """A warm transform holds its permuted copy and one U*O temporary,
+        not a second level buffer: under 2.5x the batch's bytes (a spare
+        buffer of the batch's size would take it to about 2.9x)."""
+        x = complex_input(26, 4096, batch=10)
+        fft_serial(x)
+        tracemalloc.start()
+        try:
+            fft_serial(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes
 
     def test_strided_input_is_taken_like_its_copy(self):
         """Every entry point accepts a complex input whose last axis is

@@ -1,5 +1,6 @@
 """Distributed transform: wave planning, sliding levels, efficiency accounting."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,25 @@ class TestTransformAcrossWaveLengths:
             for midpoint in (False, True):
                 spectrum, _ = run_wave(x, k, midpoint=midpoint)
                 assert spectrum.tobytes() == reference.tobytes(), (k, midpoint)
+
+    def test_local_levels_run_in_place(self):
+        """On one PE every level is local and merges the stored block in
+        place: slide_fft holds one U*O temporary, not a spare block, so it
+        stays under 1.4x the batch's bytes (about 1.9x with a spare)."""
+        rng = np.random.default_rng(27)
+        x = rng.random((10, 4096)) + 1j * rng.random((10, 4096))
+        mesh = wave_mesh(0, local_memory_bytes=1 << 30)
+        layout = plan_wave(4096, 0, 64, mesh)
+        distribute(x, layout, mesh)
+        wave.twiddle_table(4096)
+        tracemalloc.start()
+        try:
+            spectrum = slide_fft(mesh, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * x.nbytes
+        assert spectrum.tobytes() == fft_serial(x).tobytes()
 
     @pytest.mark.parametrize("m,k", [(4, 2), (6, 3), (8, 5)])
     def test_midpoint_meeting_matches_overlay(self, m, k):
