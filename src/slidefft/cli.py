@@ -33,10 +33,6 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 # -------------------- argument parsing helpers --------------------
 
 
@@ -154,18 +150,19 @@ def _fmt_eta(value) -> str:
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One CSV row: the fields are the columns, formatted by ``fmt`` or str."""
+    """One CSV row: the fields are the columns, formatted by ``fmt`` or str.
+    A row that ran nothing, or nothing of a kind, keeps the zero defaults."""
 
     pe_count: int
     elements_per_pe: int
     total_elements: int
-    total_cycles: Fraction | int = field(metadata={"fmt": _fmt_cycles})
-    cycles_per_element: Fraction = field(metadata={"fmt": _fmt_cycles})
-    transfer_cycles: int
-    compute_cycles: int
-    flops: int
-    eta_measured: Fraction | float = field(metadata={"fmt": _fmt_eta})
-    eta_predicted: Fraction | float = field(metadata={"fmt": _fmt_eta})
+    total_cycles: Fraction | int = field(default=0, metadata={"fmt": _fmt_cycles})
+    cycles_per_element: Fraction | int = field(default=0, metadata={"fmt": _fmt_cycles})
+    transfer_cycles: int = 0
+    compute_cycles: int = 0
+    flops: int = 0
+    eta_measured: Fraction | float = field(default=0.0, metadata={"fmt": _fmt_eta})
+    eta_predicted: Fraction | float = field(default=0.0, metadata={"fmt": _fmt_eta})
     status: str = "ok"
 
 
@@ -208,8 +205,7 @@ def bench_slide_records(pe_counts: list[int], element_counts: list[int],
                 for col in range(pes):
                     mesh.pe_store((0, col), "block", np.zeros(count), element_bits=element_bits)
             except CapacityExceeded:
-                records.append(BenchRecord(pes, count, pes * count, 0, Fraction(0),
-                                           0, 0, 0, 0.0, 0.0, status="capacity_exceeded"))
+                records.append(BenchRecord(pes, count, pes * count, status="capacity_exceeded"))
                 continue
             report = mesh.slide(SlideDescriptor(
                 row=0, col_start=0, col_stop=pes, name="block",
@@ -223,10 +219,6 @@ def bench_slide_records(pe_counts: list[int], element_counts: list[int],
                 total_cycles=total,
                 cycles_per_element=total / (pes * count),
                 transfer_cycles=ledger.transfer_cycles,
-                compute_cycles=0,
-                flops=0,
-                eta_measured=0.0,
-                eta_predicted=0.0,
             ))
     return records
 
@@ -246,7 +238,7 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
     m = n.bit_length() - 1
     for k in sorted(k_values):     # every k, before the first mesh is built
         if not 0 <= k <= m:
-            raise UsageError(f"k={k} outside 0..{m} for n={n}")
+            raise ValueError(f"k={k} outside 0..{m} for n={n}")
     predicted = predict_efficiency(cost_model, n, m)
     infeasible = None    # the CapacityExceeded of an infeasible k, if any
     records, notes, ledgers = [], [], []
@@ -258,8 +250,7 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
             layout = plan_wave(n, k, element_bits, mesh)
         except CapacityExceeded as exc:
             infeasible = exc
-            records.append(BenchRecord(1 << k, n >> k, n, 0, Fraction(0),
-                                       0, 0, 0, 0.0, float(predicted.eta),
+            records.append(BenchRecord(1 << k, n >> k, n, eta_predicted=float(predicted.eta),
                                        status="infeasible"))
             continue
         distribute(x, layout, mesh)
@@ -481,13 +472,13 @@ def _config_value(action: argparse.Action, value):
     else:
         fits, text = type(value) in (int, float), str(value)
     if not fits:
-        raise UsageError(f"config key {action.dest!r} cannot take {json.dumps(value)}")
+        raise ValueError(f"config key {action.dest!r} cannot take {json.dumps(value)}")
     try:
         parsed = action.type(text) if action.type else text
     except (argparse.ArgumentTypeError, ValueError) as exc:
-        raise UsageError(f"config key {action.dest!r}: {exc}") from None
+        raise ValueError(f"config key {action.dest!r}: {exc}") from None
     if action.choices is not None and parsed not in action.choices:
-        raise UsageError(f"config key {action.dest!r}: {parsed!r} is not one of "
+        raise ValueError(f"config key {action.dest!r}: {parsed!r} is not one of "
                          f"{', '.join(map(str, action.choices))}")
     return parsed
 
@@ -498,7 +489,7 @@ def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     data = {k.replace("-", "_"): v for k, v in data.items()}
     return {action.dest: _config_value(action, data[action.dest])
             for action in command._actions
@@ -539,15 +530,15 @@ def main(argv=None) -> int:
         if args.command == "predict":
             m, n = args.m, args.n
             if m is None and n is None:
-                raise UsageError("predict needs --m or --n")
+                raise ValueError("predict needs --m or --n")
             if m is None:
                 m = n.bit_length() - 1
             if m < 1:
-                raise UsageError("need at least one level (m >= 1)")
+                raise ValueError("need at least one level (m >= 1)")
             if m > MAX_LEVELS:
-                raise UsageError(f"--m {m} exceeds {MAX_LEVELS} levels")
+                raise ValueError(f"--m {m} exceeds {MAX_LEVELS} levels")
             if n is not None and n != (1 << m):
-                raise UsageError(f"--n {n} and --m {m} disagree")
+                raise ValueError(f"--n {n} and --m {m} disagree")
             lines = []
             run_predict(_cost_model(args), m, echo=lines.append)
             _emit(args, "\n".join(lines) + "\n")
@@ -563,7 +554,7 @@ def main(argv=None) -> int:
             n = args.n
             m = n.bit_length() - 1
             if m < 1:
-                raise UsageError("transform needs at least 2 points")
+                raise ValueError("transform needs at least 2 points")
             k_values = args.k if args.k is not None else list(range(m + 1))
             mesh_kwargs = dict(PRESETS[args.preset], cycles_per_flop=args.b)
             records, notes, ledgers = bench_fft_records(
@@ -576,9 +567,6 @@ def main(argv=None) -> int:
         if not args.csv:
             print("\n".join(summary), file=sys.stderr)
         return EXIT_OK if any(r.status == "ok" for r in records) else EXIT_INFEASIBLE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapacityExceeded as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

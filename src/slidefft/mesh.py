@@ -30,11 +30,12 @@ arrays or raw bytes (uint8).  :meth:`Mesh.pe_fetch` and
 :meth:`Mesh.span_fetch` (one name on a range of PEs in a row, blocks on
 axis -2) return read-only views that show later writes;
 :meth:`Mesh.comb_view` returns one name on a comb of PEs as a writable
-view, so host arithmetic runs in place, batched across PEs.  A slide phase
-checks each comb as one (spans, width) grid of its columns, then commits it
-as one copy from a strided view of the source plane into the same view of
-the destination plane (through a temporary only when the source plane also
-takes landings in that phase).
+view, so host arithmetic runs in place, batched across PEs.  Every plane,
+data, count, element-bits, mark or usage, is read and written through one
+strided view per comb (``_comb``); a slide phase checks each comb on those
+views, then commits it as one copy from its view of the source plane into
+the same view of the destination plane (through a temporary only when the
+source plane also takes landings in that phase).
 """
 
 from __future__ import annotations
@@ -216,16 +217,26 @@ class _Plane:
     bits: np.ndarray      # (rows, cols) int64
 
 
-def _comb(data: np.ndarray, row: int, start: int, period: int, repeats: int, width: int,
-          count: int) -> np.ndarray:
-    """A view of ``data[..., row, c, :count]`` on the columns c of a comb,
-    shape (*batch, repeats, width, count).  ``data`` is a whole plane, so
-    C-contiguous, and the view is built on its buffer directly, which takes
+def _comb(plane: np.ndarray, comb: tuple, count: int | None = None) -> np.ndarray:
+    """A view of a plane on the PEs (row, start + i*period + j) of ``comb`` =
+    (row, start, period, spans, width): shape (spans, width) of a (rows,
+    cols) plane, or (*batch, spans, width, count) of ``data[..., :count]``
+    of a data plane (*batch, rows, cols, width).  Planes are whole, so
+    C-contiguous, and the view is built on the buffer directly, which takes
     a fifth of the time of ``np.lib.stride_tricks.as_strided``."""
-    *batch, row_stride, col_stride, item = data.strides
-    return np.ndarray(data.shape[:-3] + (repeats, width, count), data.dtype, data,
+    row, start, period, spans, width = comb
+    tail = () if count is None else (count,)
+    *batch, row_stride, col_stride = plane.strides[:plane.ndim - len(tail)]
+    return np.ndarray(plane.shape[:len(batch)] + (spans, width) + tail, plane.dtype, plane,
                       row * row_stride + start * col_stride,
-                      (*batch, period * col_stride, col_stride, item))
+                      (*batch, period * col_stride, col_stride) + plane.strides[len(batch) + 2:])
+
+
+def _pe(comb: tuple, i) -> tuple[int, int]:
+    """The PE at flat index ``i`` of a comb's (spans, width) view."""
+    row, start, period, _, width = comb
+    span, j = divmod(int(i), width)
+    return (row, start + span * period + j)
 
 
 class Mesh:
@@ -313,9 +324,9 @@ class Mesh:
         self._used[r, c] = used + size
 
     def _run(self, row: int, starts: range, width: int, name: str):
-        """(plane, row, columns, count) of the blocks ``name`` on the comb of
-        PEs (row, s + j), s in ``starts``, 0 <= j < ``width``, which must all
-        hold one of the same count; columns is their (spans, width) grid."""
+        """(plane, comb, count) of the blocks ``name`` on the comb of PEs
+        (row, s + j), s in ``starts``, 0 <= j < ``width``, which must all hold
+        one of the same count; comb is (row, start, period, spans, width)."""
         if not isinstance(starts, range) or starts.step < 1:
             raise TypeError(f"columns must be an increasing range, not {starts!r}")
         if not len(starts) or width < 1:
@@ -324,16 +335,16 @@ class Mesh:
             raise ValueError(f"spans of {width} PEs {starts.step} apart overlap")
         row = self._require_pe((row, starts[0]))[0]
         self._require_pe((row, starts[-1] + width - 1))
-        grid = np.arange(starts.start, starts.stop, starts.step)[:, None] + np.arange(width)
+        comb = (row, starts[0], starts.step, len(starts), width)
         plane = self._planes.get(name)
-        counts = plane.count[row, grid] if plane is not None else np.zeros(grid.shape, np.int64)
-        count = int(counts.flat[0])
-        if not count or (counts != count).any():
-            if not counts.all():
-                col = int(grid.flat[int(np.argmin(counts))])
-                raise KeyError(f"PE {(row, col)} holds no array named {name!r}")
+        counts = None if plane is None else _comb(plane.count, comb)
+        if counts is None or not counts.all():      # a missing plane fails at the first PE
+            i = 0 if counts is None else np.argmin(counts)
+            raise KeyError(f"PE {_pe(comb, i)} holds no array named {name!r}")
+        count = int(counts[0, 0])
+        if (counts != count).any():
             raise ValueError(f"blocks of {name!r} on row {row} differ in element count")
-        return plane, row, grid, count
+        return plane, comb, count
 
     def pe_fetch(self, pe, name: str) -> np.ndarray:
         """The block ``name`` on ``pe``: a read-only view, shape (*batch, count)."""
@@ -341,8 +352,8 @@ class Mesh:
 
     def pe_element_bits(self, pe, name: str) -> int:
         """The modelled size in bits of one element of the block ``name`` on ``pe``."""
-        plane, r, c, _ = self._run(pe[0], range(pe[1], pe[1] + 1), 1, name)
-        return int(plane.bits[r, c].flat[0])
+        plane, (r, c, *_), _ = self._run(pe[0], range(pe[1], pe[1] + 1), 1, name)
+        return int(plane.bits[r, c])
 
     def span_fetch(self, row: int, cols: range, name: str) -> np.ndarray:
         """The named blocks of PEs (row, c), c in ``cols``, stacked on axis -2:
@@ -358,11 +369,11 @@ class Mesh:
         (*batch, len(starts), width, count): host arithmetic writes through
         it in place.  The spans must not overlap, and every PE must hold a
         block of the same count."""
-        plane, row, _, count = self._run(row, starts, width, name)
-        return _comb(plane.data, row, starts[0], starts.step, len(starts), width, count)
+        plane, comb, count = self._run(row, starts, width, name)
+        return _comb(plane.data, comb, count)
 
     def pe_delete(self, pe, name: str) -> None:
-        plane, r, c, count = self._run(pe[0], range(pe[1], pe[1] + 1), 1, name)
+        plane, (r, c, *_), count = self._run(pe[0], range(pe[1], pe[1] + 1), 1, name)
         self._used[r, c] -= count * plane.bits[r, c] // 8
         plane.count[r, c] = plane.bits[r, c] = 0
         self._drop_empty([name])
@@ -392,12 +403,12 @@ class Mesh:
         span empty or off the grid (after the blocks of the spans before
         it), a missing block, a wrong element size, a block lifted twice or
         landed on twice; then a PE over capacity, in the order the moves
-        touch PEs; then a destination that already holds the name.  Each
-        comb is checked as one (spans, width) grid of its columns against a
-        lifted and a landed mark plane per name.  Each (element_bits, hops)
-        group is costed at its largest count.  The commit copies each comb's
-        blocks from a strided view of its source plane into the same view of
-        its destination plane.
+        touch PEs; then a destination that already holds the name.  Every
+        plane, the lifted and landed mark planes per name included, is read
+        and written through one strided view per comb.  Each (element_bits,
+        hops) group is costed at its largest count.  The commit copies each
+        comb's blocks from its view of the source plane into the same view
+        of the destination plane.
         """
         config = self.config
         rows, cols = config.rows, config.cols
@@ -406,10 +417,10 @@ class Mesh:
                 raise ValueError(f"comb of {d.repeats} spans of {d.col_stop - d.col_start} PEs "
                                  f"{d.period} apart: it needs at least one span and no overlap")
 
-        # Each comb's blocks as a (spans, width) grid of columns, up to its
-        # first span that is empty or off the grid.  Spans step right, so
-        # only the right edge can cut a comb short.  A move is indexed by
-        # its source (row, columns) and its destination (row, columns).
+        # Each comb as (row, start, period, spans, width), up to its first
+        # span that is empty or off the grid.  Spans step right, so only the
+        # right edge can cut a comb short.  A move holds its source comb and
+        # its destination comb.
         lifted = defaultdict(lambda: np.zeros(self.shape, bool))    # name -> PEs lifted from
         landed = defaultdict(lambda: np.zeros(self.shape, bool))    # name -> PEs landed on
         moves = []      # (descriptor, source, destination name, destination, counts)
@@ -433,17 +444,19 @@ class Mesh:
                                          f"..{stop - 1 + d_col}) outside {rows}x{cols} grid")
                 if not spans:
                     raise error
-            grid = (d.col_start + d.period * np.arange(spans))[:, None] + np.arange(width)
-            src, dest, dst = (row, grid), d.dest_name or d.name, (row + d_row, grid + d_col)
+            src = (row, d.col_start, d.period, spans, width)
+            dest, dst = d.dest_name or d.name, (row + d_row, d.col_start + d_col, *src[2:])
             plane = self._planes.get(d.name)
-            count = plane.count[src] if plane is not None else np.zeros(grid.shape, np.int64)
-            stored_bits = plane.bits[src] if plane is not None else count
-            twice_lifted, twice_landed = lifted[d.name][src], landed[dest][dst]
+            if plane is None:       # a missing plane fails at the comb's first PE
+                raise KeyError(f"PE {(row, d.col_start)} holds no array named {d.name!r}")
+            # The counts are copied out: the commit clears the source's counts.
+            count, stored_bits = _comb(plane.count, src).copy(), _comb(plane.bits, src)
+            twice_lifted, twice_landed = _comb(lifted[d.name], src), _comb(landed[dest], dst)
             failed = np.flatnonzero((count == 0) | (stored_bits != d.element_bits)
                                     | twice_lifted | twice_landed)
             if len(failed):
                 i = failed[0]
-                pe = (row, int(grid.flat[i]))
+                pe = _pe(src, i)
                 if not count.flat[i]:
                     raise KeyError(f"PE {pe} holds no array named {d.name!r}")
                 if stored_bits.flat[i] != d.element_bits:
@@ -451,34 +464,33 @@ class Mesh:
                                      f"-bit elements, descriptor says {d.element_bits}")
                 if twice_lifted.flat[i]:
                     raise ValueError(f"{d.name!r} on PE {pe} is lifted by two slides")
-                raise ValueError(f"two slides land on {dest!r} at PE "
-                                 f"{(pe[0] + d_row, pe[1] + d_col)}")
+                raise ValueError(f"two slides land on {dest!r} at PE {_pe(dst, i)}")
             if error is not None:
                 raise error
-            lifted[d.name][src] = landed[dest][dst] = True
+            twice_lifted[...] = twice_landed[...] = True
             moves.append((d, src, dest, dst, count))
 
-        # Usage deltas of the moving combs (zero-hop moves are renames); no
-        # column repeats within a comb, so each adds through its columns.
+        # The usage after the phase: each moving comb (zero-hop moves are
+        # renames) takes its bytes from its source view to its destination.
         moving = [move for move in moves if move[0].hops]
-        delta = np.zeros(self.shape, np.int64)
+        used = self._used.copy()
         for d, src, _, dst, count in moving:
-            delta[src] -= count * d.element_bits // 8
-            delta[dst] += count * d.element_bits // 8
-        over = self._used + delta > config.local_memory_bytes
-        for _, src, _, dst, _ in moving:
-            failed = np.flatnonzero(np.stack([over[src], over[dst]], axis=-1))     # in touch order
-            if len(failed):
+            _comb(used, src)[...] -= count * (d.element_bits // 8)
+            _comb(used, dst)[...] += count * (d.element_bits // 8)
+        over = used > config.local_memory_bytes
+        for _, src, _, dst, _ in moving if over.any() else []:
+            failed = np.flatnonzero(np.stack([_comb(over, src), _comb(over, dst)], axis=-1))
+            if len(failed):     # the first PE over capacity, in touch order
                 i, lands = divmod(int(failed[0]), 2)
-                r, c = dst if lands else src
-                raise CapacityExceeded(f"PE {(r, int(c.flat[i]))}: incoming slide data would "
-                                       f"exceed {config.local_memory_bytes} B of local memory")
+                pe = _pe(dst if lands else src, i)
+                raise CapacityExceeded(f"PE {pe}: incoming slide data would exceed "
+                                       f"{config.local_memory_bytes} B of local memory")
         for _, _, dest, dst, _ in moves:
             if dest in self._planes:
-                taken = np.flatnonzero((self._planes[dest].count[dst] != 0) & ~lifted[dest][dst])
-                if len(taken):
-                    raise ValueError(f"PE {(dst[0], int(dst[1].flat[taken[0]]))} already holds "
-                                     f"an array named {dest!r}")
+                taken = (_comb(self._planes[dest].count, dst) != 0) & ~_comb(lifted[dest], dst)
+                if taken.any():
+                    raise ValueError(f"PE {_pe(dst, taken.argmax())} already holds an array "
+                                     f"named {dest!r}")
 
         # Commit, one descriptor at a time: lift each comb as a view of its
         # source plane, copied out only if that plane also takes landings;
@@ -488,7 +500,7 @@ class Mesh:
         batches: dict[str, tuple] = {}      # the batch shape each destination takes
         largest: dict[tuple[int, int], int] = {}    # (element_bits, hops) -> largest count
         lifts = []
-        for d, _, dest, _, count in moves:
+        for d, src, dest, dst, count in moves:
             source, plane = self._planes[d.name], self._planes.get(dest)
             batch = source.data.shape[:-3]
             dest_batch = batch if plane is None else plane.data.shape[:-3]
@@ -498,18 +510,16 @@ class Mesh:
             if d.hops:
                 group = (d.element_bits, d.hops)
                 largest[group] = max(most, largest.get(group, 0))
-            comb = (d.period, d.repeats, d.col_stop - d.col_start)
-            blocks = _comb(source.data, d.row, d.col_start, *comb, most)
-            lifts.append((dest, blocks.copy() if d.name in landed else blocks,
-                          (d.row + d.displacement[0], d.col_start + d.displacement[1], *comb)))
-        for dest, blocks, comb in lifts:
+            blocks = _comb(source.data, src, most)
+            lifts.append((source, src, dest, blocks.copy() if d.name in landed else blocks, dst))
+        for source, src, dest, blocks, dst in lifts:
             plane = self._plane(dest, blocks.shape[:-3], blocks.dtype, blocks.shape[-1])
-            _comb(plane.data, *comb, blocks.shape[-1])[...] = blocks
-        for d, src, _, _, _ in moves:
-            self._planes[d.name].count[src] = self._planes[d.name].bits[src] = 0
+            _comb(plane.data, dst, blocks.shape[-1])[...] = blocks
+            _comb(source.count, src)[...] = _comb(source.bits, src)[...] = 0
         for d, _, dest, dst, count in moves:
-            self._planes[dest].count[dst], self._planes[dest].bits[dst] = count, d.element_bits
-        self._used += delta
+            plane = self._planes[dest]
+            _comb(plane.count, dst)[...], _comb(plane.bits, dst)[...] = count, d.element_bits
+        self._used = used
         self._drop_empty(list(lifted))
 
         if not largest:

@@ -134,31 +134,31 @@ class TestSpanAccess:
     def write(view, blocks):
         view[...] = blocks
 
-    @pytest.mark.parametrize("call,error", [
-        (lambda mesh: mesh.span_fetch(1, range(4), "u"), KeyError),
-        (lambda mesh: mesh.span_fetch(1, range(4), "v"), KeyError),
-        (lambda mesh: mesh.span_fetch(0, range(2), "w"), KeyError),
-        (lambda mesh: mesh.span_fetch(1, range(2, 5), "w"), OffGridError),
-        (lambda mesh: mesh.span_fetch(2, range(2), "w"), OffGridError),
-        (lambda mesh: mesh.span_fetch(1, range(0), "w"), ValueError),
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda mesh: mesh.span_fetch(1, range(4), "u"), KeyError, r"PE \(1, 0\) holds"),
+        (lambda mesh: mesh.span_fetch(1, range(4), "v"), KeyError, r"PE \(1, 3\) holds"),
+        (lambda mesh: mesh.span_fetch(0, range(2), "w"), KeyError, r"PE \(0, 0\) holds"),
+        (lambda mesh: mesh.span_fetch(1, range(2, 5), "w"), OffGridError, None),
+        (lambda mesh: mesh.span_fetch(2, range(2), "w"), OffGridError, None),
+        (lambda mesh: mesh.span_fetch(1, range(0), "w"), ValueError, None),
         # Updates go through comb_view, the one writable accessor.
-        (lambda mesh: mesh.comb_view(1, range(4), 1, "v"), KeyError),
-        (lambda mesh: mesh.comb_view(1, range(-1, 1), 1, "w"), OffGridError),
+        (lambda mesh: mesh.comb_view(1, range(4), 1, "v"), KeyError, r"PE \(1, 3\) holds"),
+        (lambda mesh: mesh.comb_view(1, range(-1, 1), 1, "w"), OffGridError, None),
         (lambda mesh: TestSpanAccess.write(mesh.comb_view(1, range(4), 1, "w"),
-                                           np.zeros((2, 4, 1, 4))), ValueError),
-        (lambda mesh: mesh.comb_view(1, range(3), 1, "v"), ValueError),
+                                           np.zeros((2, 4, 1, 4))), ValueError, None),
+        (lambda mesh: mesh.comb_view(1, range(3), 1, "v"), ValueError, None),
         (lambda mesh: TestSpanAccess.write(mesh.comb_view(1, range(4), 1, "w"),
-                                           np.zeros((2, 3, 1, 3))), ValueError),
-        (lambda mesh: mesh.comb_view(1, range(0, 4, 2), 2, "u"), KeyError),
-        (lambda mesh: mesh.comb_view(0, range(0, 4, 2), 2, "w"), KeyError),
-        (lambda mesh: mesh.comb_view(1, range(1, 2), 4, "w"), OffGridError),
-        (lambda mesh: mesh.comb_view(2, range(0, 4, 2), 2, "w"), OffGridError),
-        (lambda mesh: mesh.comb_view(1, range(0, 3, 2), 1, "v"), ValueError),
-        (lambda mesh: mesh.comb_view(1, range(1), 3, "v"), ValueError),
-        (lambda mesh: mesh.comb_view(1, range(0), 1, "w"), ValueError),
-        (lambda mesh: mesh.comb_view(1, range(2), 0, "w"), ValueError),
-        (lambda mesh: mesh.comb_view(1, range(0, 2), 2, "w"), ValueError),
-        (lambda mesh: mesh.comb_view(1, [0, 2], 1, "w"), TypeError),
+                                           np.zeros((2, 3, 1, 3))), ValueError, None),
+        (lambda mesh: mesh.comb_view(1, range(0, 4, 2), 2, "u"), KeyError, r"PE \(1, 0\) holds"),
+        (lambda mesh: mesh.comb_view(0, range(0, 4, 2), 2, "w"), KeyError, r"PE \(0, 0\) holds"),
+        (lambda mesh: mesh.comb_view(1, range(1, 2), 4, "w"), OffGridError, None),
+        (lambda mesh: mesh.comb_view(2, range(0, 4, 2), 2, "w"), OffGridError, None),
+        (lambda mesh: mesh.comb_view(1, range(0, 3, 2), 1, "v"), ValueError, None),
+        (lambda mesh: mesh.comb_view(1, range(1), 3, "v"), ValueError, None),
+        (lambda mesh: mesh.comb_view(1, range(0), 1, "w"), ValueError, None),
+        (lambda mesh: mesh.comb_view(1, range(2), 0, "w"), ValueError, None),
+        (lambda mesh: mesh.comb_view(1, range(0, 2), 2, "w"), ValueError, None),
+        (lambda mesh: mesh.comb_view(1, [0, 2], 1, "w"), TypeError, None),
     ], ids=["fetch-missing-name", "fetch-name-missing-on-one-pe", "fetch-empty-row",
             "fetch-off-grid-column", "fetch-off-grid-row", "fetch-no-columns",
             "update-name-missing-on-one-pe", "update-off-grid-column",
@@ -167,11 +167,22 @@ class TestSpanAccess:
             "comb-off-grid-width", "comb-off-grid-row", "comb-unequal-counts-across-spans",
             "comb-unequal-counts-within-a-span", "comb-no-spans", "comb-zero-width",
             "comb-overlapping-spans", "comb-columns-not-a-range"])
-    def test_bad_call_raises_and_changes_nothing(self, call, error):
+    def test_bad_call_raises_and_changes_nothing(self, call, error, match):
         mesh = span_mesh()
         before = mesh_state(mesh)
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             call(mesh)
+        assert mesh_state(mesh) == before
+
+    def test_missing_block_is_named_by_its_first_pe(self):
+        """The error names the first PE without the block, in column order:
+        here the second column of a comb's second span, period 3 > width 2."""
+        mesh = mesh_create(MeshConfig(rows=2, cols=10))
+        for col in (0, 1, 2, 3, 4, 5, 7, 8):      # (1, 6) and (1, 9) hold no "w"
+            mesh.pe_store((1, col), "w", np.zeros(3), element_bits=64)
+        before = mesh_state(mesh)
+        with pytest.raises(KeyError, match=r"PE \(1, 6\) holds no array named 'w'"):
+            mesh.comb_view(1, range(2, 10, 3), 2, "w")
         assert mesh_state(mesh) == before
 
 

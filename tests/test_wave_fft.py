@@ -1,6 +1,8 @@
 """Distributed transform: wave planning, sliding levels, efficiency accounting."""
 
+import math
 import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +208,37 @@ PINNED = [
 PINNED = [row + (None,) * (10 - len(row)) for row in PINNED]
 
 
+def closed_form_ledger(config, n, k, element_bits, midpoint):
+    """The ledger counters and wall clock of a wave run, written out from
+    ``config``'s fields alone, level by level: an oracle that calls no mesh
+    or wave code.  With e = n / 2**k, every level books 5n FLOPs; a local
+    level (N <= e) advances the wall clock by one PE's 5e FLOPs, and a
+    sliding level of span s = N / (2e) and shift h slides out and back
+    (each phase one ramp plus a_eff*e + fill*(max(h, s - h) - 1), rounded
+    up) around one PE's 10e FLOPs."""
+    e = n >> k
+    a_eff = (Fraction(element_bits, config.packet_bits) * config.cycles_per_packet_per_hop
+             + config.per_element_overhead_cycles)
+    b, ramp = config.cycles_per_flop, config.ramp_cycles
+    total = dict.fromkeys(("compute_cycles", "transfer_cycles", "ramp_cycles", "flops",
+                           "element_hops", "elements_moved", "wall_clock_cycles"), 0)
+    for N in (1 << j for j in range(1, n.bit_length())):
+        total["flops"] += 5 * n
+        total["compute_cycles"] += math.ceil(b * 5 * n)
+        if N <= e:
+            total["wall_clock_cycles"] += math.ceil(b * 5 * e)
+            continue
+        s = N // (2 * e)
+        h = s // 2 if midpoint else 0
+        t = math.ceil(a_eff * e + config.pipeline_fill_cycles_per_hop * (max(h, s - h) - 1))
+        total["transfer_cycles"] += 2 * t
+        total["ramp_cycles"] += 2 * ramp
+        total["elements_moved"] += 2 * n if h else n
+        total["element_hops"] += n * s
+        total["wall_clock_cycles"] += 2 * (ramp + t) + math.ceil(b * 10 * e)
+    return total
+
+
 class TestAccounting:
     def test_single_pe_run_books_no_transfer(self):
         x = complex_input(3, 512)
@@ -262,6 +295,22 @@ class TestAccounting:
         assert (ledger.transfer_cycles, ledger.ramp_cycles, ledger.compute_cycles,
                 ledger.elements_moved, ledger.element_hops) == (
                     transfer, ramp, compute, moved, hops)
+
+    @pytest.mark.parametrize("preset", ["cs2-calibrated", "pure-packet"])
+    @pytest.mark.parametrize("element_bits", [32, 64])
+    @pytest.mark.parametrize("midpoint", [False, True], ids=["overlay", "midpoint"])
+    def test_ledger_matches_its_closed_form(self, preset, element_bits, midpoint):
+        """Every counter and the wall clock of every (m, k) up to m = 11
+        equal the closed form, so no modelled cycle moves unnoticed."""
+        for m in range(1, 12):
+            for k in range(m + 1):
+                config = preset_config(preset, cols=1 << k, local_memory_bytes=1 << 30)
+                _, mesh = run_wave(np.zeros(1 << m, complex), k, element_bits,
+                                   mesh_create(config), midpoint)
+                booked = asdict(mesh.ledger_report()) | {
+                    "wall_clock_cycles": mesh.wall_clock_cycles}
+                assert booked == closed_form_ledger(config, 1 << m, k, element_bits,
+                                                    midpoint), (m, k)
 
     def test_working_set_respects_buffer_headroom(self):
         """A wave sized to the 3-block budget runs without a capacity trip."""
