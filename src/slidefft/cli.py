@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -197,8 +197,8 @@ def bench_slide_records(pe_counts: list[int], element_counts: list[int],
         raise ValueError(f"{max(pe_counts)} PEs of {max(element_counts)} elements hold more "
                          f"than {MAX_ELEMENTS} elements")
     records = []
-    for pes in sorted(pe_counts):
-        for count in sorted(element_counts):
+    for pes in sorted(set(pe_counts)):
+        for count in sorted(set(element_counts)):
             config = MeshConfig(rows=1, cols=pes + 1, **config_kwargs)
             mesh = mesh_create(config)
             try:
@@ -227,25 +227,29 @@ def bench_slide_records(pe_counts: list[int], element_counts: list[int],
 
 
 def bench_fft_records(n: int, k_values: list[int], element_bits: int,
-                      config_kwargs: dict, cost_model: CostModel,
+                      config_kwargs: dict, doubled_transfer: bool = False,
                       seed: int = 0) -> tuple[list[BenchRecord], list[str], list]:
-    """One distributed transform per wave length k.
+    """One distributed transform per distinct wave length k, on a one-row
+    mesh of ``config_kwargs`` and 2**k columns.
 
     total_cycles is the run's wall clock (compute and slide phases end to
     end); eta compares the ledger's compute share against the closed-form
-    prediction, which does not depend on k.
+    prediction, which does not depend on k.  The prediction takes the mesh's
+    own costs: a is its cycles per element per hop, b its cycles per FLOP.
     """
     m = n.bit_length() - 1
-    for k in sorted(k_values):     # every k, before the first mesh is built
+    k_values = sorted(set(k_values))
+    for k in k_values:      # every k, before the first mesh is built
         if not 0 <= k <= m:
             raise ValueError(f"k={k} outside 0..{m} for n={n}")
-    predicted = predict_efficiency(cost_model, n, m)
+    config = MeshConfig(**config_kwargs)
+    model = CostModel(config.element_cost(element_bits), config.cycles_per_flop, doubled_transfer)
+    predicted = predict_efficiency(model, n, m)
     infeasible = None    # the CapacityExceeded of an infeasible k, if any
     records, notes, ledgers = [], [], []
     x = random_batch(seed, 1, n)[0]
-    for k in sorted(k_values):
-        config = MeshConfig(rows=1, cols=1 << k, **config_kwargs)
-        mesh = mesh_create(config)
+    for k in k_values:
+        mesh = mesh_create(replace(config, cols=1 << k))
         try:
             layout = plan_wave(n, k, element_bits, mesh)
         except CapacityExceeded as exc:
@@ -407,8 +411,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "--csv": dict(action="store_true", help="suppress the stderr summary; emit CSV only"),
         "--config": dict(default=None,
                          help="JSON file of defaults mirroring the flags; flags win"),
-        "--a": dict(type=parse_rational, default=Fraction(2),
-                    help="model transfer cycles per datum (default 2)"),
         "--b": dict(type=parse_rational, default=Fraction(3),
                     help="cycles per FLOP, for the model and bench-fft's mesh (default 3)"),
         "--doubled-transfer": dict(action="store_true",
@@ -435,8 +437,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="element size on the wire (default 32)")
 
     p = command("bench-fft", "distributed transform across wave lengths",
-                "--seed", "--out", "--preset", "--csv", "--config", "--a", "--b",
-                "--doubled-transfer")
+                "--seed", "--out", "--preset", "--csv", "--config", "--b", "--doubled-transfer")
     p.add_argument("--n", type=power_of_two_at_most(MAX_ELEMENTS), default=1024,
                    help="transform size (default 1024)")
     p.add_argument("--k", type=parse_int_list, default=None,
@@ -447,7 +448,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="print each run's ledger as key=value lines on stderr")
 
     p = command("predict", "closed-form efficiency prediction", "--out", "--config",
-                "--a", "--b", "--doubled-transfer")
+                "--b", "--doubled-transfer")
+    p.add_argument("--a", type=parse_rational, default=Fraction(2),
+                   help="model transfer cycles per datum (default 2)")
     p.add_argument("--n", type=parse_power_of_two, default=None,
                    help="transform size 2**m")
     p.add_argument("--m", type=int, default=None, help="number of levels log2(n)")
@@ -504,10 +507,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cost_model(args: argparse.Namespace) -> CostModel:
-    return CostModel(a=args.a, b=args.b, doubled_transfer=args.doubled_transfer)
-
-
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     try:
@@ -540,7 +539,7 @@ def main(argv=None) -> int:
             if n is not None and n != (1 << m):
                 raise ValueError(f"--n {n} and --m {m} disagree")
             lines = []
-            run_predict(_cost_model(args), m, echo=lines.append)
+            run_predict(CostModel(args.a, args.b, args.doubled_transfer), m, echo=lines.append)
             _emit(args, "\n".join(lines) + "\n")
             return EXIT_OK
 
@@ -558,7 +557,7 @@ def main(argv=None) -> int:
             k_values = args.k if args.k is not None else list(range(m + 1))
             mesh_kwargs = dict(PRESETS[args.preset], cycles_per_flop=args.b)
             records, notes, ledgers = bench_fft_records(
-                n, k_values, args.element_bits, mesh_kwargs, _cost_model(args), args.seed)
+                n, k_values, args.element_bits, mesh_kwargs, args.doubled_transfer, args.seed)
             summary = [f"bench-fft: n={n}, k in {k_values}"] + notes
             if args.dump_ledger:
                 for k, ledger, wall in ledgers:

@@ -18,24 +18,25 @@ per_element_overhead_cycles.  PEs of one slide phase move synchronously, so
 the phase's wall clock is the maximum over its participants; the ledger books
 that wall clock (rounded up once per phase, never per element) as transfer
 plus ramp.  The time never falls as E grows, so that maximum is evaluated
-once per (element_bits, hops) group of the phase, at the group's largest E,
-rather than once per PE.  Compute is booked separately as total FLOP volume
-times cycles_per_flop, with the per-phase maximum over PEs advancing the
-wall clock.
+once per moving comb, at the comb's largest E, rather than once per PE.
+Compute is booked separately as total FLOP volume times cycles_per_flop,
+with the per-phase maximum over PEs advancing the wall clock.
 
 Each stored name is a data plane (*batch, rows, cols, width), a count plane
 (0: no block) and an element-bits plane; one usage plane holds each PE's
 bytes.  A name's planes go when its last block leaves.  Blocks go in as
 arrays or raw bytes (uint8).  :meth:`Mesh.pe_fetch` and
 :meth:`Mesh.span_fetch` (one name on a range of PEs in a row, blocks on
-axis -2) return read-only views that show later writes;
-:meth:`Mesh.comb_view` returns one name on a comb of PEs as a writable
-view, so host arithmetic runs in place, batched across PEs.  Every plane,
-data, count, element-bits, mark or usage, is read and written through one
-strided view per comb (``_comb``); a slide phase checks each comb on those
-views, then commits it as one copy from its view of the source plane into
-the same view of the destination plane (through a temporary only when the
-source plane also takes landings in that phase).
+axis -2) return read-only views; :meth:`Mesh.comb_view` returns one name on
+a comb of PEs as a writable view, so host arithmetic runs in place, batched
+across PEs.  A view shows later writes only while its data plane lasts: a
+store or landing that widens or promotes the plane, or a name stored again
+after its last block left, builds a new plane, and the view keeps the old.
+Every plane, data, count, element-bits, mark or usage, is read and written
+through one strided view per comb (``_comb``); a slide phase checks each
+comb on those views, then commits it as one copy from its view of the
+source plane into the same view of the destination plane (through a
+temporary only when the source plane also takes landings in that phase).
 """
 
 from __future__ import annotations
@@ -347,7 +348,8 @@ class Mesh:
         return plane, comb, count
 
     def pe_fetch(self, pe, name: str) -> np.ndarray:
-        """The block ``name`` on ``pe``: a read-only view, shape (*batch, count)."""
+        """The block ``name`` on ``pe``: a read-only view, shape (*batch, count),
+        that shows later writes while its plane lasts (see the module docstring)."""
         return self.span_fetch(pe[0], range(pe[1], pe[1] + 1), name)[..., 0, :]
 
     def pe_element_bits(self, pe, name: str) -> int:
@@ -358,7 +360,8 @@ class Mesh:
     def span_fetch(self, row: int, cols: range, name: str) -> np.ndarray:
         """The named blocks of PEs (row, c), c in ``cols``, stacked on axis -2:
         shape (*batch, len(cols), count), read-only: a view of the plane, so
-        later writes show through it."""
+        later writes show through it until a store or landing that widens or
+        promotes the plane replaces it."""
         view = self.comb_view(row, cols, 1, name)[..., 0, :]
         view.flags.writeable = False
         return view
@@ -368,7 +371,8 @@ class Mesh:
         0 <= j < ``width``, as one writable view of the plane, shape
         (*batch, len(starts), width, count): host arithmetic writes through
         it in place.  The spans must not overlap, and every PE must hold a
-        block of the same count."""
+        block of the same count.  A store or landing that widens or promotes
+        the plane replaces it, and the view then writes to the old buffer."""
         plane, comb, count = self._run(row, starts, width, name)
         return _comb(plane.data, comb, count)
 
@@ -405,10 +409,10 @@ class Mesh:
         landed on twice; then a PE over capacity, in the order the moves
         touch PEs; then a destination that already holds the name.  Every
         plane, the lifted and landed mark planes per name included, is read
-        and written through one strided view per comb.  Each (element_bits,
-        hops) group is costed at its largest count.  The commit copies each
-        comb's blocks from its view of the source plane into the same view
-        of the destination plane.
+        and written through one strided view per comb.  Each moving comb is
+        costed at its largest count.  The commit copies each comb's blocks
+        from its view of the source plane into the same view of the
+        destination plane.
         """
         config = self.config
         rows, cols = config.rows, config.cols
@@ -498,7 +502,6 @@ class Mesh:
         # Then land each comb into the same view of its destination plane,
         # and move the counts, element sizes and usage the checks read.
         batches: dict[str, tuple] = {}      # the batch shape each destination takes
-        largest: dict[tuple[int, int], int] = {}    # (element_bits, hops) -> largest count
         lifts = []
         for d, src, dest, dst, count in moves:
             source, plane = self._planes[d.name], self._planes.get(dest)
@@ -506,11 +509,7 @@ class Mesh:
             dest_batch = batch if plane is None else plane.data.shape[:-3]
             if batches.setdefault(dest, dest_batch) != batch:
                 raise ValueError(f"blocks of {d.name!r} and {dest!r} differ in batch shape")
-            most = int(count.max())
-            if d.hops:
-                group = (d.element_bits, d.hops)
-                largest[group] = max(most, largest.get(group, 0))
-            blocks = _comb(source.data, src, most)
+            blocks = _comb(source.data, src, int(count.max()))
             lifts.append((source, src, dest, blocks.copy() if d.name in landed else blocks, dst))
         for source, src, dest, blocks, dst in lifts:
             plane = self._plane(dest, blocks.shape[:-3], blocks.dtype, blocks.shape[-1])
@@ -522,13 +521,14 @@ class Mesh:
         self._used = used
         self._drop_empty(list(lifted))
 
-        if not largest:
+        if not moving:
             return PhaseReport(Fraction(0), 0, 0, 0, 0, 0, 0)
-        # One closed form per (element_bits, hops) group, at the group's
-        # largest count: the cost never falls as the count grows.
+        # One closed form per moving comb, at its largest count: a PE's time
+        # never falls as its count grows.
         max_time = config.ramp_cycles + max(
-            config.element_cost(b) * most + config.pipeline_fill_cycles_per_hop * (d - 1)
-            for (b, d), most in largest.items())
+            config.element_cost(d.element_bits) * int(count.max())
+            + config.pipeline_fill_cycles_per_hop * (d.hops - 1)
+            for d, *_, count in moving)
         elements = sum(int(count.sum()) for *_, count in moving)
         hops_total = sum(d.hops * int(count.sum()) for d, *_, count in moving)
 

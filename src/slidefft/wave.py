@@ -186,7 +186,8 @@ def _groups(count: int, size: int):
 
 def gather(layout: WaveLayout, mesh: Mesh) -> np.ndarray:
     """The wave's blocks as one array (host-side): a read-only view of the
-    mesh's wave, so a later transform on the same mesh shows through it."""
+    mesh's wave, so a later transform on the same mesh shows through it,
+    unless a store that widens or promotes the wave's plane replaces it."""
     row, col0 = layout.origin
     blocks = mesh.span_fetch(row, range(col0, col0 + layout.pe_count), layout.name)
     return blocks.reshape(blocks.shape[:-2] + (layout.n,))
@@ -237,19 +238,17 @@ def _run_sliding_level(mesh: Mesh, layout: WaveLayout, factors: np.ndarray,
     # Site t of a crossing is PE base + shift + t, merged with twiddle row t:
     # one comb of the meeting sites, viewed in both planes, shape
     # (*batch, crossings, span, e).  The butterfly runs in place on groups
-    # of whole crossings, or of rows t of one crossing when a crossing
-    # holds more than GROUP_ELEMENTS.
+    # of crossings, each cut into groups of rows t (more than one only when
+    # a crossing holds more than GROUP_ELEMENTS).  The twiddle rows take the
+    # views' rank: numpy multiplies one element by an operand of lower rank
+    # in another loop, which rounds differently.
     sites = range(col0 + shift, col0 + layout.pe_count, 2 * span)
     evens = mesh.comb_view(row, sites, span, layout.name)
     odds = mesh.comb_view(row, sites, span, _INCOMING)
-    rows = factors.reshape(span, e)
-    if span * e <= GROUP_ELEMENTS:
-        groups = [(np.s_[..., g, :, :], rows) for g in _groups(len(sites), span * e)]
-    else:
-        groups = [(np.s_[..., i, g, :], rows[g])
-                  for i in range(len(sites)) for g in _groups(span, e)]
-    for index, u in groups:
-        butterfly(evens[index], odds[index], u)
+    rows = factors.reshape((1,) * (evens.ndim - 2) + (span, e))
+    for g in _groups(len(sites), span * e):
+        for t in _groups(span, e):
+            butterfly(evens[..., g, t, :], odds[..., g, t, :], rows[..., t, :])
     mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
                         max_flops_per_pe=FLOPS_PER_PAIR * e)
     phase([(shift, layout.name, layout.name, -shift),

@@ -6,6 +6,7 @@ import os
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ import slidefft.cli as cli
 import slidefft.serial as serial
 import slidefft.wave as wave
 from slidefft.cli import (CSV_HEADER, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, MAX_ELEMENTS,
-                          bench_slide_records, main, random_batch)
+                          bench_fft_records, bench_slide_records, main, random_batch)
 from slidefft.mesh import Mesh
+from slidefft.model import CostModel, predict_efficiency
 
 
 def run(capsys, *argv):
@@ -73,7 +75,7 @@ def test_bench_slide_converges_toward_per_element_cost(capsys):
 
 
 def test_bench_slide_capacity_exit(capsys):
-    # 20000 32-bit elements is 80000 bytes, over any PE's 48 kB
+    # 20000 32-bit elements is 80000 bytes, over any PE's 48 KiB
     code, out, _ = run(capsys, "bench-slide", "--pes", "8",
                        "--elements", "20000", "--csv")
     assert code == EXIT_INFEASIBLE
@@ -87,9 +89,10 @@ def test_bench_fft_csv_and_summary(capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 5
     assert "bench-fft" in err
-    # constant prediction column
+    # constant prediction column: 5*3*8 / (2.3 + 5*3*8) = 120/122.3, at the
+    # mesh's own 2.3 cycles per 64-bit element
     predicted = {line.split(",")[9] for line in lines[1:]}
-    assert predicted == {"0.983607"}
+    assert predicted == {"0.981194"}
 
 
 def test_bench_fft_csv_flag_silences_summary(capsys):
@@ -105,7 +108,7 @@ def test_bench_fft_is_deterministic(capsys):
 
 
 def test_bench_fft_infeasible_rows_marked(capsys):
-    # 2^13 doubles at k=0 need 192 kB; k=2 fits
+    # 2^13 doubles at k=0 need 192 KiB; k=2 fits
     code, out, _ = run(capsys, "bench-fft", "--n", "8192", "--k", "0..2", "--csv")
     assert code == EXIT_OK
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
@@ -115,6 +118,53 @@ def test_bench_fft_infeasible_rows_marked(capsys):
 def test_bench_fft_all_infeasible_exit(capsys):
     code, _, _ = run(capsys, "bench-fft", "--n", "8192", "--k", "0,1", "--csv")
     assert code == EXIT_INFEASIBLE
+
+
+def test_bench_fft_names_the_minimal_feasible_k(capsys):
+    code, _, err = run(capsys, "bench-fft", "--n", "8192", "--k", "0..2")
+    assert code == EXIT_OK
+    assert "minimal feasible k: 2" in err.splitlines()
+
+
+def test_bench_fft_notes_when_no_k_fits():
+    records, notes, ledgers = bench_fft_records(4, [0, 1, 2], 64, {"local_memory_bytes": 16})
+    assert [r.status for r in records] == ["infeasible"] * 3
+    assert notes == ["no feasible k for this size and memory"]
+    assert ledgers == []
+
+
+# The mesh's cycles per element per hop, from its fields: element_bits / 32
+# packets of 1 cycle, plus 3/10 cycles of overhead under cs2-calibrated.
+MESH_A = {("cs2-calibrated", 32): Fraction(13, 10), ("cs2-calibrated", 64): Fraction(23, 10),
+          ("pure-packet", 32): Fraction(1), ("pure-packet", 64): Fraction(2)}
+
+
+@pytest.mark.parametrize("preset,element_bits", sorted(MESH_A))
+@pytest.mark.parametrize("extra", [(), ("--doubled-transfer",), ("--b", "0.3")],
+                         ids=["plain", "doubled", "b-0.3"])
+def test_bench_fft_predicts_with_its_mesh_costs(capsys, preset, element_bits, extra):
+    code, out, _ = run(capsys, "bench-fft", "--n", "256", "--k", "0..8", "--csv",
+                       "--preset", preset, "--element-bits", str(element_bits), *extra)
+    assert code == EXIT_OK
+    b = Fraction(3, 10) if "--b" in extra else Fraction(3)
+    model = CostModel(MESH_A[preset, element_bits], b, "--doubled-transfer" in extra)
+    eta = f"{float(predict_efficiency(model, 256, 8).eta):.6f}"
+    assert [line.split(",")[9] for line in out.strip().splitlines()[1:]] == [eta] * 9
+
+
+def test_repeated_values_run_once(capsys, monkeypatch):
+    ks = []
+
+    def distribute(x, layout, mesh):
+        ks.append(layout.k)
+        return wave.distribute(x, layout, mesh)
+
+    monkeypatch.setattr(cli, "distribute", distribute)
+    repeated = run(capsys, "bench-fft", "--n", "16", "--k", "3,1,3,1", "--csv")
+    assert ks == [1, 3]
+    assert repeated == run(capsys, "bench-fft", "--n", "16", "--k", "1,3", "--csv")
+    assert (run(capsys, "bench-slide", "--pes", "8,8", "--elements", "5,2,5", "--csv")
+            == run(capsys, "bench-slide", "--pes", "8", "--elements", "2,5", "--csv"))
 
 
 def test_bench_fft_refuses_a_bad_k_before_running_any(capsys, monkeypatch):
@@ -268,6 +318,7 @@ def test_degenerate_sizes_are_usage_errors(capsys, argv):
     ("predict", "--m", "3", "--preset", "pure-packet"),
     ("predict", "--m", "3", "--csv"),
     ("bench-slide", "--seed", "1"),
+    ("bench-fft", "--n", "64", "--k", "3", "--a", "2"),
 ])
 def test_flags_a_command_never_reads_are_rejected(capsys, argv):
     assert run(capsys, *argv)[0] == EXIT_USAGE
@@ -276,7 +327,7 @@ def test_flags_a_command_never_reads_are_rejected(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("predict", "--m", "3", "--a", "1e999999999"),
     ("predict", "--m", "3", "--b", "-1e999999999"),
-    ("bench-fft", "--n", "4", "--k", "0", "--a", "1e-999999999"),
+    ("bench-fft", "--n", "4", "--k", "0", "--b", "1e-999999999"),
     ("predict", "--m", "10000000000"),
     ("bench-fft", "--n", "4", "--k", "0..10000000000"),
 ])
@@ -375,9 +426,8 @@ FLAGS = {
                     "--element-bits": ["32", "64"], "--preset": ["pure-packet"],
                     "--csv": None},
     "bench-fft": {"--n": ["4", "64"], "--k": ["0..6", "3"], "--element-bits": ["32", "64"],
-                  "--seed": ["7"], "--preset": ["pure-packet"], "--a": RATIONALS,
-                  "--b": RATIONALS, "--doubled-transfer": None, "--dump-ledger": None,
-                  "--csv": None},
+                  "--seed": ["7"], "--preset": ["pure-packet"], "--b": RATIONALS,
+                  "--doubled-transfer": None, "--dump-ledger": None, "--csv": None},
     "predict": {"--n": ["64"], "--m": ["3", "17", "10000000000"], "--a": RATIONALS,
                 "--b": RATIONALS, "--doubled-transfer": None},
 }

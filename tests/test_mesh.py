@@ -279,10 +279,10 @@ class TestSlide:
         assert mesh.wall_clock_cycles == 133  # the 100-element mover dominates
 
     def test_each_group_is_costed_at_its_largest_block(self):
-        """The phase costs its (size, hops) groups at their largest blocks: here
-        the 50-element block of group (32 bits, 1 hop), which sits at the
-        second PE of its span and is followed by a smaller block of the same
-        group, while an earlier 3-hop block shares its element size."""
+        """The phase costs each moving comb at its largest block: here the
+        50-element block (32 bits, 1 hop), which sits at the second PE of its
+        span and is followed by a smaller block of the same size and hops,
+        while an earlier 3-hop block shares its element size."""
         mesh = one_row_mesh(12)
         mesh.pe_store((0, 0), "c", np.zeros(5, np.float32), element_bits=32)
         for col, count in ((4, 1), (5, 50)):

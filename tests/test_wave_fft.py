@@ -1,9 +1,11 @@
 """Distributed transform: wave planning, sliding levels, efficiency accounting."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,10 +44,16 @@ class TestPlanning:
         assert layout.elements_per_pe == (1 << 17) >> 8
 
     def test_whole_problem_on_one_pe_rejected(self):
-        """2^17 doubles need a megabyte of headroom; one PE has 48 kB."""
+        """2^17 doubles need a megabyte of headroom; one PE has 48 KiB."""
         with pytest.raises(CapacityExceeded) as info:
             plan_wave(1 << 17, 0, 64, wave_mesh(0))
         assert info.value.min_feasible_k == 6
+
+    def test_no_wave_length_fits(self):
+        """3 * 1 * 8 B = 24 B at k = 2, the longest wave, is over 16 B."""
+        with pytest.raises(CapacityExceeded, match="no wave length fits") as info:
+            plan_wave(4, 2, 64, wave_mesh(2, local_memory_bytes=16))
+        assert info.value.min_feasible_k is None
 
     def test_min_feasible_k(self):
         assert min_feasible_k(1 << 17, 64, 49152) == 6
@@ -141,15 +149,19 @@ class TestTransformAcrossWaveLengths:
     @pytest.mark.parametrize("group", [1, 4, 32])
     def test_group_size_does_not_change_the_spectrum(self, monkeypatch, group):
         """Groups smaller than a block, a crossing or a level take every path
-        of the in-place butterflies, each bit for bit the serial transform."""
+        of the in-place butterflies, each bit for bit the serial transform,
+        for a batch, one transform and a batch of one.  At one element per
+        PE and per group a butterfly multiplies single elements, and still
+        rounds as the serial transform does."""
         monkeypatch.setattr(wave, "GROUP_ELEMENTS", group)
         rng = np.random.default_rng(group)
-        x = rng.random((2, 256)) + 1j * rng.random((2, 256))
-        reference = fft_serial(x)
-        for k in range(9):
-            for midpoint in (False, True):
-                spectrum, _ = run_wave(x, k, midpoint=midpoint)
-                assert spectrum.tobytes() == reference.tobytes(), (k, midpoint)
+        for shape in [(2, 256), (256,), (1, 256)]:
+            x = rng.random(shape) + 1j * rng.random(shape)
+            reference = fft_serial(x)
+            for k in range(9):
+                for midpoint in (False, True):
+                    spectrum, _ = run_wave(x, k, midpoint=midpoint)
+                    assert spectrum.tobytes() == reference.tobytes(), (shape, k, midpoint)
 
     def test_local_levels_run_in_place(self):
         """On one PE every level is local and merges the stored block in
@@ -311,6 +323,29 @@ class TestAccounting:
                     "wall_clock_cycles": mesh.wall_clock_cycles}
                 assert booked == closed_form_ledger(config, 1 << m, k, element_bits,
                                                     midpoint), (m, k)
+
+    def test_benchmark_ledger_replays(self):
+        """Every transform the benchmark's reference ledger stores, run on a
+        default one-row mesh, books exactly the stored counts, so a modelled
+        cycle that moves fails here before the benchmark refuses it."""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "ledger.json"
+        workloads = json.loads(path.read_text(encoding="utf-8"))["workloads"]
+        entries = [entry for workload in workloads.values() for entry in workload]
+        assert len(entries) == 93
+        for entry in entries:
+            n, k, element_bits = entry["n"], entry["k"], entry["element_bits"]
+            mesh = wave_mesh(k)
+            layout = plan_wave(n, k, element_bits, mesh)
+            distribute(np.zeros(n, complex), layout, mesh)
+            slide_fft(mesh, layout)
+            local = sum(level.local for level in level_plan(layout))
+            got = asdict(mesh.ledger_report()) | {
+                "n": n, "k": k, "element_bits": element_bits,
+                "total_cycles": mesh.wall_clock_cycles, "levels_local": local,
+                "levels_sliding": layout.m - local,
+                "budget_elements_moved": transfer_budget(layout).elements_moved,
+                "status": "ok"}
+            assert got == entry, (n, k)
 
     def test_working_set_respects_buffer_headroom(self):
         """A wave sized to the 3-block budget runs without a capacity trip."""
