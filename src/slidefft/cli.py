@@ -94,6 +94,14 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
 
 
+def parse_cycles_per_flop(text: str) -> Fraction:
+    """--b: the model divides by it, so it must be positive."""
+    value = parse_rational(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("cycles per FLOP must be positive")
+    return value
+
+
 def parse_int_list(text: str) -> list[int]:
     """Comma list and/or inclusive ranges: '8,16,32', '1..500', '0..4,8'."""
     out: list[int] = []
@@ -202,8 +210,8 @@ def bench_slide_records(pe_counts: list[int], element_counts: list[int],
             config = MeshConfig(rows=1, cols=pes + 1, **config_kwargs)
             mesh = mesh_create(config)
             try:
-                for col in range(pes):
-                    mesh.pe_store((0, col), "block", np.zeros(count), element_bits=element_bits)
+                mesh.pe_store((0, 0), "block", np.zeros(pes * count), element_bits=element_bits,
+                              pes=pes)
             except CapacityExceeded:
                 records.append(BenchRecord(pes, count, pes * count, status="capacity_exceeded"))
                 continue
@@ -411,7 +419,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "--csv": dict(action="store_true", help="suppress the stderr summary; emit CSV only"),
         "--config": dict(default=None,
                          help="JSON file of defaults mirroring the flags; flags win"),
-        "--b": dict(type=parse_rational, default=Fraction(3),
+        "--b": dict(type=parse_cycles_per_flop, default=Fraction(3),
                     help="cycles per FLOP, for the model and bench-fft's mesh (default 3)"),
         "--doubled-transfer": dict(action="store_true",
                                    help="charge the transfer term twice in the prediction"),

@@ -25,7 +25,10 @@ with the per-phase maximum over PEs advancing the wall clock.
 Each stored name is a data plane (*batch, rows, cols, width), a count plane
 (0: no block) and an element-bits plane; one usage plane holds each PE's
 bytes.  A name's planes go when its last block leaves.  Blocks go in as
-arrays or raw bytes (uint8).  :meth:`Mesh.pe_fetch` and
+arrays or raw bytes (uint8), on a run of PEs in one row per call
+(:meth:`Mesh.pe_store`: each PE takes one equal part of the elements), and
+a store is atomic: it checks every PE of the run before it writes any.
+:meth:`Mesh.pe_fetch` and
 :meth:`Mesh.span_fetch` (one name on a range of PEs in a row, blocks on
 axis -2) return read-only views; :meth:`Mesh.comb_view` returns one name on
 a comb of PEs as a writable view, so host arithmetic runs in place, batched
@@ -270,16 +273,15 @@ class Mesh:
 
     def _plane(self, name: str, batch: tuple, dtype, width: int) -> _Plane:
         """The planes of ``name``, made, or widened and promoted, to take blocks
-        of ``batch`` shape, ``dtype`` and ``width`` elements.  Data past a
-        block's count is never read, so it is left uninitialised."""
+        of ``batch`` shape (which an existing plane must have: callers check
+        it), ``dtype`` and ``width`` elements.  Data past a block's count is
+        never read, so it is left uninitialised."""
         plane = self._planes.get(name)
         if plane is None:
             plane = self._planes[name] = _Plane(np.empty(batch + self.shape + (width,), dtype),
                                                 np.zeros(self.shape, np.int64),
                                                 np.zeros(self.shape, np.int64))
         data = plane.data
-        if data.shape[:-3] != batch:
-            raise ValueError(f"blocks of {name!r} have batch shape {data.shape[:-3]}, not {batch}")
         dtype = np.result_type(data.dtype, dtype) if dtype != data.dtype else dtype
         if width > data.shape[-1] or dtype != data.dtype:
             plane.data = np.empty(data.shape[:-1] + (max(width, data.shape[-1]),), dtype)
@@ -294,35 +296,55 @@ class Mesh:
     def pe_used(self, pe) -> int:
         return int(self._used[self._require_pe(pe)])
 
-    def pe_store(self, pe, name: str, data, element_bits: int = 8) -> None:
-        """Copy a named block onto a PE, enforcing local memory capacity.
+    def pe_store(self, pe, name: str, data, element_bits: int = 8, pes: int = 1) -> None:
+        """Copy a named block onto each PE of a run, enforcing local memory
+        capacity: PE (row, col + i) of ``pe`` = (row, col) takes the i-th of
+        ``pes`` equal parts of the elements.
 
         ``data`` is raw bytes (a uint8 block, one element per byte) or an
         ndarray whose last axis holds the elements; ``element_bits`` declares
-        the modelled wire size of one element.
+        the modelled wire size of one element.  Elements that do not split
+        into ``pes`` equal parts are refused first.  The store is atomic: it
+        raises the error that storing the parts one PE at a time, in column
+        order, would meet first, and then it has stored nothing.
         """
-        r, c = pe = self._require_pe(pe)
-        if element_bits < 1 or element_bits % 8:
-            raise ValueError("element size must be a positive multiple of 8 bits")
         block = (np.frombuffer(data, dtype=np.uint8)
                  if isinstance(data, (bytes, bytearray, memoryview)) else np.asarray(data))
+        if pes < 1 or (block.ndim and block.shape[-1] % pes):
+            raise ValueError(f"{block.shape[-1] if block.ndim else 0} elements do not split "
+                             f"into {pes} equal blocks")
+        r, c = self._require_pe(pe)
+        if element_bits < 1 or element_bits % 8:
+            raise ValueError("element size must be a positive multiple of 8 bits")
         if block.ndim < 1 or block.shape[-1] < 1:
             raise ValueError("a block needs at least one element")
-        if name in self._planes and self._planes[name].count[r, c]:
-            raise ValueError(f"PE {pe} already holds an array named {name!r}")
-        count = block.shape[-1]
+        count = block.shape[-1] // pes
         size = count * element_bits // 8
-        used = int(self._used[r, c])
-        if used + size > self.config.local_memory_bytes:
-            raise CapacityExceeded(
-                f"PE {pe}: storing {size} B of {name!r} over "
-                f"{used} B used exceeds {self.config.local_memory_bytes} B"
-            )
+        capacity = self.config.local_memory_bytes
+        plane = self._planes.get(name)
+        run = slice(c, c + pes)         # cut short at the grid's right edge
+        after = self._used[r, run] + size
+        held = plane.count[r, run] if plane is not None else np.zeros_like(after)
+        # The first PE that the one-PE stores would fail at: over capacity,
+        # holding the name, or past the grid's edge (pes if none); PE 0's
+        # store ends by checking the plane's batch shape.
+        i = pes
+        if len(after) < pes or after[after.argmax()] > capacity or np.count_nonzero(held):
+            i = int(np.append((after > capacity) | (held != 0), True).argmax())
+        if i and plane is not None and plane.data.shape[:-3] != block.shape[:-1]:
+            raise ValueError(f"blocks of {name!r} have batch shape {plane.data.shape[:-3]}, "
+                             f"not {block.shape[:-1]}")
+        if i < pes:
+            at = self._require_pe((r, c + i))      # raises past the grid's edge
+            if held[i]:
+                raise ValueError(f"PE {at} already holds an array named {name!r}")
+            raise CapacityExceeded(f"PE {at}: storing {size} B of {name!r} over "
+                                   f"{after[i] - size} B used exceeds {capacity} B")
         plane = self._plane(name, block.shape[:-1], block.dtype, count)
-        plane.data[..., r, c, :count] = block
-        plane.count[r, c] = count
-        plane.bits[r, c] = element_bits
-        self._used[r, c] = used + size
+        plane.data[..., r, run, :count] = block.reshape(block.shape[:-1] + (pes, count))
+        plane.count[r, run] = count
+        plane.bits[r, run] = element_bits
+        self._used[r, run] = after
 
     def _run(self, row: int, starts: range, width: int, name: str):
         """(plane, comb, count) of the blocks ``name`` on the comb of PEs

@@ -85,9 +85,6 @@ class WaveLayout:
     def pe_count(self) -> int:
         return 1 << self.k
 
-    def pe(self, j: int) -> tuple[int, int]:
-        return (self.origin[0], self.origin[1] + j)
-
 
 @dataclass(frozen=True)
 class LevelDescriptor:
@@ -163,17 +160,16 @@ def level_plan(layout: WaveLayout) -> list[LevelDescriptor]:
 
 def distribute(x, layout: WaveLayout, mesh: Mesh) -> None:
     """Store the input across the wave in permuted order, block-contiguous:
-    PE j holds permuted elements [j*e, (j+1)*e).  A host-side load, not a
-    slide: nothing is booked."""
+    PE j holds permuted elements [j*e, (j+1)*e).  One store of the whole
+    wave, atomic: if any PE cannot take its block, none is stored.  A
+    host-side load, not a slide: nothing is booked."""
     y = _as_samples(x)
     if y.shape[-1] != layout.n:
         raise ValueError(f"expected {layout.n} samples, got {y.shape[-1]}")
     if layout.m >= 1:
         y = y[..., build_permutation(layout.m).final_row]
-    e = layout.elements_per_pe
-    for j in range(layout.pe_count):
-        mesh.pe_store(layout.pe(j), layout.name, y[..., j * e : (j + 1) * e],
-                      element_bits=layout.element_bits)
+    mesh.pe_store(layout.origin, layout.name, y, element_bits=layout.element_bits,
+                  pes=layout.pe_count)
 
 
 def _groups(count: int, size: int):

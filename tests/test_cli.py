@@ -311,6 +311,23 @@ def test_degenerate_sizes_are_usage_errors(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [("bench-fft", "--n", "4", "--k", "0..2"),
+                                     ("predict", "--m", "3")])
+def test_b_must_be_positive_before_anything_is_built(capsys, monkeypatch, command):
+    def built(*args, **kwargs):
+        raise AssertionError("built before --b was checked")
+
+    monkeypatch.setattr(cli, "MeshConfig", built)
+    monkeypatch.setattr(cli, "CostModel", built)
+    errors = []
+    for b in ("0", "-1"):
+        code, out, err = run(capsys, *command, "--b", b)
+        assert code == EXIT_USAGE and out == ""
+        errors += [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"slidefft {command[0]}: error: argument --b: "
+                      "cycles per FLOP must be positive"] * 2
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--n", "4", "--preset", "pure-packet"),
     ("verify", "--n", "4", "--csv"),

@@ -33,6 +33,69 @@ def mesh_state(mesh):
     return stores, used, mesh.ledger_report(), mesh.wall_clock_cycles
 
 
+BATCHES = {"a": (), "b": (2,), "c": (), "u": ()}
+
+
+@st.composite
+def meshes_and_runs(draw):
+    """A small grid with random blocks of "a", "b" (batch 2) and "u", and the
+    arguments of a store of "a", "b" or "c" on a run of PEs; "u" only takes
+    memory.  Runs often go bad: off the grid, onto a PE that holds the name
+    or is full (often a PE past the first: a block is planted there), in
+    the other batch shape, with elements that do not split into equal
+    parts, or none.  A third of the unbatched ones are bytes."""
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    mesh = mesh_create(MeshConfig(rows=rows, cols=cols,
+                                  local_memory_bytes=draw(st.sampled_from([16, 32, 64]))))
+    serial = itertools.count()
+
+    def put(pe, name, count, element_bits):
+        first = 8 * next(serial)
+        block = np.arange(first, first + 2 * count, dtype=float)
+        try:
+            mesh.pe_store(pe, name, block.reshape(BATCHES[name] + (-1,))[..., :count],
+                          element_bits=element_bits)
+        except (CapacityExceeded, ValueError):     # full, or already held
+            pass
+
+    for pe in every_pe(mesh):
+        for name in "abu":
+            if draw(st.sampled_from([True, False, False, False])):
+                put(pe, name, draw(st.integers(1, 4)), draw(st.sampled_from([8, 32, 64])))
+    if draw(st.sampled_from([True] * 3 + [False])):    # a run on the grid
+        pes = draw(st.integers(1, min(4, cols)))
+        pe = (draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - pes)))
+    else:
+        pes = draw(st.integers(1, 4))
+        pe = (draw(st.integers(-1, rows)), draw(st.integers(-1, cols)))
+    name = draw(st.sampled_from("abc"))
+    trouble = draw(st.sampled_from([None, None, name, "u"]))
+    if trouble is not None and mesh.in_bounds(pe):
+        last = (pe[0], min(pe[1] + pes, cols) - 1)     # the run's last PE on the grid
+        free = mesh.config.local_memory_bytes - mesh.pe_used(last)
+        put(last, trouble, free // 8 if trouble == "u" else 1, 64)
+    count = draw(st.sampled_from([1] * 6 + [2, 3, 0]))
+    elements = pes * count + draw(st.sampled_from([0] * 5 + [1]))
+    batch = draw(st.sampled_from([(), (), (2,)]))
+    data = np.arange(1000, 1000 + elements * math.prod(batch), dtype=float).reshape(batch + (-1,))
+    if not batch and draw(st.sampled_from([False, False, True])):
+        data = bytes(range(elements))
+    return mesh, (pe, name, data, draw(st.sampled_from([8, 32, 64])), pes)
+
+
+def one_pe_stores(mesh, pe, name, data, element_bits, pes):
+    """``pe_store(pe, name, data, element_bits, pes)`` the slow way: elements
+    that do not split into ``pes`` equal parts are refused, then each PE of
+    the run takes its part in a one-PE store, in column order."""
+    block = np.frombuffer(data, np.uint8) if isinstance(data, bytes) else data
+    count, rest = divmod(block.shape[-1], pes)
+    if rest:
+        raise ValueError(f"{block.shape[-1]} elements do not split into {pes} equal blocks")
+    for i in range(pes):
+        mesh.pe_store((pe[0], pe[1] + i), name, block[..., i * count:(i + 1) * count],
+                      element_bits=element_bits)
+
+
 class TestStorage:
     def test_grid_shape(self):
         assert mesh_create(MeshConfig(rows=2, cols=3)).shape == (2, 3)
@@ -79,6 +142,49 @@ class TestStorage:
         mesh.pe_store((1, 2), "fits", bytes(1024))
         with pytest.raises(CapacityExceeded):
             mesh.pe_store((1, 3), "big", bytes(1025))
+
+    @pytest.mark.parametrize("pe,data,element_bits,error,match", [
+        ((0, 2), np.zeros(0), 12, OffGridError, r"PE \(0, 2\) outside"),
+        ((0, 1), np.zeros(0), 12, ValueError, "multiple of 8 bits"),
+        ((0, 1), np.zeros(0), 64, ValueError, "at least one element"),
+        ((0, 0), np.zeros(9), 64, ValueError, "already holds"),
+        ((0, 1), np.zeros(9), 64, CapacityExceeded, "storing 72 B of 'b' over 48 B used"),
+        ((0, 1), np.zeros(1), 64, ValueError, r"batch shape \(2,\), not \(\)"),
+    ])
+    def test_one_pe_store_checks_in_order(self, pe, data, element_bits, error, match):
+        """The grid, the element size, an empty block, a block already held,
+        capacity, then the plane's batch shape: each check wins over the
+        ones after it."""
+        mesh = one_row_mesh(2, local_memory_bytes=64)
+        mesh.pe_store((0, 0), "b", np.zeros((2, 1)), element_bits=64)
+        mesh.pe_store((0, 1), "a", np.zeros(6), element_bits=64)
+        before = mesh_state(mesh)
+        with pytest.raises(error, match=match):
+            mesh.pe_store(pe, "b", data, element_bits)
+        assert mesh_state(mesh) == before
+
+    @settings(max_examples=300, deadline=None)
+    @given(meshes_and_runs())
+    def test_run_store_equals_one_pe_stores(self, case):
+        """A store on a run of PEs ends as its one-PE stores do, or raises the
+        error they meet first and stores nothing."""
+        mesh, (pe, name, data, element_bits, pes) = case
+        twin, before = copy.deepcopy(mesh), mesh_state(mesh)
+
+        def error(store):
+            try:
+                store()
+            except (MeshError, ValueError) as error:
+                return type(error), str(error)
+            return None
+
+        raised = error(lambda: mesh.pe_store(pe, name, data, element_bits, pes))
+        assert raised == error(lambda: one_pe_stores(twin, pe, name, data, element_bits, pes))
+        assert mesh_state(mesh) == (before if raised else mesh_state(twin))
+
+    def test_run_of_no_pes_is_refused(self):
+        with pytest.raises(ValueError, match="do not split into 0 equal blocks"):
+            one_row_mesh(2).pe_store((0, 0), "x", b"\x00", pes=0)
 
 
 def span_mesh():
