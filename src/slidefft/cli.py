@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .mesh import CapacityExceeded, MeshConfig, PRESETS, SlideDescriptor, mesh_create
+from .mesh import (CapacityExceeded, MeshConfig, PRESETS, SlideDescriptor, mesh_create,
+                   preset_config)
 from .model import CostModel, check_margin, flops_per_transform, predict_efficiency, reconcile
 from .serial import bit_reverse_index, build_permutation, dft_oracle, fft_serial
 from .wave import (distribute, measure_efficiency, min_feasible_k, plan_wave,
@@ -71,9 +72,10 @@ def parse_seed(text: str) -> int:
 
 # Checked before Fraction builds 10**exponent, predict builds 2**m or an
 # integer list is built.  By default Python turns no integer of over 4300
-# digits into text.
+# digits into text; MAX_LEVELS is the largest m whose FLOP count
+# 5 * m * 2**m, the longest number predict prints, has no more.
 MAX_EXPONENT = 4300
-MAX_LEVELS = 1 << 16
+MAX_LEVELS = 14268
 MAX_LIST_VALUES = 1 << 16
 # The most elements one array of a run may hold, checked before it is
 # built: a transform's points (verify: its batch of VERIFY_SEEDS
@@ -190,8 +192,9 @@ def records_to_csv(records: list[BenchRecord]) -> str:
 
 
 def bench_slide_records(pe_counts: list[int], element_counts: list[int],
-                        element_bits: int, config_kwargs: dict) -> list[BenchRecord]:
-    """One single-hop slide per (pe_count, elements_per_pe) pair.
+                        element_bits: int, config: MeshConfig) -> list[BenchRecord]:
+    """One single-hop slide per (pe_count, elements_per_pe) pair, each on a
+    one-row mesh of ``config``'s costs and pe_count + 1 columns.
 
     The wave's PEs shift one neighbor to the right in lockstep, so the phase
     wall clock is one PE's time and every PE is busy for all of it:
@@ -207,17 +210,16 @@ def bench_slide_records(pe_counts: list[int], element_counts: list[int],
     records = []
     for pes in sorted(set(pe_counts)):
         for count in sorted(set(element_counts)):
-            config = MeshConfig(rows=1, cols=pes + 1, **config_kwargs)
-            mesh = mesh_create(config)
+            mesh = mesh_create(replace(config, rows=1, cols=pes + 1))
             try:
                 mesh.pe_store((0, 0), "block", np.zeros(pes * count), element_bits=element_bits,
                               pes=pes)
             except CapacityExceeded:
                 records.append(BenchRecord(pes, count, pes * count, status="capacity_exceeded"))
                 continue
-            report = mesh.slide(SlideDescriptor(
+            report = mesh.slide_phase([SlideDescriptor(
                 row=0, col_start=0, col_stop=pes, name="block",
-                displacement=(0, 1), element_bits=element_bits))
+                displacement=(0, 1), element_bits=element_bits)])
             ledger = mesh.ledger_report()
             total = pes * report.exact_cycles
             records.append(BenchRecord(
@@ -235,10 +237,10 @@ def bench_slide_records(pe_counts: list[int], element_counts: list[int],
 
 
 def bench_fft_records(n: int, k_values: list[int], element_bits: int,
-                      config_kwargs: dict, doubled_transfer: bool = False,
+                      config: MeshConfig, doubled_transfer: bool = False,
                       seed: int = 0) -> tuple[list[BenchRecord], list[str], list]:
     """One distributed transform per distinct wave length k, on a one-row
-    mesh of ``config_kwargs`` and 2**k columns.
+    mesh of ``config``'s costs and 2**k columns.
 
     total_cycles is the run's wall clock (compute and slide phases end to
     end); eta compares the ledger's compute share against the closed-form
@@ -250,14 +252,13 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
     for k in k_values:      # every k, before the first mesh is built
         if not 0 <= k <= m:
             raise ValueError(f"k={k} outside 0..{m} for n={n}")
-    config = MeshConfig(**config_kwargs)
     model = CostModel(config.element_cost(element_bits), config.cycles_per_flop, doubled_transfer)
     predicted = predict_efficiency(model, n, m)
     infeasible = None    # the CapacityExceeded of an infeasible k, if any
     records, notes, ledgers = [], [], []
     x = random_batch(seed, 1, n)[0]
     for k in k_values:
-        mesh = mesh_create(replace(config, cols=1 << k))
+        mesh = mesh_create(replace(config, rows=1, cols=1 << k))
         try:
             layout = plan_wave(n, k, element_bits, mesh)
         except CapacityExceeded as exc:
@@ -352,6 +353,9 @@ def run_verify(max_n: int, seed: int, echo=print) -> bool:
             if ledger.elements_moved != transfer_budget(layout).elements_moved:
                 wave_ok, detail = False, f"n={n} k={k}: transfer budget mismatch"
                 break
+            # The spectrum views this mesh's wave plane: let the plane go
+            # before the next mesh stores a wave.
+            del spectrum
 
     suite("serial-vs-oracle", serial_worst < 1e-12,
           f"sizes 2..{sizes[-1]}, {VERIFY_SEEDS} seeds, max rel err {serial_worst:.2e}")
@@ -419,8 +423,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "--csv": dict(action="store_true", help="suppress the stderr summary; emit CSV only"),
         "--config": dict(default=None,
                          help="JSON file of defaults mirroring the flags; flags win"),
-        "--b": dict(type=parse_cycles_per_flop, default=Fraction(3),
-                    help="cycles per FLOP, for the model and bench-fft's mesh (default 3)"),
+        "--b": dict(type=parse_cycles_per_flop, default=MeshConfig.cycles_per_flop,
+                    help="cycles per FLOP, for the model and bench-fft's mesh "
+                         "(default %(default)s)"),
         "--doubled-transfer": dict(action="store_true",
                                    help="charge the transfer term twice in the prediction"),
     }
@@ -457,8 +462,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = command("predict", "closed-form efficiency prediction", "--out", "--config",
                 "--b", "--doubled-transfer")
-    p.add_argument("--a", type=parse_rational, default=Fraction(2),
-                   help="model transfer cycles per datum (default 2)")
+    p.add_argument("--a", type=parse_rational, default=CostModel.a,
+                   help="model transfer cycles per datum (default %(default)s)")
     p.add_argument("--n", type=parse_power_of_two, default=None,
                    help="transform size 2**m")
     p.add_argument("--m", type=int, default=None, help="number of levels log2(n)")
@@ -554,19 +559,15 @@ def main(argv=None) -> int:
         # bench-slide or bench-fft: argparse admits no other command.
         if args.command == "bench-slide":
             records = bench_slide_records(args.pes, args.elements, args.element_bits,
-                                          dict(PRESETS[args.preset]))
+                                          preset_config(args.preset))
             summary = [f"bench-slide: {len(records)} rows, "
                        f"pe counts {args.pes}, element bits {args.element_bits}"]
         else:
-            n = args.n
-            m = n.bit_length() - 1
-            if m < 1:
-                raise ValueError("transform needs at least 2 points")
-            k_values = args.k if args.k is not None else list(range(m + 1))
-            mesh_kwargs = dict(PRESETS[args.preset], cycles_per_flop=args.b)
+            k_values = args.k if args.k is not None else list(range(args.n.bit_length()))
+            config = preset_config(args.preset, cycles_per_flop=args.b)
             records, notes, ledgers = bench_fft_records(
-                n, k_values, args.element_bits, mesh_kwargs, args.doubled_transfer, args.seed)
-            summary = [f"bench-fft: n={n}, k in {k_values}"] + notes
+                args.n, k_values, args.element_bits, config, args.doubled_transfer, args.seed)
+            summary = [f"bench-fft: n={args.n}, k in {k_values}"] + notes
             if args.dump_ledger:
                 for k, ledger, wall in ledgers:
                     summary += [f"# ledger k={k}", ledger.dump(), f"wall_clock_cycles={wall}"]

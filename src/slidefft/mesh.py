@@ -28,18 +28,20 @@ bytes.  A name's planes go when its last block leaves.  Blocks go in as
 arrays or raw bytes (uint8), on a run of PEs in one row per call
 (:meth:`Mesh.pe_store`: each PE takes one equal part of the elements), and
 a store is atomic: it checks every PE of the run before it writes any.
-:meth:`Mesh.pe_fetch` and
-:meth:`Mesh.span_fetch` (one name on a range of PEs in a row, blocks on
-axis -2) return read-only views; :meth:`Mesh.comb_view` returns one name on
-a comb of PEs as a writable view, so host arithmetic runs in place, batched
-across PEs.  A view shows later writes only while its data plane lasts: a
-store or landing that widens or promotes the plane, or a name stored again
-after its last block left, builds a new plane, and the view keeps the old.
-Every plane, data, count, element-bits, mark or usage, is read and written
-through one strided view per comb (``_comb``); a slide phase checks each
-comb on those views, then commits it as one copy from its view of the
-source plane into the same view of the destination plane (through a
-temporary only when the source plane also takes landings in that phase).
+:meth:`Mesh.pe_fetch` and :meth:`Mesh.span_fetch` (one name on a range of
+PEs in a row, blocks on axis -2) return read-only views;
+:meth:`Mesh.comb_view` returns one name on a comb of PEs as a writable
+view, so host arithmetic runs in place, batched across PEs.  A view shows
+later writes only while its data plane lasts: a store or landing that
+widens or promotes the plane, or a name stored again after its last block
+left, builds a new plane, and the view keeps the old.  A slide phase reads
+and writes every plane, data, count, element-bits, mark or usage, through
+one strided view per comb (``_comb``), as the fetches and comb views read
+theirs: it checks each comb on those views, then commits it as one copy
+from its view of the source plane into the same view of the destination
+plane (through a temporary only when the source plane also takes landings
+in that phase).  Stores and the other per-PE calls index the planes
+directly.
 """
 
 from __future__ import annotations
@@ -186,9 +188,6 @@ class CycleLedger:
     def total_cycles(self) -> int:
         return self.compute_cycles + self.transfer_cycles + self.ramp_cycles
 
-    def snapshot(self) -> "CycleLedger":
-        return replace(self)
-
     def dump(self) -> str:
         """Flat key=value block with one counter per line, every field."""
         return "\n".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -314,8 +313,7 @@ class Mesh:
             raise ValueError(f"{block.shape[-1] if block.ndim else 0} elements do not split "
                              f"into {pes} equal blocks")
         r, c = self._require_pe(pe)
-        if element_bits < 1 or element_bits % 8:
-            raise ValueError("element size must be a positive multiple of 8 bits")
+        self.config.element_cost(element_bits)      # refuses a size no PE stores
         if block.ndim < 1 or block.shape[-1] < 1:
             raise ValueError("a block needs at least one element")
         count = block.shape[-1] // pes
@@ -409,10 +407,6 @@ class Mesh:
         return tuple(sorted(name for name, plane in self._planes.items() if plane.count[r, c]))
 
     # -------------------- slides --------------------
-
-    def slide(self, desc: SlideDescriptor) -> PhaseReport:
-        """Execute a single slide as its own synchronous phase."""
-        return self.slide_phase([desc])
 
     def slide_phase(self, descs: list[SlideDescriptor]) -> PhaseReport:
         """Execute concurrent slides as one synchronous phase.
@@ -591,7 +585,7 @@ class Mesh:
         self.wall_clock_cycles += math.ceil(self.config.cycles_per_flop * max_flops_per_pe)
 
     def ledger_report(self) -> CycleLedger:
-        return self.ledger.snapshot()
+        return replace(self.ledger)
 
 
 def mesh_create(config: MeshConfig) -> Mesh:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mesh import _as_fraction
+from .mesh import MeshConfig, _as_fraction
 from .serial import log2_exact
 
 
@@ -24,7 +24,7 @@ class CostModel:
     """Per-datum transfer cost ``a`` and per-FLOP cost ``b``, both rational."""
 
     a: Fraction = Fraction(2)
-    b: Fraction = Fraction(3)
+    b: Fraction = MeshConfig.cycles_per_flop
     doubled_transfer: bool = False
 
     def __post_init__(self):

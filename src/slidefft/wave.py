@@ -46,7 +46,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .mesh import CapacityExceeded, Mesh, OffGridError, SlideDescriptor
+from .mesh import CapacityExceeded, Mesh, MeshConfig, OffGridError, SlideDescriptor
 from .model import EfficiencyReport
 from .serial import (FLOPS_PER_PAIR, _as_samples, build_permutation, butterfly,
                      log2_exact, merge_level, twiddle_table)
@@ -97,22 +97,19 @@ class LevelDescriptor:
 
 @dataclass(frozen=True)
 class TransferBudget:
-    """Predicted slide volume for one run.
-
-    ``elements_moved`` is what the overlay schedule books: every sliding
-    level moves n/2 elements out and n/2 back.
-    """
+    """Predicted slide volume of one run of the overlay schedule."""
 
     elements_moved: int
     sliding_levels: int
 
 
 def min_feasible_k(n: int, element_bits: int, local_memory_bytes: int) -> int | None:
-    """Smallest wave length whose per-PE buffers fit local memory, or None."""
+    """Smallest wave length whose per-PE buffers fit local memory, or None.
+    Refuses an element size that no mesh stores, with the mesh's message."""
+    MeshConfig().element_cost(element_bits)
     m = log2_exact(n)
     for k in range(m + 1):
-        need = BUFFER_FACTOR * (n >> k) * element_bits // 8
-        if need <= local_memory_bytes:
+        if BUFFER_FACTOR * (n >> k) * element_bits // 8 <= local_memory_bytes:
             return k
     return None
 
@@ -121,19 +118,20 @@ def plan_wave(n: int, k: int, element_bits: int, mesh: Mesh,
               origin: tuple[int, int] = (0, 0)) -> WaveLayout:
     """Lay out an n-point transform on 2**k PEs starting at ``origin``.
 
-    Raises CapacityExceeded (carrying the minimal feasible k) when the per-PE
-    buffers cannot fit, and OffGridError when the wave leaves the grid.
+    The wave fits when k is at least :func:`min_feasible_k`; otherwise this
+    raises CapacityExceeded carrying that k.  It raises ValueError for an
+    element size the mesh does not store, and OffGridError when the wave
+    leaves the grid.
     """
     m = log2_exact(n)
     if not 0 <= k <= m:
         raise ValueError(f"wave length k={k} must lie in 0..{m} for n={n}")
-    elements_per_pe = n >> k
-    need = BUFFER_FACTOR * elements_per_pe * element_bits // 8
-    if need > mesh.config.local_memory_bytes:
-        kmin = min_feasible_k(n, element_bits, mesh.config.local_memory_bytes)
+    memory = mesh.config.local_memory_bytes
+    kmin = min_feasible_k(n, element_bits, memory)
+    if kmin is None or k < kmin:
         raise CapacityExceeded(
-            f"k={k} needs {need} B per PE ({BUFFER_FACTOR}x{elements_per_pe} elements) "
-            f"but local memory is {mesh.config.local_memory_bytes} B; "
+            f"k={k}: {BUFFER_FACTOR} buffers of {n >> k} {element_bits}-bit elements per PE "
+            f"exceed local memory of {memory} B; "
             + (f"minimal feasible k is {kmin}" if kmin is not None else "no wave length fits"),
             min_feasible_k=kmin,
         )
@@ -144,7 +142,7 @@ def plan_wave(n: int, k: int, element_bits: int, mesh: Mesh,
             f"{mesh.config.rows}x{mesh.config.cols} grid"
         )
     return WaveLayout(n=n, m=m, k=k, origin=(row, col),
-                      elements_per_pe=elements_per_pe, element_bits=element_bits)
+                      elements_per_pe=n >> k, element_bits=element_bits)
 
 
 def level_plan(layout: WaveLayout) -> list[LevelDescriptor]:
@@ -272,10 +270,9 @@ def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndar
 
 
 def transfer_budget(layout: WaveLayout) -> TransferBudget:
-    """Predicted elements moved (forward plus backward) by the overlay
-    schedule."""
-    sliding = sum(1 for level in level_plan(layout) if not level.local)
-    return TransferBudget(elements_moved=sliding * layout.n, sliding_levels=sliding)
+    """Predicted elements moved by the overlay schedule, in closed form: the
+    last k of the m levels slide, each moving n/2 elements out and n/2 back."""
+    return TransferBudget(elements_moved=layout.k * layout.n, sliding_levels=layout.k)
 
 
 def measure_efficiency(ledger) -> EfficiencyReport:

@@ -102,7 +102,7 @@ def test_criterion_4_slide_linear_scaling(capsys):
     element_counts = list(range(1, 501))
     by_pe = {}
     for pes in (8, 16, 32):
-        records = bench_slide_records([pes], element_counts, 32, {})
+        records = bench_slide_records([pes], element_counts, 32, MeshConfig())
         by_pe[pes] = records
     # (i) affine fit, per PE count
     min_r2 = 1.0
@@ -209,8 +209,8 @@ def test_criterion_8_property_suites(capsys):
     mesh = mesh_create(MeshConfig(rows=1, cols=3))
     block = batch(SEED, 1, 32)[0]
     mesh.pe_store((0, 0), "w", block, element_bits=64)
-    mesh.slide(SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                               displacement=(0, 2), element_bits=64))
+    mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
+                                      displacement=(0, 2), element_bits=64)])
     checks["slide-conservation"] = bool(
         np.array_equal(mesh.pe_fetch((0, 2), "w"), block))
 
@@ -222,9 +222,9 @@ def test_criterion_8_property_suites(capsys):
         checks["capacity"] = True
 
     first = records_to_csv(bench_slide_records([8, 16], list(range(1, 50)),
-                                               32, {}))
+                                               32, MeshConfig()))
     second = records_to_csv(bench_slide_records([8, 16], list(range(1, 50)),
-                                                32, {}))
+                                                32, MeshConfig()))
     checks["csv-determinism"] = first == second
 
     def ledger_snapshot():
@@ -232,7 +232,7 @@ def test_criterion_8_property_suites(capsys):
         layout = plan_wave(64, 2, 64, mesh)
         distribute(batch(SEED, 1, 64)[0], layout, mesh)
         slide_fft(mesh, layout)
-        return mesh.ledger_report().snapshot(), mesh.wall_clock_cycles
+        return mesh.ledger_report(), mesh.wall_clock_cycles
 
     checks["ledger-determinism"] = ledger_snapshot() == ledger_snapshot()
 

@@ -3,10 +3,13 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ import slidefft.serial as serial
 import slidefft.wave as wave
 from slidefft.cli import (CSV_HEADER, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, MAX_ELEMENTS,
                           bench_fft_records, bench_slide_records, main, random_batch)
-from slidefft.mesh import Mesh
+from slidefft.mesh import Mesh, MeshConfig
 from slidefft.model import CostModel, predict_efficiency
 
 
@@ -127,7 +130,8 @@ def test_bench_fft_names_the_minimal_feasible_k(capsys):
 
 
 def test_bench_fft_notes_when_no_k_fits():
-    records, notes, ledgers = bench_fft_records(4, [0, 1, 2], 64, {"local_memory_bytes": 16})
+    records, notes, ledgers = bench_fft_records(4, [0, 1, 2], 64,
+                                                MeshConfig(local_memory_bytes=16))
     assert [r.status for r in records] == ["infeasible"] * 3
     assert notes == ["no feasible k for this size and memory"]
     assert ledgers == []
@@ -201,6 +205,25 @@ def test_predict_from_size(capsys):
     assert by_m == by_n
 
 
+def test_predict_takes_every_m_whose_report_prints(capsys):
+    """By default Python prints no integer of over 4300 digits, and the
+    longest line of the report is the FLOP count 5 * m * 2**m."""
+    m = cli.MAX_LEVELS
+    assert 5 * m << m < 10 ** 4300 <= 5 * (m + 1) << (m + 1)
+    code, out, _ = run(capsys, "predict", "--m", str(m))
+    assert code == EXIT_OK and out.endswith(f"flops          = {5 * m << m}\n")
+    for flag, value in (("--m", m + 1), ("--n", 1 << (m + 1))):
+        code, out, err = run(capsys, "predict", flag, str(value))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: --m {m + 1} exceeds {m} levels\n")
+
+
+def test_cost_defaults_are_the_librarys():
+    parser, _ = cli._build_parser()
+    fft, predict = parser.parse_args(["bench-fft"]), parser.parse_args(["predict"])
+    assert fft.b == predict.b == MeshConfig().cycles_per_flop == CostModel().b
+    assert predict.a == CostModel().a
+
+
 def test_predict_needs_a_size(capsys):
     assert run(capsys, "predict")[0] == EXIT_USAGE
 
@@ -241,20 +264,20 @@ def test_missing_config_file(capsys):
 
 
 def test_record_builder_reusable():
-    records = bench_slide_records([8], [100], 32, {})
+    records = bench_slide_records([8], [100], 32, MeshConfig())
     assert len(records) == 1
     assert records[0].total_cycles == 8 * 133
 
 
 def test_single_pe_single_element_row():
     # per-element quotient degenerates to the whole phase: ramp + 1.3
-    record = bench_slide_records([1], [1], 32, {})[0]
+    record = bench_slide_records([1], [1], 32, MeshConfig())[0]
     assert record.cycles_per_element == record.total_cycles
     assert float(record.cycles_per_element) == pytest.approx(3 + 1.3)
 
 
 def test_first_row_is_costliest_per_element():
-    records = bench_slide_records([8], list(range(1, 60)), 32, {})
+    records = bench_slide_records([8], list(range(1, 60)), 32, MeshConfig())
     costs = [r.cycles_per_element for r in records]
     assert costs[0] == max(costs)
     assert all(a >= b for a, b in zip(costs, costs[1:]))
@@ -317,8 +340,9 @@ def test_b_must_be_positive_before_anything_is_built(capsys, monkeypatch, comman
     def built(*args, **kwargs):
         raise AssertionError("built before --b was checked")
 
-    monkeypatch.setattr(cli, "MeshConfig", built)
-    monkeypatch.setattr(cli, "CostModel", built)
+    # Every config and cost model, however it is built, runs __post_init__.
+    monkeypatch.setattr(cli.MeshConfig, "__post_init__", built)
+    monkeypatch.setattr(cli.CostModel, "__post_init__", built)
     errors = []
     for b in ("0", "-1"):
         code, out, err = run(capsys, *command, "--b", b)
@@ -382,7 +406,7 @@ def test_largest_sizes_are_accepted():
     parser, _ = cli._build_parser()
     assert parser.parse_args(["bench-fft", "--n", str(MAX_ELEMENTS)]).n == MAX_ELEMENTS
     assert parser.parse_args(["verify", "--n", str(1 << 18)]).n == 1 << 18
-    assert len(bench_slide_records([1024], [4096], 32, {})) == 1
+    assert len(bench_slide_records([1024], [4096], 32, MeshConfig())) == 1
 
 
 def test_oversized_config_value_is_refused(tmp_path, capsys):
@@ -428,6 +452,30 @@ def test_benchmark_wrap_targets_exist_and_are_called(monkeypatch, capsys, argv):
         monkeypatch.setattr(namespace, name, counted(layer, namespace.__dict__[name]))
     assert run(capsys, *argv)[0] == EXIT_OK
     assert [layer for layer, count in calls.items() if not count] == []
+
+
+def test_benchmark_probes_run_on_this_tree():
+    """perfbench's set-up probe and traced replay, as the benchmark starts
+    them: both exit 0, every layer finds a wrap target, and every transform
+    reports its level split and budget with a bit-exact spectrum."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+
+    def probe(script, *args):
+        done = subprocess.run([sys.executable, str(perfbench / script), *args],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    probe("setup_probe.py", "[[64, 3, 64]]")
+    traced = json.loads(probe("traced.py", "bench-fft", "--n", "64", "--k", "0..6",
+                              "--seed", "0"))
+    assert traced["exit_code"] == 0 and traced["absent"] == []
+    runs = traced["runs"]
+    assert [r["k"] for r in runs] == list(range(7))
+    for r in runs:
+        assert r["spectrum_equal"], r["k"]
+        assert r["levels_local"] + r["levels_sliding"] == 6
+        assert r["budget_elements_moved"] == r["elements_moved"] == 64 * r["k"]
 
 
 # Each command's flags, with values it accepts (None marks a switch); --out

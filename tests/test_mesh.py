@@ -298,8 +298,8 @@ class TestSlide:
         mesh = one_row_mesh(2)
         mesh.pe_store((0, 0), "w", np.arange(100, dtype=np.float32),
                       element_bits=32)
-        mesh.slide(SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                                   displacement=(0, 1), element_bits=32))
+        mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
+                                          displacement=(0, 1), element_bits=32)])
         ledger = mesh.ledger_report()
         assert ledger.ramp_cycles == 3
         assert ledger.transfer_cycles == 130
@@ -311,9 +311,9 @@ class TestSlide:
             mesh = one_row_mesh(2)
             mesh.pe_store((0, 0), "w", np.zeros(count, np.float32),
                           element_bits=32)
-            report = mesh.slide(SlideDescriptor(
+            report = mesh.slide_phase([SlideDescriptor(
                 row=0, col_start=0, col_stop=1, name="w",
-                displacement=(0, 1), element_bits=32))
+                displacement=(0, 1), element_bits=32)])
             costs[count] = report.exact_cycles
         # ramp + 1.3 per element
         for count, cycles in costs.items():
@@ -324,9 +324,9 @@ class TestSlide:
         mesh = one_row_mesh(1)
         data = np.arange(4, dtype=np.float64)
         mesh.pe_store((0, 0), "w", data, element_bits=64)
-        report = mesh.slide(SlideDescriptor(row=0, col_start=0, col_stop=1,
-                                            name="w", displacement=(0, 0),
-                                            dest_name="v", element_bits=64))
+        report = mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1,
+                                                   name="w", displacement=(0, 0),
+                                                   dest_name="v", element_bits=64)])
         assert report.booked_cycles == 0
         assert mesh.wall_clock_cycles == 0
         np.testing.assert_array_equal(mesh.pe_fetch((0, 0), "v"), data)
@@ -339,8 +339,8 @@ class TestSlide:
             block = rng.random(16) + 1j * rng.random(16)
             blocks.append(block)
             mesh.pe_store((0, col), "w", block, element_bits=128)
-        mesh.slide(SlideDescriptor(row=0, col_start=0, col_stop=3, name="w",
-                                   displacement=(0, 1), element_bits=128))
+        mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=3, name="w",
+                                          displacement=(0, 1), element_bits=128)])
         for col, block in enumerate(blocks):
             np.testing.assert_array_equal(mesh.pe_fetch((0, col + 1), "w"), block)
         assert mesh.pe_names((0, 0)) == ()
@@ -350,9 +350,9 @@ class TestSlide:
         mesh = mesh_create(MeshConfig(rows=3, cols=3))
         data = np.arange(5, dtype=np.float32)
         mesh.pe_store((0, 0), "w", data, element_bits=32)
-        report = mesh.slide(SlideDescriptor(row=0, col_start=0, col_stop=1,
-                                            name="w", displacement=(2, 1),
-                                            element_bits=32))
+        report = mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1,
+                                                   name="w", displacement=(2, 1),
+                                                   element_bits=32)])
         np.testing.assert_array_equal(mesh.pe_fetch((2, 1), "w"), data)
         assert report.element_hops == 5 * 3
 
@@ -360,16 +360,16 @@ class TestSlide:
         mesh = one_row_mesh(2)
         mesh.pe_store((0, 1), "w", b"\x00")
         with pytest.raises(OffGridError):
-            mesh.slide(SlideDescriptor(row=0, col_start=1, col_stop=2, name="w",
-                                       displacement=(0, 1), element_bits=8))
+            mesh.slide_phase([SlideDescriptor(row=0, col_start=1, col_stop=2, name="w",
+                                              displacement=(0, 1), element_bits=8)])
 
     def test_destination_capacity_enforced(self):
         mesh = one_row_mesh(2)
         mesh.pe_store((0, 0), "w", bytes(40000))
         mesh.pe_store((0, 1), "resident", bytes(20000))
         with pytest.raises(CapacityExceeded):
-            mesh.slide(SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                                       displacement=(0, 1), element_bits=8))
+            mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
+                                              displacement=(0, 1), element_bits=8)])
 
     def test_phase_cost_is_max_not_sum(self):
         """Two same-phase slides cost what the slower one costs."""
@@ -753,8 +753,8 @@ class TestLedger:
     def test_dump_format(self):
         mesh = one_row_mesh(2)
         mesh.pe_store((0, 0), "w", np.zeros(10, np.float32), element_bits=32)
-        mesh.slide(SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                                   displacement=(0, 1), element_bits=32))
+        mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
+                                          displacement=(0, 1), element_bits=32)])
         mesh.record_compute(50, max_flops_per_pe=50)
         lines = mesh.ledger_report().dump().splitlines()
         keys = [line.split("=")[0] for line in lines]
@@ -772,10 +772,10 @@ class TestLedger:
             rng = np.random.default_rng(42)
             mesh.pe_store((0, 0), "w", rng.random(64).astype(np.float32),
                           element_bits=32)
-            mesh.slide(SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                                       displacement=(0, 2), element_bits=32))
+            mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
+                                              displacement=(0, 2), element_bits=32)])
             mesh.record_compute(640, max_flops_per_pe=320)
-            return mesh.ledger_report().snapshot(), mesh.wall_clock_cycles
+            return mesh.ledger_report(), mesh.wall_clock_cycles
 
         assert run() == run()
 
@@ -798,8 +798,8 @@ class TestLedger:
     def test_total_is_sum_of_parts(self):
         mesh = one_row_mesh(2)
         mesh.pe_store((0, 0), "w", np.zeros(7, np.float32), element_bits=32)
-        mesh.slide(SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                                   displacement=(0, 1), element_bits=32))
+        mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
+                                          displacement=(0, 1), element_bits=32)])
         mesh.record_compute(10, max_flops_per_pe=10)
         ledger = mesh.ledger_report()
         assert ledger.total_cycles == (ledger.compute_cycles

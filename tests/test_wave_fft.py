@@ -60,6 +60,18 @@ class TestPlanning:
         assert min_feasible_k(1 << 10, 64, 49152) == 0
         assert min_feasible_k(1 << 10, 64, 16) is None
 
+    @pytest.mark.parametrize("element_bits", [12, 0, -8])
+    def test_planning_refuses_what_storage_refuses(self, element_bits):
+        mesh = wave_mesh(2)
+        with pytest.raises(ValueError) as stored:
+            mesh.pe_store((0, 0), "w", np.zeros(4), element_bits=element_bits)
+        for plan in (lambda: plan_wave(64, 2, element_bits, mesh),
+                     lambda: min_feasible_k(64, element_bits, 49152)):
+            with pytest.raises(ValueError) as planned:
+                plan()
+            assert str(planned.value) == str(stored.value)
+        assert [mesh.pe_names((0, c)) for c in range(4)] == [()] * 4
+
     def test_wave_longer_than_mesh(self):
         with pytest.raises(OffGridError):
             plan_wave(64, 3, 64, wave_mesh(2))
@@ -277,6 +289,21 @@ class TestAccounting:
         mesh = wave_mesh(3)
         budget = transfer_budget(plan_wave(1 << 10, 3, 64, mesh))
         assert budget.elements_moved == 3 * (1 << 10)
+
+    def test_transfer_budget_is_its_own_closed_form(self, monkeypatch):
+        """k sliding levels of n/2 elements out and n/2 back, for every (m, k)
+        up to m = 12, whatever split level_plan makes: the budget checks the
+        split that slide_fft runs, so it must not read it."""
+        layouts = [plan_wave(1 << m, k, 8, wave_mesh(k)) for m in range(13) for k in range(m + 1)]
+        expected = [(layout.k * layout.n, layout.k) for layout in layouts]
+
+        def budgets():
+            return [(b.elements_moved, b.sliding_levels) for b in map(transfer_budget, layouts)]
+
+        assert budgets() == expected
+        monkeypatch.setattr(wave, "level_plan", lambda layout: [
+            wave.LevelDescriptor(segment_pair=2, local=False)] * layout.m)
+        assert budgets() == expected
 
     @pytest.mark.parametrize("m,k", [(4, 2), (7, 3), (9, 5), (10, 10)])
     def test_ledger_movement_matches_budget(self, m, k):
