@@ -1,8 +1,8 @@
 """Cycle-accounted simulation of a radix-2 FFT sliding across a PE mesh."""
 
-from .serial import (FLOPS_PER_PAIR, FlopCounter, PermutationTable, TwiddleTable,
-                     bit_reverse_index, build_permutation, dft_oracle, fft_serial, ifft_serial,
-                     log2_exact, twiddle_table)
+from .serial import (FLOPS_PER_PAIR, FlopCounter, PermutationTable, bit_reverse_index,
+                     build_permutation, dft_oracle, fft_serial, ifft_serial, log2_exact,
+                     twiddle_table)
 from .mesh import (CapacityExceeded, CycleLedger, Mesh, MeshConfig, MeshError,
                    OffGridError, PhaseReport, PRESETS, SlideDescriptor,
                    mesh_create, preset_config)
@@ -13,7 +13,7 @@ from .wave import (LevelDescriptor, TransferBudget, WaveLayout, distribute, gath
                    slide_fft, transfer_budget)
 
 __all__ = [
-    "FLOPS_PER_PAIR", "FlopCounter", "PermutationTable", "TwiddleTable",
+    "FLOPS_PER_PAIR", "FlopCounter", "PermutationTable",
     "bit_reverse_index", "build_permutation", "dft_oracle",
     "fft_serial", "ifft_serial", "log2_exact", "twiddle_table",
     "CapacityExceeded", "CycleLedger", "Mesh", "MeshConfig", "MeshError",

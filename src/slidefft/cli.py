@@ -306,18 +306,16 @@ def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want)) / scale)
 
 
-def run_verify(max_n: int, seed: int, echo=print) -> bool:
-    """Run the verification suites, one pass/fail line each."""
+def run_verify(max_n: int, seed: int) -> tuple[bool, list[str]]:
+    """Run the verification suites: whether every suite passed, and one
+    pass/fail line per suite."""
     if max_n < 2:
         raise ValueError(f"verify needs n >= 2, got {max_n}")
     sizes = [1 << m for m in range(1, max_n.bit_length())]
-    ok = True
+    lines: list[str] = []
 
-    def suite(name: str, passed: bool, detail: str = "") -> None:
-        nonlocal ok
-        ok = ok and passed
-        tag = "PASS" if passed else "FAIL"
-        echo(f"{tag} {name}" + (f" ({detail})" if detail else ""))
+    def suite(name: str, passed: bool, detail: str) -> None:
+        lines.append(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
 
     # One pass: each size's batch, serial spectrum and oracle feed the serial,
     # Parseval and wave suites, which keep running maxima and print after.
@@ -379,25 +377,31 @@ def run_verify(max_n: int, seed: int, echo=print) -> bool:
     suite("impulse-smoke", bool(np.array_equal(spectrum, np.ones(8, dtype=complex))),
           f"n=8 impulse spectrum: {flat}")
 
-    return ok
+    return all(line.startswith("PASS") for line in lines), lines
 
 
 # -------------------- predict --------------------
 
 
-def run_predict(cost_model: CostModel, m: int, echo=print) -> None:
+def run_predict(cost_model: CostModel, m: int) -> list[str]:
+    """The lines of the closed-form report on a 2**m-point transform.  a, b
+    and eta print as exact fractions, so a value of over MAX_EXPONENT digits
+    raises ValueError."""
     n = 1 << m
     report = predict_efficiency(cost_model, n, m)
     margin = check_margin(cost_model, m)
-    echo(f"a = {cost_model.a}  b = {cost_model.b}"
-         + ("  (doubled transfer)" if cost_model.doubled_transfer else ""))
-    echo(f"m = {m}  n = {n}")
-    echo(f"alpha          = {float(report.alpha):.6f}")
-    echo(f"eta            = {float(report.eta):.6f}  ({report.eta})")
-    echo(f"eta (1st ord)  = {float(report.eta_first_order):.6f}")
-    echo(f"margin         = {float(margin.margin):.6f}  "
-         f"({'ok' if margin.passed else 'EXCEEDS'} threshold {float(margin.threshold):g})")
-    echo(f"flops          = {report.flops}")
+    try:
+        return [f"a = {cost_model.a}  b = {cost_model.b}"
+                + ("  (doubled transfer)" if cost_model.doubled_transfer else ""),
+                f"m = {m}  n = {n}",
+                f"alpha          = {float(report.alpha):.6f}",
+                f"eta            = {float(report.eta):.6f}  ({report.eta})",
+                f"eta (1st ord)  = {float(report.eta_first_order):.6f}",
+                f"margin         = {float(margin.margin):.6f}  "
+                f"({'ok' if margin.passed else 'EXCEEDS'} threshold {float(margin.threshold):g})",
+                f"flops          = {report.flops}"]
+    except ValueError:      # Python prints no integer of over MAX_EXPONENT digits
+        raise ValueError(f"a, b or eta has over {MAX_EXPONENT} digits to print") from None
 
 
 # -------------------- wiring --------------------
@@ -534,8 +538,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
 
         if args.command == "verify":
-            lines: list[str] = []
-            passed = run_verify(args.n, args.seed, echo=lines.append)
+            passed, lines = run_verify(args.n, args.seed)
             _emit(args, "\n".join(lines) + "\n")
             return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
@@ -551,8 +554,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"--m {m} exceeds {MAX_LEVELS} levels")
             if n is not None and n != (1 << m):
                 raise ValueError(f"--n {n} and --m {m} disagree")
-            lines = []
-            run_predict(CostModel(args.a, args.b, args.doubled_transfer), m, echo=lines.append)
+            lines = run_predict(CostModel(args.a, args.b, args.doubled_transfer), m)
             _emit(args, "\n".join(lines) + "\n")
             return EXIT_OK
 

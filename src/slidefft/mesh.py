@@ -47,6 +47,7 @@ directly.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -203,8 +204,6 @@ class PhaseReport:
 
     exact_cycles: Fraction
     booked_cycles: int
-    transfer_booked: int
-    ramp_booked: int
     elements: int
     element_hops: int
     participants: int
@@ -263,7 +262,7 @@ class Mesh:
         return 0 <= r < self.config.rows and 0 <= c < self.config.cols
 
     def _require_pe(self, pe: tuple[int, int]) -> tuple[int, int]:
-        pe = (int(pe[0]), int(pe[1]))
+        pe = (operator.index(pe[0]), operator.index(pe[1]))     # refuses 0.7, unlike int()
         if not self.in_bounds(pe):
             raise OffGridError(f"PE {pe} outside {self.config.rows}x{self.config.cols} grid")
         return pe
@@ -281,7 +280,7 @@ class Mesh:
                                                 np.zeros(self.shape, np.int64),
                                                 np.zeros(self.shape, np.int64))
         data = plane.data
-        dtype = np.result_type(data.dtype, dtype) if dtype != data.dtype else dtype
+        dtype = np.result_type(data.dtype, dtype)
         if width > data.shape[-1] or dtype != data.dtype:
             plane.data = np.empty(data.shape[:-1] + (max(width, data.shape[-1]),), dtype)
             plane.data[..., : data.shape[-1]] = data
@@ -326,9 +325,7 @@ class Mesh:
         # The first PE that the one-PE stores would fail at: over capacity,
         # holding the name, or past the grid's edge (pes if none); PE 0's
         # store ends by checking the plane's batch shape.
-        i = pes
-        if len(after) < pes or after[after.argmax()] > capacity or np.count_nonzero(held):
-            i = int(np.append((after > capacity) | (held != 0), True).argmax())
+        i = int(np.append((after > capacity) | (held != 0), True).argmax())
         if i and plane is not None and plane.data.shape[:-3] != block.shape[:-1]:
             raise ValueError(f"blocks of {name!r} have batch shape {plane.data.shape[:-3]}, "
                              f"not {block.shape[:-1]}")
@@ -538,7 +535,7 @@ class Mesh:
         self._drop_empty(list(lifted))
 
         if not moving:
-            return PhaseReport(Fraction(0), 0, 0, 0, 0, 0, 0)
+            return PhaseReport(Fraction(0), 0, 0, 0, 0)
         # One closed form per moving comb, at its largest count: a PE's time
         # never falls as its count grows.
         max_time = config.ramp_cycles + max(
@@ -548,18 +545,15 @@ class Mesh:
         elements = sum(int(count.sum()) for *_, count in moving)
         hops_total = sum(d.hops * int(count.sum()) for d, *_, count in moving)
 
-        ramp_booked = config.ramp_cycles
-        transfer_booked = math.ceil(max_time - ramp_booked)
-        self.ledger.transfer_cycles += transfer_booked
-        self.ledger.ramp_cycles += ramp_booked
+        transfer = math.ceil(max_time - config.ramp_cycles)
+        self.ledger.transfer_cycles += transfer
+        self.ledger.ramp_cycles += config.ramp_cycles
         self.ledger.elements_moved += elements
         self.ledger.element_hops += hops_total
-        self.wall_clock_cycles += ramp_booked + transfer_booked
+        self.wall_clock_cycles += config.ramp_cycles + transfer
         return PhaseReport(
             exact_cycles=max_time,
-            booked_cycles=ramp_booked + transfer_booked,
-            transfer_booked=transfer_booked,
-            ramp_booked=ramp_booked,
+            booked_cycles=config.ramp_cycles + transfer,
             elements=elements,
             element_hops=hops_total,
             participants=sum(count.size for *_, count in moving),
@@ -567,17 +561,15 @@ class Mesh:
 
     # -------------------- compute --------------------
 
-    def record_compute(self, flops: int, max_flops_per_pe: int | None = None) -> None:
+    def record_compute(self, flops: int, max_flops_per_pe: int) -> None:
         """Book one parallel compute phase.
 
-        ``flops`` is the total volume over all PEs; ``max_flops_per_pe``
-        (defaulting to the total, and at most the total) sets how far the
-        wall clock advances.
+        ``flops`` is the total volume over all PEs; ``max_flops_per_pe``, the
+        volume of the busiest PE (at most the total), sets how far the wall
+        clock advances.
         """
         if flops < 0:
             raise ValueError("FLOP count must be non-negative")
-        if max_flops_per_pe is None:
-            max_flops_per_pe = flops
         if not 0 <= max_flops_per_pe <= flops:
             raise ValueError(f"per-PE FLOPs {max_flops_per_pe} outside 0..{flops}")
         self.ledger.flops += flops

@@ -18,6 +18,8 @@ from fractions import Fraction
 from .mesh import MeshConfig, _as_fraction
 from .serial import log2_exact
 
+MARGIN_THRESHOLD = Fraction(1, 20)
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -53,7 +55,6 @@ class EfficiencyReport:
     eta: Fraction
     eta_first_order: Fraction | None = None
     alpha: Fraction | None = None
-    m: int | None = None
     flops: int | None = None
 
     def __post_init__(self):
@@ -88,19 +89,17 @@ def predict_efficiency(model: CostModel, n: int, m: int) -> EfficiencyReport:
         eta=eta,
         eta_first_order=first_order,
         alpha=alpha(model),
-        m=m,
         flops=flops_per_transform(n),
     )
 
 
-def check_margin(model: CostModel, m: int, threshold=Fraction(1, 20)) -> MarginCheck:
+def check_margin(model: CostModel, m: int) -> MarginCheck:
     """Check the small-ratio condition alpha/(5m) << 1 behind the first-order
-    efficiency expansion; passes when the margin stays below ``threshold``."""
+    efficiency expansion; passes when the margin stays below MARGIN_THRESHOLD."""
     if m < 1:
         raise ValueError("need at least one level (m >= 1)")
     margin = (model.transfer_cost / model.b) / (5 * m)
-    threshold = _as_fraction(threshold)
-    return MarginCheck(margin=margin, threshold=threshold, passed=margin < threshold)
+    return MarginCheck(margin=margin, threshold=MARGIN_THRESHOLD, passed=margin < MARGIN_THRESHOLD)
 
 
 def reconcile(predicted, measured) -> Fraction:

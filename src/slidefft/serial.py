@@ -71,13 +71,12 @@ class PermutationTable:
     """Input order of a 2**m-point transform: ``final_row[i]`` is i with its
     m bits reversed, so ``x[final_row]`` is what the first level reads."""
 
-    m: int
-    n: int
     final_row: np.ndarray
 
 
 def build_permutation(m: int) -> PermutationTable:
-    """Build the bit-reversal permutation of a 2**m-point transform in O(n).
+    """Build the bit-reversal permutation of a 2**m-point transform in O(n),
+    as a table whose one field is the read-only row ``final_row``.
 
     Each doubling step maps a reversed (j-1)-bit row r to the reversed j-bit
     row (2r, 2r + 1), written in place into the front of one array.
@@ -92,24 +91,16 @@ def build_permutation(m: int) -> PermutationTable:
         np.add(row[:size], 1, out=row[size : 2 * size])
         size *= 2
     row.setflags(write=False)
-    return PermutationTable(m=m, n=n, final_row=row)
-
-
-@dataclass(frozen=True)
-class TwiddleTable:
-    """Unit-circle factors exp(-2*pi*i*k/N) for k = 0 .. N/2 - 1, and
-    ``levels``: the factors of every segment-pair size 2, 4, ..., N of an
-    N-point transform, each a contiguous copy of every (N/size)-th entry of
-    ``factors`` (the last is ``factors`` itself), so a transform evaluates
-    one exp table."""
-
-    N: int
-    factors: np.ndarray
-    levels: tuple[np.ndarray, ...]
+    return PermutationTable(final_row=row)
 
 
 @lru_cache(maxsize=None)
-def twiddle_table(N: int) -> TwiddleTable:
+def twiddle_table(N: int) -> tuple[np.ndarray, ...]:
+    """The read-only twiddle tables of every segment-pair size 2, 4, ..., N
+    of an N-point transform.  The last holds the unit-circle factors
+    exp(-2*pi*i*k/N), k = 0 .. N/2 - 1; each other, of size N/2**j, is a
+    contiguous copy of every (2**j)-th of them, so a transform evaluates
+    one exp table."""
     if N < 2 or (N & (N - 1)) != 0:
         raise ValueError(f"segment pair size must be a power of two >= 2, got {N}")
     k = np.arange(N // 2)
@@ -122,7 +113,7 @@ def twiddle_table(N: int) -> TwiddleTable:
                    for j in range(log2_exact(N) - 1, 0, -1)) + (factors,)
     for table in levels:
         table.setflags(write=False)
-    return TwiddleTable(N=N, factors=factors, levels=levels)
+    return levels
 
 
 def butterfly(e: np.ndarray, o: np.ndarray, u: np.ndarray) -> None:
@@ -157,7 +148,7 @@ def fft_serial(x, counter: FlopCounter | None = None) -> np.ndarray:
     if m == 0:
         return y.copy()
     y = np.take(y, build_permutation(m).final_row, axis=-1)
-    for factors in twiddle_table(n).levels:
+    for factors in twiddle_table(n):
         merge_level(y, factors)
         if counter is not None:
             counter.add(FLOPS_PER_PAIR * (n // 2))

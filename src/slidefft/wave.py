@@ -100,7 +100,6 @@ class TransferBudget:
     """Predicted slide volume of one run of the overlay schedule."""
 
     elements_moved: int
-    sliding_levels: int
 
 
 def min_feasible_k(n: int, element_bits: int, local_memory_bytes: int) -> int | None:
@@ -260,7 +259,7 @@ def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndar
     local levels (N <= elements_per_pe) are the first ones, so they run
     together before the first slide.
     """
-    tables = twiddle_table(layout.n).levels if layout.m else ()
+    tables = twiddle_table(layout.n) if layout.m else ()
     local = sum(level.local for level in level_plan(layout))
     if local:
         _run_local_levels(mesh, layout, tables[:local])
@@ -272,7 +271,7 @@ def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndar
 def transfer_budget(layout: WaveLayout) -> TransferBudget:
     """Predicted elements moved by the overlay schedule, in closed form: the
     last k of the m levels slide, each moving n/2 elements out and n/2 back."""
-    return TransferBudget(elements_moved=layout.k * layout.n, sliding_levels=layout.k)
+    return TransferBudget(elements_moved=layout.k * layout.n)
 
 
 def measure_efficiency(ledger) -> EfficiencyReport:

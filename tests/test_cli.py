@@ -1,5 +1,6 @@
 """Command-line behavior: CSV contract, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -215,6 +216,15 @@ def test_predict_takes_every_m_whose_report_prints(capsys):
     for flag, value in (("--m", m + 1), ("--n", 1 << (m + 1))):
         code, out, err = run(capsys, "predict", flag, str(value))
         assert (code, out, err) == (EXIT_USAGE, "", f"error: --m {m + 1} exceeds {m} levels\n")
+
+
+def test_predict_refuses_a_report_it_cannot_print(capsys):
+    """a, b and eta print as exact fractions, and Python prints no integer
+    of over 4300 digits."""
+    for flag, value in (("--a", "1e4300"), ("--b", "1e-4300")):
+        assert run(capsys, "predict", "--m", "3", flag, value) == (
+            EXIT_USAGE, "", "error: a, b or eta has over 4300 digits to print\n")
+    assert run(capsys, "predict", "--m", "3", "--a", "1e300")[0] == EXIT_OK
 
 
 def test_cost_defaults_are_the_librarys():
@@ -476,6 +486,129 @@ def test_benchmark_probes_run_on_this_tree():
         assert r["spectrum_equal"], r["k"]
         assert r["levels_local"] + r["levels_sliding"] == 6
         assert r["budget_elements_moved"] == r["elements_moved"] == 64 * r["k"]
+
+
+def pinned_invocations():
+    """Every bench-fft sweep of m = 1..10 with its ledgers, both presets and
+    wire sizes; both bench-slide presets; the model at m = 1..39, with
+    rational costs, and a refused m.  verify is left out: its error
+    magnitudes depend on the BLAS build."""
+    for m in range(1, 11):
+        for preset in ("cs2-calibrated", "pure-packet"):
+            for bits in ("32", "64"):
+                yield ["bench-fft", "--n", str(1 << m), "--k", f"0..{m}", "--preset", preset,
+                       "--element-bits", bits, "--dump-ledger"]
+    yield ["bench-slide"]
+    yield ["bench-slide", "--preset", "pure-packet", "--element-bits", "64"]
+    yield ["bench-fft", "--n", "256", "--b", "0.7", "--doubled-transfer"]
+    for m in range(1, 40):
+        yield ["predict", "--m", str(m)]
+    yield ["predict", "--m", "10", "--a", "1/3", "--b", "7/2", "--doubled-transfer"]
+    yield ["predict", "--m", "0"]
+
+
+# sha256 of the JSON list [argv, exit code, stdout, stderr] of each pinned
+# invocation, then its arguments.
+PINNED_DIGESTS = """
+4d066e55808d60a4d416242df97e71ec32c0b825211f631a0725364c1e996487 bench-fft --n 2 --k 0..1 --preset cs2-calibrated --element-bits 32 --dump-ledger
+3e7a5d8cda8a9f58485d6e6ab832d80a58cb24949c2638634bcabe24efcc2322 bench-fft --n 2 --k 0..1 --preset cs2-calibrated --element-bits 64 --dump-ledger
+1098e3bd2a326ec8aaaed0be94cce7fe600e4852da1671979bd5e1d411316bc1 bench-fft --n 2 --k 0..1 --preset pure-packet --element-bits 32 --dump-ledger
+78ad2c1c8942118e849788944bf3132744362d7c827f72f5935774695260cc93 bench-fft --n 2 --k 0..1 --preset pure-packet --element-bits 64 --dump-ledger
+7e4be255a9876bfccc17a1137f6c42a5990e800cbcb6b3151fc5a6b8630d7dfb bench-fft --n 4 --k 0..2 --preset cs2-calibrated --element-bits 32 --dump-ledger
+484da7e5c02c5f80046cdd4143de6965cd814bd590b3ce24c624176535ce4852 bench-fft --n 4 --k 0..2 --preset cs2-calibrated --element-bits 64 --dump-ledger
+52b6703f9a949a4f57e8af728b4fc792d560d2e58589d5de34262926687fcc1f bench-fft --n 4 --k 0..2 --preset pure-packet --element-bits 32 --dump-ledger
+9a4d3de5a4263662952ad419c790f23241c073a0b42fda5a9e42531239c4d9c2 bench-fft --n 4 --k 0..2 --preset pure-packet --element-bits 64 --dump-ledger
+215bf079daa0d98fddf19e1c7def370cee5f373a3e2c4351f45b4729bb3a165b bench-fft --n 8 --k 0..3 --preset cs2-calibrated --element-bits 32 --dump-ledger
+fbb623436111c9e82a419e60f90524fd49df3c9ae9f6e5d52ca57c56f16aa8fc bench-fft --n 8 --k 0..3 --preset cs2-calibrated --element-bits 64 --dump-ledger
+2131258bd96519e3816d9b252865f6279ede6f03e0a308874e11d24ccbde0ea2 bench-fft --n 8 --k 0..3 --preset pure-packet --element-bits 32 --dump-ledger
+8ec5bfe63dc896182a2e690e953609b14a3f4bd3aaca1a36b05995c907f57f05 bench-fft --n 8 --k 0..3 --preset pure-packet --element-bits 64 --dump-ledger
+d5ec643e648719d1ac9df2c14763ed3861c73faf91cbf5526902ca7fdb49f671 bench-fft --n 16 --k 0..4 --preset cs2-calibrated --element-bits 32 --dump-ledger
+b592f83ebb006974933f21c40870336d22e9eeb992cc978f8543439af2d38a33 bench-fft --n 16 --k 0..4 --preset cs2-calibrated --element-bits 64 --dump-ledger
+86e2fea48234f7dafce46f19ccc962876ea8c2dfde0a1214d64dacf085322e71 bench-fft --n 16 --k 0..4 --preset pure-packet --element-bits 32 --dump-ledger
+8d3318a68493526b97179dbe9f979d72369177017295601d84be34f3f3f128f8 bench-fft --n 16 --k 0..4 --preset pure-packet --element-bits 64 --dump-ledger
+5d37dbae163a624b31dbc52284b70e4e6a4afb13d8c0f0b768ee4c0fa0b7bddd bench-fft --n 32 --k 0..5 --preset cs2-calibrated --element-bits 32 --dump-ledger
+3f49dc586fe49e031341ffc793d2722b4a1d2efcf5730030233e936265da1dfc bench-fft --n 32 --k 0..5 --preset cs2-calibrated --element-bits 64 --dump-ledger
+8c52d0e96653e0b48bd040a3b26f66258619df2f4676dde751b5500154bbe370 bench-fft --n 32 --k 0..5 --preset pure-packet --element-bits 32 --dump-ledger
+3abe8912fb76c92fafe63fcbeb9e19bccdc1d39f0ac121df14391e3f681841b6 bench-fft --n 32 --k 0..5 --preset pure-packet --element-bits 64 --dump-ledger
+2f367703baabe2cf3dcfc5018bbc4d2a1e1ebf8c074ff1198b90dec88c719a8d bench-fft --n 64 --k 0..6 --preset cs2-calibrated --element-bits 32 --dump-ledger
+0d353b7c990971b153e39723a09b823cbab16d3005fd56a59a59e8ecfdd77bc2 bench-fft --n 64 --k 0..6 --preset cs2-calibrated --element-bits 64 --dump-ledger
+6430e5da28f7373b6aa55a5fd50ddbe57d3d5d387c32e8e86731952583bd8455 bench-fft --n 64 --k 0..6 --preset pure-packet --element-bits 32 --dump-ledger
+6ab0b50e3f03e4a7106866d454a35c8e9a0f2eed56c7681c9d9ce33be9aa093d bench-fft --n 64 --k 0..6 --preset pure-packet --element-bits 64 --dump-ledger
+0cff1b10239dcf591cf3217c9c75ec5b92a92e8afaeba030675fb8792839f4d8 bench-fft --n 128 --k 0..7 --preset cs2-calibrated --element-bits 32 --dump-ledger
+1db04214f3c56209e02386b6582d81c65003b5e6560f13ce12783eba83c7872e bench-fft --n 128 --k 0..7 --preset cs2-calibrated --element-bits 64 --dump-ledger
+afad796de4bc452b0834cc6e1a20f30e24d041c9364020d8aa1fbe2ea23100c0 bench-fft --n 128 --k 0..7 --preset pure-packet --element-bits 32 --dump-ledger
+a090146550c78779f8870e729a309e45603352253ec019dff08f47c3b5aca49c bench-fft --n 128 --k 0..7 --preset pure-packet --element-bits 64 --dump-ledger
+055bd6d86e7faecbea3dd47b4b0fd521734a229fd6c03eed84c201d2a50cb3d3 bench-fft --n 256 --k 0..8 --preset cs2-calibrated --element-bits 32 --dump-ledger
+83e6ceca16911e534b563114728f5d835ef6223fa5195225a9e01e3b039767ac bench-fft --n 256 --k 0..8 --preset cs2-calibrated --element-bits 64 --dump-ledger
+0ca3b9cff4e044268b7bb7d0ca4b11072042115552d748c05ea6e687a256dd1e bench-fft --n 256 --k 0..8 --preset pure-packet --element-bits 32 --dump-ledger
+e46934b91598042cca98fb4635c11c978b1d72540e453ee1005582ed80ec965f bench-fft --n 256 --k 0..8 --preset pure-packet --element-bits 64 --dump-ledger
+a66d0ff46a0b01b3d0e8f19e7a876572a5f023913e827a8860539867c620760a bench-fft --n 512 --k 0..9 --preset cs2-calibrated --element-bits 32 --dump-ledger
+3a97a221df6be5d6dbd2c50aab4312a62ac32febaeda86a2a8d77c1b2da5eaea bench-fft --n 512 --k 0..9 --preset cs2-calibrated --element-bits 64 --dump-ledger
+4d2c57b50f340f02829111cd90a7ea210ff4fb76651d34e76d82d7e023092a78 bench-fft --n 512 --k 0..9 --preset pure-packet --element-bits 32 --dump-ledger
+dd121a2164354f33601a8e0101cd8c8a411edbf11418ee695dbd4ce9d4a1f5c4 bench-fft --n 512 --k 0..9 --preset pure-packet --element-bits 64 --dump-ledger
+de4a651d3ef4f73db9b8c7b6e4d470c397b2f0e03859bbbb8c526a4d5438836f bench-fft --n 1024 --k 0..10 --preset cs2-calibrated --element-bits 32 --dump-ledger
+2f1dc444ea977feba85dccfb7a7514a339d52cd88a3c0dc353a23363299741fa bench-fft --n 1024 --k 0..10 --preset cs2-calibrated --element-bits 64 --dump-ledger
+147bc20f5c985e024971a82bdbbbdfa5584f1467a9c8a9f25b8d159a1a4683b9 bench-fft --n 1024 --k 0..10 --preset pure-packet --element-bits 32 --dump-ledger
+c0879f8b024e89233e5f60eab585e0c411708cdbd78602b38385dd71b3fa19ab bench-fft --n 1024 --k 0..10 --preset pure-packet --element-bits 64 --dump-ledger
+e77e7c6e84c5c6ee1e1c41585799759be35a0a57a88662ec9e1b282b5bbe5164 bench-slide
+47da782334ae886c70a0891267476dc13494b086f2595b8ad0085bc780380979 bench-slide --preset pure-packet --element-bits 64
+d5a24e76df9cf8f6716c107bc87af11b18ee2555f262bdeb524a77f2456e3016 bench-fft --n 256 --b 0.7 --doubled-transfer
+b4915c56b07c92fb74594e593c0c760bd45fca3e1eae4dfdd5aa08e2e0857cfa predict --m 1
+d63d99ff721ecd371868db805d33d67d003bca781bd480064b955486c137d281 predict --m 2
+0bdec5aef0642744185319fe4cce32b78de6165f5a6fc162b143bd30fe418de3 predict --m 3
+9ca9f44d197d3b3a262da3a2ad16fe3bd7ebe6a48dee9aade7784ed6876623c0 predict --m 4
+dcc13ab7e9b55e8f2c749e419264e4390c87f60ae24fd1546cad9b9721830132 predict --m 5
+3cbcfdcbbb03ddd5108430d5f14bbdb4004eb9980098c449212ff6b206c86c31 predict --m 6
+95ff07f4ad5aded98325790794d0c43ecfcfbf6a80b6a7cc05d10ab6ca50743c predict --m 7
+67e3595a99b9eee8c9d4fe6bf3e8ba128bb34460329900b6a82fb6f87cf778d5 predict --m 8
+9862eb61161ce7d7505a34a7456d94a319917f5d7276e71959e7ce5bcc86b9a4 predict --m 9
+c9161509f31addea4c5575e2e76c2ba7f498fd2d2984eefbac0af59f0ccf4f4e predict --m 10
+494eb6026651997c4d2a927a1be26aac8a9b683c191dc384e2e8c5396f0cc0d3 predict --m 11
+9aa03c5679ef9dd5429337f4a0ea554c5c19200339bca82d14a147fcbe0fdf68 predict --m 12
+7a2fae9a8c0ea76360277681e2e68696f255648caf35b02448344e7d76021251 predict --m 13
+82363bccd15ac1fbd5576c47b85251e79987866f2ffb71a50e9ae24adee3380d predict --m 14
+fd8a6ce4b0dc84eba98085345566e5915a05694be1c6926871a2f86c103d63a7 predict --m 15
+519eb32230a177e7aac1dee6777e5cae18aef2d116877329d0ed9e45bc8920ae predict --m 16
+2c1a7b65a5100cd8319d66dfee478482a95f6ba8ebb658599e6dd4b3a693d459 predict --m 17
+45dee5ae86a0c8dedc83f07f41c284e0bbe46fa1cd1e63932fdd16e3a3ae23f4 predict --m 18
+cfcd1e1608e268fa65386af60525b3caf889a709309d2dcc86e49dc0d99d8be3 predict --m 19
+f9b089e96cd8aac01a66f5e15c1687192ef54fbf318411e8c14918704aa9ce17 predict --m 20
+75b16d6d1cab8522fde3de57f2d57cd82fabee7f5e3ff34cc55624e363840328 predict --m 21
+dd8904e7554c58732dec3598824d8476826757f5269843e2a99a3e94ed352112 predict --m 22
+65948491711784d7ae8ea1eb67bd5b487da1d1f5129b898b635dfd7fe9866c48 predict --m 23
+5b82893a85159450a0749a8580710cdc6ae6f8b73535a36a842f9f03a3e92e30 predict --m 24
+01f7e0b6575f49bf31f9c1af0aacfc9ec9ed9da69352b55a5ce13814e0967ad6 predict --m 25
+226ff62374a91d5a1809f3239df178d5245fddd6e8f88b91e05d17390c840fae predict --m 26
+49b3f0f8570002ff6532d4c300ac9f12b2a4a52a5dca8496ed3c7f3d6d58dc33 predict --m 27
+1b79f4670014ab3444660e39fa58da052b9661c937df145929968a971de66a1f predict --m 28
+0529f071389195ce09228c657900032e3f60ce5858a8ad265e7d56d471802918 predict --m 29
+ed0cf69ea99bf95fe68a965e7161ad1bae770e756fdb64d790d229d31656269d predict --m 30
+9fbd1e1ad3111e898e7a8b16229d0fbab7cf69cc628582f71931f74e34ec304f predict --m 31
+5bb1788c41289fb772a254c4b65387bef6d33cf36ff088f2db52c5f41da62bfa predict --m 32
+57cf45d73f284f84d07c16c0f6de6296838c1cb58d0d927fb626e86d7a7240e8 predict --m 33
+979d61d7871f83ff4eeeeb79cbc2e1fb81138aeaec630e0c0b0b2aeef3a2397b predict --m 34
+4b489a60a4f00480ff6c3d325de7c12a4b9a5713c9628e1d30eb23bfd4e51803 predict --m 35
+91b360d9293f170f9c964a9918c065a12a5a3ba1384b7dfdffb09fc9ebc2f88f predict --m 36
+082f3b1c53cb883c06b06e08eba1c8154726446349c24541af9f303d6aca35d9 predict --m 37
+dfdb5783d7c95671c410d0d73c2b13e22e761881e9252a5ffb3b71e999fc0f31 predict --m 38
+92f0fb7b6655d4820e281edf038521b61d798ab120fa10baf76789c0266256f6 predict --m 39
+532737de5211adadd5791f9e4167dbb64860be910efd5998ba8d9459df282ea1 predict --m 10 --a 1/3 --b 7/2 --doubled-transfer
+4513135e984ca08538977117a0f2029c0dba63c32cc20953101f6e004f9244ce predict --m 0
+"""
+
+
+def test_outputs_match_pinned_digests():
+    """Refactors keep every byte the CLI writes, and its exit codes."""
+    pinned = dict(reversed(line.split(" ", 1)) for line in PINNED_DIGESTS.strip().splitlines())
+    changed = []
+    for argv in pinned_invocations():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        record = json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode()
+        if hashlib.sha256(record).hexdigest() != pinned.pop(" ".join(argv)):
+            changed.append(" ".join(argv))
+    assert changed == [] and pinned == {}
 
 
 # Each command's flags, with values it accepts (None marks a switch); --out

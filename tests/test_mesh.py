@@ -265,6 +265,11 @@ class TestSpanAccess:
         (lambda mesh: mesh.comb_view(1, range(2), 0, "w"), ValueError, None),
         (lambda mesh: mesh.comb_view(1, range(0, 2), 2, "w"), ValueError, None),
         (lambda mesh: mesh.comb_view(1, [0, 2], 1, "w"), TypeError, None),
+        # A coordinate must be an integer, not a number that truncates to one.
+        (lambda mesh: mesh.pe_store((0.7, 0.9), "x", b"\x01"), TypeError, None),
+        (lambda mesh: mesh.comb_view(1.9, range(0, 2), 1, "w"), TypeError, None),
+        (lambda mesh: mesh.pe_used((1.5, 0)), TypeError, None),
+        (lambda mesh: mesh.pe_names((1, 0.5)), TypeError, None),
     ], ids=["fetch-missing-name", "fetch-name-missing-on-one-pe", "fetch-empty-row",
             "fetch-off-grid-column", "fetch-off-grid-row", "fetch-no-columns",
             "update-name-missing-on-one-pe", "update-off-grid-column",
@@ -272,7 +277,8 @@ class TestSpanAccess:
             "update-too-few-blocks", "comb-missing-name", "comb-empty-row",
             "comb-off-grid-width", "comb-off-grid-row", "comb-unequal-counts-across-spans",
             "comb-unequal-counts-within-a-span", "comb-no-spans", "comb-zero-width",
-            "comb-overlapping-spans", "comb-columns-not-a-range"])
+            "comb-overlapping-spans", "comb-columns-not-a-range", "store-fractional-pe",
+            "comb-fractional-row", "used-fractional-pe", "names-fractional-pe"])
     def test_bad_call_raises_and_changes_nothing(self, call, error, match):
         mesh = span_mesh()
         before = mesh_state(mesh)

@@ -69,19 +69,19 @@ class TestPermutation:
 
 class TestTwiddles:
     def test_small_tables(self):
-        assert twiddle_table(2).factors.tolist() == [1]
-        np.testing.assert_allclose(twiddle_table(4).factors, [1, -1j], atol=1e-15)
+        assert twiddle_table(2)[-1].tolist() == [1]
+        np.testing.assert_allclose(twiddle_table(4)[-1], [1, -1j], atol=1e-15)
 
     @pytest.mark.parametrize("N", [2 ** p for p in range(1, 13)])
     def test_product_closed_form(self, N):
         """Product of the N/2 table entries collapses to a single phase."""
-        product = np.prod(twiddle_table(N).factors)
+        product = np.prod(twiddle_table(N)[-1])
         expect = np.exp(-1j * np.pi * (N // 2 - 1) / 2)
         assert abs(product - expect) < 1e-12
 
     def test_unit_magnitude_and_leading_one(self):
         for N in (2, 8, 64, 1024):
-            factors = twiddle_table(N).factors
+            factors = twiddle_table(N)[-1]
             assert factors[0] == 1
             np.testing.assert_allclose(np.abs(factors), 1.0, atol=1e-15)
 
@@ -93,15 +93,15 @@ class TestTwiddles:
         """Each level of the 2**20-point table, a copy of every (2**20/N)-th
         root, is bit for bit the exp of its own angles 2*pi*k/N."""
         top = twiddle_table(1 << 20)
-        assert len(top.levels) == 20 and top.levels[-1] is top.factors
-        for level, factors in enumerate(top.levels):
+        assert len(top) == 20
+        for level, factors in enumerate(top):
             N = 2 << level
             expect = np.exp(-2j * np.pi * np.arange(N // 2) / N)
             assert factors.tobytes() == expect.tobytes(), N
             assert factors.flags.c_contiguous and not factors.flags.writeable
             if N <= 1 << 12:
-                assert [t.tobytes() for t in twiddle_table(N).levels] == \
-                    [t.tobytes() for t in top.levels[: level + 1]]
+                assert [t.tobytes() for t in twiddle_table(N)] == \
+                    [t.tobytes() for t in top[: level + 1]]
 
 
 class TestCrossing:
@@ -121,7 +121,7 @@ class TestCrossing:
         rng = np.random.default_rng(3)
         e = rng.random(4) + 1j * rng.random(4)
         o = rng.random(4) + 1j * rng.random(4)
-        u = twiddle_table(8).factors
+        u = twiddle_table(8)[-1]
         l, r = crossing(e, o, u)
         np.testing.assert_allclose(l, e + u * o, atol=1e-15)
         np.testing.assert_allclose(r, e - u * o, atol=1e-15)
@@ -132,7 +132,7 @@ class TestCrossing:
         half and R = E - U*O over its second, and touches nothing else."""
         planes = complex_input(12, 3 * 16, batch=2).reshape(2, 3, 16)
         before = planes.copy()
-        u = twiddle_table(N).factors
+        u = twiddle_table(N)[-1]
         assert merge_level(planes[:, 1, :], u) is None
         pairs = before[:, 1, :].reshape(2, 16 // N, N)
         e, o = pairs[..., : N // 2], pairs[..., N // 2 :]
