@@ -24,17 +24,18 @@ with the per-phase maximum over PEs advancing the wall clock.
 
 Each stored name is a data plane (*batch, rows, cols, width), a count plane
 (0: no block) and an element-bits plane; one usage plane holds each PE's
-bytes.  A name's planes go when its last block leaves.  Blocks go in as
-arrays or raw bytes (uint8), on a run of PEs in one row per call
-(:meth:`Mesh.pe_store`: each PE takes one equal part of the elements), and
-a store is atomic: it checks every PE of the run before it writes any.
-:meth:`Mesh.pe_fetch` and :meth:`Mesh.span_fetch` (one name on a range of
-PEs in a row, blocks on axis -2) return read-only views;
-:meth:`Mesh.comb_view` returns one name on a comb of PEs as a writable
-view, so host arithmetic runs in place, batched across PEs.  A view shows
-later writes only while its data plane lasts: a store or landing that
-widens or promotes the plane, or a name stored again after its last block
-left, builds a new plane, and the view keeps the old.  A slide phase reads
+bytes.  The count plane is the one record of what a PE holds: a name's
+planes, once made, last as long as the mesh, and a name never stored reads
+as one shared all-zero plane.  Blocks go in as arrays or raw bytes
+(uint8), on a run of PEs in one row per call (:meth:`Mesh.pe_store`: each
+PE takes one equal part of the elements), and a store is atomic: it checks
+every PE of the run before it writes any.  :meth:`Mesh.pe_fetch` and
+:meth:`Mesh.span_fetch` (one name on a range of PEs in a row, blocks on
+axis -2) return read-only views; :meth:`Mesh.comb_view` returns one name
+on a comb of PEs as a writable view, so host arithmetic runs in place,
+batched across PEs.  A view shows later writes only while its data plane
+lasts: a store or landing that widens or promotes the plane builds a new
+plane, and the view keeps the old.  A slide phase reads
 and writes every plane, data, count, element-bits, mark or usage, through
 one strided view per comb (``_comb``), as the fetches and comb views read
 theirs: it checks each comb on those views, then commits it as one copy
@@ -212,7 +213,8 @@ class PhaseReport:
 @dataclass
 class _Plane:
     """One stored name: PE (r, c) holds ``data[..., r, c, :count[r, c]]``
-    (count 0: no block) of ``bits[r, c]``-bit elements."""
+    of ``bits[r, c]``-bit elements.  Count 0 means no block, and there the
+    data and element size mean nothing."""
 
     data: np.ndarray      # (*batch, rows, cols, width)
     count: np.ndarray     # (rows, cols) int64
@@ -249,6 +251,9 @@ class Mesh:
         self.ledger = CycleLedger()
         self.wall_clock_cycles = 0
         self._planes: dict[str, _Plane] = {}
+        zeros = np.zeros(self.shape, np.int64)
+        zeros.flags.writeable = False
+        self._empty = _Plane(np.empty(self.shape + (0,)), zeros, zeros)    # a name never stored
         self._used = np.zeros((config.rows, config.cols), dtype=np.int64)
 
     # -------------------- geometry --------------------
@@ -286,11 +291,6 @@ class Mesh:
             plane.data[..., : data.shape[-1]] = data
         return plane
 
-    def _drop_empty(self, names) -> None:
-        for name in names:
-            if name in self._planes and not self._planes[name].count.any():
-                del self._planes[name]
-
     def pe_used(self, pe) -> int:
         return int(self._used[self._require_pe(pe)])
 
@@ -318,20 +318,19 @@ class Mesh:
         count = block.shape[-1] // pes
         size = count * element_bits // 8
         capacity = self.config.local_memory_bytes
-        plane = self._planes.get(name)
+        plane = self._planes.get(name, self._empty)
         run = slice(c, c + pes)         # cut short at the grid's right edge
         after = self._used[r, run] + size
-        held = plane.count[r, run] if plane is not None else np.zeros_like(after)
         # The first PE that the one-PE stores would fail at: over capacity,
         # holding the name, or past the grid's edge (pes if none); PE 0's
         # store ends by checking the plane's batch shape.
-        i = int(np.append((after > capacity) | (held != 0), True).argmax())
-        if i and plane is not None and plane.data.shape[:-3] != block.shape[:-1]:
+        i = int(np.append((after > capacity) | (plane.count[r, run] != 0), True).argmax())
+        if i and name in self._planes and plane.data.shape[:-3] != block.shape[:-1]:
             raise ValueError(f"blocks of {name!r} have batch shape {plane.data.shape[:-3]}, "
                              f"not {block.shape[:-1]}")
         if i < pes:
             at = self._require_pe((r, c + i))      # raises past the grid's edge
-            if held[i]:
+            if plane.count[at]:
                 raise ValueError(f"PE {at} already holds an array named {name!r}")
             raise CapacityExceeded(f"PE {at}: storing {size} B of {name!r} over "
                                    f"{after[i] - size} B used exceeds {capacity} B")
@@ -354,11 +353,10 @@ class Mesh:
         row = self._require_pe((row, starts[0]))[0]
         self._require_pe((row, starts[-1] + width - 1))
         comb = (row, starts[0], starts.step, len(starts), width)
-        plane = self._planes.get(name)
-        counts = None if plane is None else _comb(plane.count, comb)
-        if counts is None or not counts.all():      # a missing plane fails at the first PE
-            i = 0 if counts is None else np.argmin(counts)
-            raise KeyError(f"PE {_pe(comb, i)} holds no array named {name!r}")
+        plane = self._planes.get(name, self._empty)
+        counts = _comb(plane.count, comb)
+        if not counts.all():
+            raise KeyError(f"PE {_pe(comb, np.argmin(counts))} holds no array named {name!r}")
         count = int(counts[0, 0])
         if (counts != count).any():
             raise ValueError(f"blocks of {name!r} on row {row} differ in element count")
@@ -396,8 +394,7 @@ class Mesh:
     def pe_delete(self, pe, name: str) -> None:
         plane, (r, c, *_), count = self._run(pe[0], range(pe[1], pe[1] + 1), 1, name)
         self._used[r, c] -= count * plane.bits[r, c] // 8
-        plane.count[r, c] = plane.bits[r, c] = 0
-        self._drop_empty([name])
+        plane.count[r, c] = 0
 
     def pe_names(self, pe) -> tuple[str, ...]:
         r, c = self._require_pe(pe)
@@ -463,9 +460,7 @@ class Mesh:
                     raise error
             src = (row, d.col_start, d.period, spans, width)
             dest, dst = d.dest_name or d.name, (row + d_row, d.col_start + d_col, *src[2:])
-            plane = self._planes.get(d.name)
-            if plane is None:       # a missing plane fails at the comb's first PE
-                raise KeyError(f"PE {(row, d.col_start)} holds no array named {d.name!r}")
+            plane = self._planes.get(d.name, self._empty)
             # The counts are copied out: the commit clears the source's counts.
             count, stored_bits = _comb(plane.count, src).copy(), _comb(plane.bits, src)
             twice_lifted, twice_landed = _comb(lifted[d.name], src), _comb(landed[dest], dst)
@@ -503,36 +498,34 @@ class Mesh:
                 raise CapacityExceeded(f"PE {pe}: incoming slide data would exceed "
                                        f"{config.local_memory_bytes} B of local memory")
         for _, _, dest, dst, _ in moves:
-            if dest in self._planes:
-                taken = (_comb(self._planes[dest].count, dst) != 0) & ~_comb(lifted[dest], dst)
-                if taken.any():
-                    raise ValueError(f"PE {_pe(dst, taken.argmax())} already holds an array "
-                                     f"named {dest!r}")
+            held = _comb(self._planes.get(dest, self._empty).count, dst)
+            taken = (held != 0) & ~_comb(lifted[dest], dst)
+            if taken.any():
+                raise ValueError(f"PE {_pe(dst, taken.argmax())} already holds an array "
+                                 f"named {dest!r}")
 
         # Commit, one descriptor at a time: lift each comb as a view of its
         # source plane, copied out only if that plane also takes landings;
         # nothing has changed yet, so the batch-shape check may still raise.
         # Then land each comb into the same view of its destination plane,
         # and move the counts, element sizes and usage the checks read.
-        batches: dict[str, tuple] = {}      # the batch shape each destination takes
+        batches: dict[str, tuple] = {}      # its plane's batch shape, else its first comb's
         lifts = []
         for d, src, dest, dst, count in moves:
-            source, plane = self._planes[d.name], self._planes.get(dest)
+            source = self._planes[d.name]
             batch = source.data.shape[:-3]
-            dest_batch = batch if plane is None else plane.data.shape[:-3]
-            if batches.setdefault(dest, dest_batch) != batch:
+            if batches.setdefault(dest, self._planes.get(dest, source).data.shape[:-3]) != batch:
                 raise ValueError(f"blocks of {d.name!r} and {dest!r} differ in batch shape")
             blocks = _comb(source.data, src, int(count.max()))
             lifts.append((source, src, dest, blocks.copy() if d.name in landed else blocks, dst))
         for source, src, dest, blocks, dst in lifts:
             plane = self._plane(dest, blocks.shape[:-3], blocks.dtype, blocks.shape[-1])
             _comb(plane.data, dst, blocks.shape[-1])[...] = blocks
-            _comb(source.count, src)[...] = _comb(source.bits, src)[...] = 0
+            _comb(source.count, src)[...] = 0
         for d, _, dest, dst, count in moves:
             plane = self._planes[dest]
             _comb(plane.count, dst)[...], _comb(plane.bits, dst)[...] = count, d.element_bits
         self._used = used
-        self._drop_empty(list(lifted))
 
         if not moving:
             return PhaseReport(Fraction(0), 0, 0, 0, 0)

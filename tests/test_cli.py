@@ -4,11 +4,13 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -310,6 +312,7 @@ def test_bench_fft_single_pe_efficiency_is_one(capsys):
 @pytest.mark.parametrize("command,settings", [
     ("bench-slide", {"pes": "8,16"}),
     ("bench-fft", {"n": "1024"}),
+    ("bench-fft", {"doubled-transfer": 1}),
 ])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, settings):
     config = tmp_path / "settings.json"
@@ -318,6 +321,25 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, se
     assert code == EXIT_USAGE
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: config key")
+
+
+def test_config_switch_matches_flag(tmp_path, capsys):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"doubled-transfer": True}))
+    _, from_config, _ = run(capsys, "predict", "--m", "10", "--config", str(config))
+    _, from_flag, _ = run(capsys, "predict", "--m", "10", "--doubled-transfer")
+    assert "(doubled transfer)" in from_flag
+    assert from_config == from_flag
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a..3", "bad range 'a..3'"), ("4..2", "empty range '4..2'"),
+    ("1,x", "bad integer 'x'"), (",", "no values in ','"),
+])
+def test_bad_integer_list_is_named(capsys, text, message):
+    code, out, err = run(capsys, "bench-slide", "--pes", text)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith(f"error: argument --pes: {message}\n")
 
 
 def test_config_b_matches_flag_b(tmp_path, capsys):
@@ -331,17 +353,22 @@ def test_config_b_matches_flag_b(tmp_path, capsys):
     assert run(capsys, *fft, "--config", str(config))[1] == run(capsys, *fft, "--b", "0.3")[1]
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "--n", "1"),
-    ("bench-slide", "--elements", "0"),
-    ("predict", "--m", "3", "--a", "1e400"),
-    ("predict", "--m", "3", "--b", "1e-400"),
-    ("bench-fft", "--n", "4", "--k", "0..2", "--b", "1e-400"),
-])
-def test_degenerate_sizes_are_usage_errors(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == EXIT_USAGE
-    assert err.count("\n") == 1 and err.startswith("error:")
+TOO_LARGE = "exceeds 1.79769e+308, the largest float"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--n", "1"), "verify needs n >= 2, got 1"),
+    (("bench-slide", "--elements", "0"), "PE and element counts must be at least 1"),
+    (("predict", "--m", "3", "--a", "1e400"), f"alpha {TOO_LARGE}"),
+    (("predict", "--m", "3", "--b", "1e-400"), f"alpha {TOO_LARGE}"),
+    (("bench-fft", "--n", "4", "--k", "0..2", "--b", "1e-400"),
+     f"the deviation at k=0 {TOO_LARGE}"),
+    (("bench-fft", "--n", "4", "--k", "0..2", "--b", "1e400"), f"a cycle count {TOO_LARGE}"),
+], ids=[f"argv{i}" for i in range(6)])
+def test_degenerate_sizes_are_usage_errors(capsys, argv, message):
+    """One line in the CLI's own words: a value past the float range is
+    named, not reported as Python's OverflowError."""
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", [("bench-fft", "--n", "4", "--k", "0..2"),
@@ -673,3 +700,55 @@ def test_cli_fuzz_ends_in_an_exit_code(invocation):
             code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_results_reproduce(capsys):
+    """The results README.md shows come out of main: predict's report at
+    m = 17, and bench-slide's exact cycles per element at the E it names."""
+    text = README.read_text(encoding="utf-8")
+    shown = re.search(r"```sh\n\$ slidefft predict --m 17\n(.*?)```", text, re.S).group(1)
+    assert run(capsys, "predict", "--m", "17") == (EXIT_OK, shown, "")
+    quoted = re.search(r"at `E = (\d+)` it is exactly\s+`(\d+/\d+) = ([\d.]+)`", text)
+    elements, exact, decimal = quoted.groups()
+    code, out, _ = run(capsys, "bench-slide", "--pes", "8", "--elements", elements, "--csv")
+    row = dict(zip(CSV_HEADER.split(","), out.splitlines()[1].split(",")))
+    assert code == EXIT_OK
+    assert Fraction(row["total_cycles"]) / int(row["total_elements"]) == Fraction(exact)
+    assert float(row["cycles_per_element"]) == float(decimal) == float(Fraction(exact))
+
+
+@pytest.mark.parametrize("fault,n,what", [
+    ("slide_fft", 4, "differs from serial transform"),
+    ("flops_per_transform", 2, "booked 10 FLOPs"),
+    ("transfer_budget", 2, "transfer budget mismatch"),
+])
+def test_verify_names_the_first_wave_run_at_fault(monkeypatch, fault, n, what):
+    """The wave suite names the first run at fault and runs no wave after
+    it, while the other suites still cover every size."""
+    runs = []
+
+    def distribute(x, layout, mesh):
+        runs.append((layout.n, layout.k))
+        return wave.distribute(x, layout, mesh)
+
+    def slide_fft(mesh, layout):
+        spectrum = wave.slide_fft(mesh, layout)
+        return spectrum + (layout.n == 4)
+
+    def flops_per_transform(n):
+        return 0
+
+    def transfer_budget(layout):
+        return replace(wave.transfer_budget(layout), elements_moved=-1)
+
+    monkeypatch.setattr(cli, "distribute", distribute)
+    monkeypatch.setattr(cli, fault, locals()[fault])
+    passed, lines = cli.run_verify(16, 0)
+    assert not passed
+    assert lines[3] == f"FAIL wave-vs-oracle (n={n} k=0: {what})"
+    assert [line.split()[0] for line in lines] == ["PASS", "PASS", "PASS", "FAIL", "PASS"]
+    assert runs[-1] == (n, 0)
+    assert "sizes 2..16" in lines[0]

@@ -186,6 +186,28 @@ class TestStorage:
         with pytest.raises(ValueError, match="do not split into 0 equal blocks"):
             one_row_mesh(2).pe_store((0, 0), "x", b"\x00", pes=0)
 
+    @pytest.mark.parametrize("leave", ["delete", "slide"])
+    def test_a_name_outlives_its_blocks(self, leave):
+        """Once its last block has left, by pe_delete or by a slide, a name is
+        held nowhere, yet its plane stays: another batch shape is refused and
+        changes nothing, and the old batch shape is stored again."""
+        mesh = one_row_mesh(2)
+        mesh.pe_store((0, 0), "b", np.zeros((2, 3)), element_bits=64)
+        if leave == "delete":
+            mesh.pe_delete((0, 0), "b")
+        else:
+            mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="b",
+                                              displacement=(0, 1), element_bits=64,
+                                              dest_name="moved")])
+        assert all("b" not in mesh.pe_names(pe) for pe in every_pe(mesh))
+        before = mesh_state(mesh)
+        with pytest.raises(ValueError, match=r"batch shape \(2,\), not \(\)"):
+            mesh.pe_store((0, 1), "b", np.zeros(3), element_bits=64)
+        assert mesh_state(mesh) == before
+        mesh.pe_store((0, 1), "b", np.ones((2, 3)), element_bits=64)
+        np.testing.assert_array_equal(mesh.pe_fetch((0, 1), "b"), np.ones((2, 3)))
+        assert mesh.pe_names((0, 1)) == (("b",) if leave == "delete" else ("b", "moved"))
+
 
 def span_mesh():
     """A 2x4 mesh whose PEs (1, 0..3) hold "w" as a (2, 3) block of their column
@@ -568,8 +590,8 @@ def meshes_and_phases(draw):
     def descriptor(draw):
         row = draw(st.integers(0, rows - 1))
         start = draw(st.integers(0, cols - 1))
-        stop = draw(st.integers(start + 1, cols))
-        period = draw(st.integers(stop - start, stop - start + 2))
+        stop = draw(st.integers(start + 1 if tidy else start, cols))   # untidy spans may be empty
+        period = draw(st.integers(max(stop - start, 1), stop - start + 2))
         name = draw(st.sampled_from(names if tidy else names[:2]))
         if tidy or draw(st.sampled_from([True] * 3 + [False])):
             repeats = draw(st.integers(1, min(3, (cols - stop) // period + 1)))
@@ -785,7 +807,7 @@ class TestLedger:
 
         assert run() == run()
 
-    @pytest.mark.parametrize("flops,per_pe", [(10, -5), (10, 50), (0, 1)])
+    @pytest.mark.parametrize("flops,per_pe", [(10, -5), (10, 50), (0, 1), (-1, 0)])
     def test_impossible_per_pe_path_is_refused(self, flops, per_pe):
         mesh = one_row_mesh(1)
         mesh.record_compute(20, max_flops_per_pe=10)
@@ -834,6 +856,10 @@ class TestConfig:
         assert config.element_cost(32) == Fraction(13, 10)
         assert config.element_cost(64) == Fraction(23, 10)
 
+    def test_float_cost_means_its_decimal_text(self):
+        config = MeshConfig(per_element_overhead_cycles=0.3)
+        assert config.per_element_overhead_cycles == Fraction(3, 10)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MeshConfig(rows=0)
@@ -841,3 +867,7 @@ class TestConfig:
             MeshConfig(packet_bits=0)
         with pytest.raises(ValueError):
             MeshConfig(ramp_cycles=-1)
+        with pytest.raises(ValueError, match="local memory"):
+            MeshConfig(local_memory_bytes=-1)
+        with pytest.raises(ValueError, match="pipeline_fill_cycles_per_hop"):
+            MeshConfig(pipeline_fill_cycles_per_hop=Fraction(-1, 2))

@@ -92,6 +92,7 @@ def test_fractional_rates_stay_exact():
                                 1 << 4, 4)
     assert report.eta == Fraction(5 * Fraction(3, 2) * 4 * 16,
                                   Fraction(1, 2) * 16 + 5 * Fraction(3, 2) * 4 * 16)
+    assert CostModel(a=0.3).a == Fraction(3, 10)      # a float means its decimal text
 
 
 def test_reconcile_relative_gap():
@@ -99,6 +100,8 @@ def test_reconcile_relative_gap():
     assert reconcile(predicted, EfficiencyReport(eta=Fraction(1, 2))) == 0
     assert reconcile(predicted, EfficiencyReport(eta=Fraction(3, 8))) == Fraction(1, 4)
     assert reconcile(Fraction(1, 2), Fraction(5, 8)) == Fraction(1, 4)
+    with pytest.raises(ValueError, match="zero prediction"):
+        reconcile(0, Fraction(1, 2))
 
 
 def test_validation():
@@ -108,5 +111,9 @@ def test_validation():
         CostModel(b=0)
     with pytest.raises(ValueError):
         predict_efficiency(CostModel(), 12, 4)
+    with pytest.raises(ValueError, match="m >= 1"):
+        predict_efficiency(CostModel(), 1, 0)
+    with pytest.raises(ValueError, match="m >= 1"):
+        check_margin(CostModel(), 0)
     with pytest.raises(ValueError):
         EfficiencyReport(eta=Fraction(3, 2))

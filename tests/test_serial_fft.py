@@ -65,6 +65,8 @@ class TestPermutation:
             bit_reverse_index(8, 3)
         with pytest.raises(ValueError):
             bit_reverse_index(-1, 3)
+        with pytest.raises(ValueError, match="bit width"):
+            bit_reverse_index(0, -1)
 
 
 class TestTwiddles:
