@@ -355,6 +355,7 @@ def run_verify(max_n: int, seed: int) -> tuple[bool, list[str]]:
                 detail = f"n={n} k={k}: booked {ledger.flops} FLOPs"
             elif ledger.elements_moved != transfer_budget(layout).elements_moved:
                 detail = f"n={n} k={k}: transfer budget mismatch"
+            del mesh        # its planes go before the next size's oracle runs
 
     suite("serial-vs-oracle", serial_worst < 1e-12,
           f"sizes 2..{sizes[-1]}, {VERIFY_SEEDS} seeds, max rel err {serial_worst:.2e}")

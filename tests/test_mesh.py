@@ -563,7 +563,8 @@ def meshes_and_phases(draw):
     sizes match, no two descriptors lift from one row under one name,
     and each lands under a fresh name, so most are accepted and their cost
     can be checked.  The rest draw two names, spans and displacements from
-    small sets so that they often collide, overlap, fan out or leave the grid.
+    small sets so that they often collide, overlap, fan out or leave the grid,
+    and their spans may be empty.
     Half the tidy phases also begin with a feeder comb that lands, under
     the lifted name, on the PEs that a later comb lifts from.
     """
@@ -590,7 +591,7 @@ def meshes_and_phases(draw):
     def descriptor(draw):
         row = draw(st.integers(0, rows - 1))
         start = draw(st.integers(0, cols - 1))
-        stop = draw(st.integers(start + 1 if tidy else start, cols))   # untidy spans may be empty
+        stop = draw(st.integers(start + 1 if tidy else start, cols))
         period = draw(st.integers(max(stop - start, 1), stop - start + 2))
         name = draw(st.sampled_from(names if tidy else names[:2]))
         if tidy or draw(st.sampled_from([True] * 3 + [False])):
