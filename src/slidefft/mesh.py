@@ -509,7 +509,7 @@ class Mesh:
         # nothing has changed yet, so the batch-shape check may still raise.
         # Then land each comb into the same view of its destination plane,
         # and move the counts, element sizes and usage the checks read.
-        batches: dict[str, tuple] = {}      # its plane's batch shape, else its first comb's
+        batches: dict[str, tuple] = {}      # dest -> its plane's batch, else its first comb's
         lifts = []
         for d, src, dest, dst, count in moves:
             source = self._planes[d.name]
