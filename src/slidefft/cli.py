@@ -9,15 +9,23 @@ same arguments produce byte-identical CSV.
 
 Exit statuses: 0 success, 1 verification failure, 2 usage error,
 3 capacity infeasibility.
+
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is set
+already, so numpy, loaded after it, runs BLAS on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+
+# Before numpy loads: the command's one BLAS call, dft_oracle's block product,
+# is too small to gain from a second thread, and an idle OpenBLAS worker spins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -156,21 +164,27 @@ def _decimal(value, name: str, spec: str = ".6f") -> str:
         raise ValueError(f"{name} exceeds {sys.float_info.max:g}, the largest float") from None
 
 
-def _fmt_cycles(value) -> str:
+def _integer(value, name: str) -> str:
+    """``value`` as str.  An integer of over MAX_EXPONENT digits, which
+    Python will not print, is a usage error that names it."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(f"{name} has over {MAX_EXPONENT} digits to print") from None
+
+
+def _fmt_cycles(value, name: str) -> str:
     frac = Fraction(value)
     if frac.denominator == 1:
-        return str(frac.numerator)
+        return _integer(frac.numerator, name)
     return _decimal(frac, "a cycle count")
-
-
-def _fmt_eta(value) -> str:
-    return _decimal(value, "an efficiency")
 
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One CSV row: the fields are the columns, formatted by ``fmt`` or str.
-    A row that ran nothing, or nothing of a kind, keeps the zero defaults."""
+    """One CSV row: the fields are the columns, formatted by ``fmt`` or
+    ``_integer``, each called with the value and the column's name.  A row
+    that ran nothing, or nothing of a kind, keeps the zero defaults."""
 
     pe_count: int
     elements_per_pe: int
@@ -180,17 +194,17 @@ class BenchRecord:
     transfer_cycles: int = 0
     compute_cycles: int = 0
     flops: int = 0
-    eta_measured: Fraction | float = field(default=0.0, metadata={"fmt": _fmt_eta})
-    eta_predicted: Fraction | float = field(default=0.0, metadata={"fmt": _fmt_eta})
+    eta_measured: Fraction | float = field(default=0.0, metadata={"fmt": _decimal})
+    eta_predicted: Fraction | float = field(default=0.0, metadata={"fmt": _decimal})
     status: str = "ok"
 
 
-_COLUMNS = [(f.name, f.metadata.get("fmt", str)) for f in fields(BenchRecord)]
+_COLUMNS = [(f.name, f.metadata.get("fmt", _integer)) for f in fields(BenchRecord)]
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def record_row(r: BenchRecord) -> str:
-    return ",".join(fmt(getattr(r, name)) for name, fmt in _COLUMNS)
+    return ",".join(fmt(getattr(r, name), name) for name, fmt in _COLUMNS)
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
@@ -574,10 +588,13 @@ def main(argv=None) -> int:
             records, notes, ledgers = bench_fft_records(
                 args.n, k_values, args.element_bits, config, args.doubled_transfer, args.seed)
             summary = [f"bench-fft: n={args.n}, k in {k_values}"] + notes
-            if args.dump_ledger:
-                for k, ledger, wall in ledgers:
-                    summary += [f"# ledger k={k}", ledger.dump(), f"wall_clock_cycles={wall}"]
-        _emit(args, records_to_csv(records))
+        # The CSV first: it holds every count of a ledger that --b can make
+        # too long to print, and names it.
+        text = records_to_csv(records)
+        if args.command == "bench-fft" and args.dump_ledger:
+            for k, ledger, wall in ledgers:
+                summary += [f"# ledger k={k}", ledger.dump(), f"wall_clock_cycles={wall}"]
+        _emit(args, text)
         if not args.csv:
             print("\n".join(summary), file=sys.stderr)
         return EXIT_OK if any(r.status == "ok" for r in records) else EXIT_INFEASIBLE

@@ -23,7 +23,7 @@ import slidefft.serial as serial
 import slidefft.wave as wave
 from slidefft.cli import (CSV_HEADER, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, MAX_ELEMENTS,
                           bench_fft_records, bench_slide_records, main, random_batch)
-from slidefft.mesh import Mesh, MeshConfig
+from slidefft.mesh import CapacityExceeded, Mesh, MeshConfig
 from slidefft.model import CostModel, predict_efficiency
 
 
@@ -364,11 +364,31 @@ TOO_LARGE = "exceeds 1.79769e+308, the largest float"
     (("bench-fft", "--n", "4", "--k", "0..2", "--b", "1e-400"),
      f"the deviation at k=0 {TOO_LARGE}"),
     (("bench-fft", "--n", "4", "--k", "0..2", "--b", "1e400"), f"a cycle count {TOO_LARGE}"),
-], ids=[f"argv{i}" for i in range(6)])
+    (("bench-fft", "--n", "4", "--k", "0", "--b", "1e4299", "--csv"),
+     "total_cycles has over 4300 digits to print"),
+], ids=[f"argv{i}" for i in range(7)])
 def test_degenerate_sizes_are_usage_errors(capsys, argv, message):
-    """One line in the CLI's own words: a value past the float range is
-    named, not reported as Python's OverflowError."""
+    """One line in the CLI's own words: a value past the float range, or an
+    integer too long for Python to print, is named, not reported as
+    Python's OverflowError or ValueError."""
     assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_capacity_error_is_one_line_and_exit_3(capsys, monkeypatch):
+    """No command lets a CapacityExceeded escape today; main's handler
+    still ends one in an exit code and one line, not a traceback."""
+    def run_verify(max_n, seed):
+        raise CapacityExceeded("PE (0, 0) cannot hold 3 blocks")
+
+    monkeypatch.setattr(cli, "run_verify", run_verify)
+    assert run(capsys, "verify", "--n", "4") == (
+        EXIT_INFEASIBLE, "", "capacity error: PE (0, 0) cannot hold 3 blocks\n")
+
+
+def test_rel_error_of_a_zero_reference_is_the_absolute_error():
+    zeros = np.zeros(4, complex)
+    assert cli._rel_error(zeros, zeros) == 0.0
+    assert cli._rel_error(zeros + 0.5j, zeros) == 0.5
 
 
 @pytest.mark.parametrize("command", [("bench-fft", "--n", "4", "--k", "0..2"),
