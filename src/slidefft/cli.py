@@ -91,6 +91,9 @@ MAX_LIST_VALUES = 1 << 16
 # values take 64 MiB.
 MAX_ELEMENTS = 1 << 22
 VERIFY_SEEDS = 10
+# random_batch draws at most this many doubles at a time, so its temporary
+# is 128 KiB, not a copy of each part of the batch.
+DRAW_CHUNK = 1 << 14
 
 
 def parse_rational(text: str) -> Fraction:
@@ -143,12 +146,17 @@ def parse_int_list(text: str) -> list[int]:
 def random_batch(seed: int, count: int, n: int) -> np.ndarray:
     """(count, n) complex inputs, one PCG64 stream per consecutive seed: row
     i is ``rng.random(n) + 1j * rng.random(n)`` for
-    ``rng = np.random.default_rng(seed + i)``, filled in place."""
+    ``rng = np.random.default_rng(seed + i)``.  Each row's real and then
+    imaginary part is filled in place, DRAW_CHUNK draws at a time; the
+    draws continue one stream, so the values are those of two n-draw calls,
+    and the batch is the only n-sized array built."""
     batch = np.empty((count, n), np.complex128)
     for row, s in zip(batch, range(seed, seed + count)):
         rng = np.random.default_rng(s)
-        row.real = rng.random(n)
-        row.imag = rng.random(n)
+        for part in (row.real, row.imag):
+            for start in range(0, n, DRAW_CHUNK):
+                chunk = part[start : start + DRAW_CHUNK]
+                chunk[...] = rng.random(len(chunk))
     return batch
 
 
@@ -269,6 +277,8 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
     end); eta compares the ledger's compute share against the closed-form
     prediction, which does not depend on k.  The prediction takes the mesh's
     own costs: a is its cycles per element per hop, b its cycles per FLOP.
+    The input is drawn once for every k and dropped once the last k has
+    distributed it, so that transform holds no copy beside its mesh's.
     """
     m = n.bit_length() - 1
     k_values = sorted(set(k_values))
@@ -290,6 +300,8 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
                                        status="infeasible"))
             continue
         distribute(x, layout, mesh)
+        if k == k_values[-1]:
+            del x       # the wave's plane holds the only copy for the last transform
         slide_fft(mesh, layout)
         ledger = mesh.ledger_report()
         measured = measure_efficiency(ledger)

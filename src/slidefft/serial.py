@@ -100,11 +100,14 @@ def twiddle_table(N: int) -> tuple[np.ndarray, ...]:
     of an N-point transform.  The last holds the unit-circle factors
     exp(-2*pi*i*k/N), k = 0 .. N/2 - 1; each other, of size N/2**j, is a
     contiguous copy of every (2**j)-th of them, so a transform evaluates
-    one exp table."""
+    one exp table.  That table is built in one buffer by the operations of
+    ``np.exp(-2j * np.pi * k / N)``, all but the first in place, so no
+    temporary outlives the tables kept."""
     if N < 2 or (N & (N - 1)) != 0:
         raise ValueError(f"segment pair size must be a power of two >= 2, got {N}")
-    k = np.arange(N // 2)
-    factors = np.exp(-2j * np.pi * k / N)
+    factors = np.multiply(-2j * np.pi, np.arange(N // 2))
+    np.divide(factors, N, out=factors)
+    np.exp(factors, out=factors)
     # A level of size N >> j reads every (2**j)-th root.  The angles agree
     # bit for bit: scaling k and N by a power of two is exact.  Copies, not
     # strided views: a multiply reading every 128th element is several

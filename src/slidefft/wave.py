@@ -62,10 +62,10 @@ _INCOMING = "__incoming"
 # transform, not on the whole wave at once: a group bounds a butterfly's
 # U*O temporary to half a group, 64 KiB per transform of the batch.
 # In-process main() of bench-fft --n 1048576 --k 8 --element-bits 32 (256
-# PEs of 4096 elements) took 0.32-0.39 s and 104.5 MiB peak with groups of
-# this size, 0.42-0.55 s and 112.5 MiB with the whole wave as one group
-# (5 runs each on a shared 2-vCPU host); groups of 2**12 to 2**15 took the
-# same time and peak.
+# PEs of 4096 elements) took 0.23-0.33 s and 84.3 MiB peak with groups of
+# this size, 0.29-0.40 s and 92.3 MiB with the whole wave as one group
+# (8 or more fresh processes each on a shared 2-vCPU host); groups of 2**12
+# to 2**15 took the same time and 84.2-84.7 MiB.
 GROUP_ELEMENTS = 1 << 13
 
 

@@ -23,7 +23,7 @@ import slidefft.serial as serial
 import slidefft.wave as wave
 from slidefft.cli import (CSV_HEADER, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, MAX_ELEMENTS,
                           bench_fft_records, bench_slide_records, main, random_batch)
-from slidefft.mesh import CapacityExceeded, Mesh, MeshConfig
+from slidefft.mesh import CapacityExceeded, Mesh, MeshConfig, preset_config
 from slidefft.model import CostModel, predict_efficiency
 
 
@@ -474,13 +474,72 @@ def test_oversized_config_value_is_refused(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: config key 'n'")
 
 
-@pytest.mark.parametrize("seed,count,n", [(0, 1, 1), (7, 10, 64), (2**63, 3, 1 << 16)])
+@pytest.mark.parametrize("seed,count,n", [(0, 1, 1), (7, 10, 64), (2**63, 3, 1 << 16),
+                                          (5, 2, 3 * 2**14 + 5)])
 def test_random_batch_is_the_documented_formula(seed, count, n):
     batch = random_batch(seed, count, n)
     assert batch.shape == (count, n) and batch.dtype == np.complex128
     for i, row in enumerate(batch):
         rng = np.random.default_rng(seed + i)
         assert row.tobytes() == (rng.random(n) + 1j * rng.random(n)).tobytes()
+
+
+def test_random_batch_builds_no_second_batch():
+    """The draws come in chunks, so the batch is the one n-sized array: the
+    peak stays near the batch (1.5x with two n-sized draws)."""
+    random_batch(0, 1, 1 << 18)         # loads numpy.random before tracing
+    tracemalloc.start()
+    try:
+        batch = random_batch(0, 1, 1 << 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * batch.nbytes
+
+
+def test_bench_fft_holds_the_input_once():
+    """The last transform runs after the input is dropped: its peak is the
+    wave's plane, __incoming and the twiddle tables, about 3 x 16n bytes
+    (about 4 x 16n with the input kept)."""
+    n, config = 1 << 18, preset_config("cs2-calibrated")
+    bench_fft_records(16, [2], 32, config)      # loads what a first run imports
+    serial.twiddle_table.cache_clear()
+    tracemalloc.start()
+    try:
+        records, _, _ = bench_fft_records(n, [6], 32, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in records] == ["ok"]
+    assert peak < 3.25 * 16 * n
+
+
+def test_bench_fft_many_k_equal_one_k_each(monkeypatch):
+    """One call over several k draws the input once and returns what one
+    call per k returns; every transform, the one run after the input is
+    dropped too, gives the serial spectrum."""
+    n, k_values, config = 1 << 10, [2, 5, 10], preset_config("cs2-calibrated")
+    singles = [bench_fft_records(n, [k], 64, config, seed=3) for k in k_values]
+    draws, spectra, slide = [], [], cli.slide_fft
+
+    def counted(*args):
+        draws.append(args)
+        return random_batch(*args)
+
+    def kept(mesh, layout):
+        spectra.append(slide(mesh, layout).copy())
+        return spectra[-1]
+
+    monkeypatch.setattr(cli, "random_batch", counted)
+    monkeypatch.setattr(cli, "slide_fft", kept)
+    records, notes, ledgers = bench_fft_records(n, k_values, 64, config, seed=3)
+    monkeypatch.undo()
+    assert draws == [(3, 1, n)]
+    assert records == [r for single in singles for r in single[0]]
+    assert notes == [note for single in singles for note in single[1]]
+    assert ledgers == [entry for single in singles for entry in single[2]]
+    reference = serial.fft_serial(random_batch(3, 1, n)[0])
+    assert [s.tobytes() for s in spectra] == [reference.tobytes()] * len(k_values)
 
 
 # What perfbench/traced.py wraps, by layer, where callers look it up.  A

@@ -91,6 +91,18 @@ class TestTwiddles:
         with pytest.raises(ValueError):
             twiddle_table(6)
 
+    def test_peak_is_the_tables_kept(self):
+        """The exp table is built in one buffer: no temporary outlives the
+        tables (the peak was 1.25x them with a temporary per operation)."""
+        twiddle_table.cache_clear()
+        tracemalloc.start()
+        try:
+            tables = twiddle_table(1 << 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * sum(t.nbytes for t in tables)
+
     def test_every_level_table_is_its_own_exp(self):
         """Each level of the 2**20-point table, a copy of every (2**20/N)-th
         root, is bit for bit the exp of its own angles 2*pi*k/N."""
