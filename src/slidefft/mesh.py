@@ -22,27 +22,27 @@ once per moving comb, at the comb's largest E, rather than once per PE.
 Compute is booked separately as total FLOP volume times cycles_per_flop,
 with the per-phase maximum over PEs advancing the wall clock.
 
-Each stored name is a data plane (*batch, rows, cols, width), a count plane
-(0: no block) and an element-bits plane; one usage plane holds each PE's
+Each stored name is a data plane (*batch, rows, cols, width) and a count
+plane (0: no block), of one element size; one usage plane holds each PE's
 bytes.  The count plane is the one record of what a PE holds: a name's
-planes, once made, last as long as the mesh, and a name never stored reads
-as one shared all-zero plane.  Blocks go in as arrays or raw bytes
-(uint8), on a run of PEs in one row per call (:meth:`Mesh.pe_store`: each
-PE takes one equal part of the elements), and a store is atomic: it checks
-every PE of the run before it writes any.  :meth:`Mesh.pe_fetch` and
-:meth:`Mesh.span_fetch` (one name on a range of PEs in a row, blocks on
-axis -2) return read-only views; :meth:`Mesh.comb_view` returns one name
-on a comb of PEs as a writable view, so host arithmetic runs in place,
-batched across PEs.  A view shows later writes only while its data plane
-lasts: a store or landing that widens or promotes the plane builds a new
-plane, and the view keeps the old.  A slide phase reads
-and writes every plane, data, count, element-bits, mark or usage, through
-one strided view per comb (``_comb``), as the fetches and comb views read
-theirs: it checks each comb on those views, then commits it as one copy
-from its view of the source plane into the same view of the destination
-plane (through a temporary only when the source plane also takes landings
-in that phase).  Stores and the other per-PE calls index the planes
-directly.
+planes, batch shape and element size, once made, last as long as the mesh,
+and a name never stored reads as one shared all-zero plane.  Blocks go in
+as arrays or raw bytes (uint8), on a run of PEs in one row per call
+(:meth:`Mesh.pe_store`: each PE takes one equal part of the elements), and
+a store is atomic: it checks every PE of the run before it writes any.
+:meth:`Mesh.pe_fetch` and :meth:`Mesh.span_fetch` (one name on a range of
+PEs in a row, blocks on axis -2) return read-only views;
+:meth:`Mesh.comb_view` returns one name on a comb of PEs as a writable
+view, so host arithmetic runs in place, batched across PEs.  A view shows
+later writes only while its data plane lasts: a store or landing that
+widens or promotes the plane builds a new plane, and the view keeps the
+old.  A slide phase reads and writes every plane, data, count, mark or
+usage, through one strided view per comb (``_comb``), as the fetches and
+comb views read theirs: it checks each comb on those views, then commits it
+as one copy from its view of the source plane into the same view of the
+destination plane (through a temporary only when the source plane also
+takes landings in that phase).  Stores and the other per-PE calls index the
+planes directly.
 """
 
 from __future__ import annotations
@@ -213,12 +213,12 @@ class PhaseReport:
 @dataclass
 class _Plane:
     """One stored name: PE (r, c) holds ``data[..., r, c, :count[r, c]]``
-    of ``bits[r, c]``-bit elements.  Count 0 means no block, and there the
-    data and element size mean nothing."""
+    of ``bits``-bit elements, the size its plane was made with.  Count 0
+    means no block, and there the data mean nothing."""
 
     data: np.ndarray      # (*batch, rows, cols, width)
     count: np.ndarray     # (rows, cols) int64
-    bits: np.ndarray      # (rows, cols) int64
+    bits: int             # 0 only for a name never stored
 
 
 def _comb(plane: np.ndarray, comb: tuple, count: int | None = None) -> np.ndarray:
@@ -253,7 +253,7 @@ class Mesh:
         self._planes: dict[str, _Plane] = {}
         zeros = np.zeros(self.shape, np.int64)
         zeros.flags.writeable = False
-        self._empty = _Plane(np.empty(self.shape + (0,)), zeros, zeros)    # a name never stored
+        self._empty = _Plane(np.empty(self.shape + (0,)), zeros, 0)    # a name never stored
         self._used = np.zeros((config.rows, config.cols), dtype=np.int64)
 
     # -------------------- geometry --------------------
@@ -274,16 +274,15 @@ class Mesh:
 
     # -------------------- local stores --------------------
 
-    def _plane(self, name: str, batch: tuple, dtype, width: int) -> _Plane:
+    def _plane(self, name: str, batch: tuple, dtype, width: int, bits: int) -> _Plane:
         """The planes of ``name``, made, or widened and promoted, to take blocks
-        of ``batch`` shape (which an existing plane must have: callers check
-        it), ``dtype`` and ``width`` elements.  Data past a block's count is
-        never read, so it is left uninitialised."""
+        of ``batch`` shape and ``bits``-bit elements (which an existing plane
+        must have: callers check them), ``dtype`` and ``width`` elements.  Data
+        past a block's count is never read, so it is left uninitialised."""
         plane = self._planes.get(name)
         if plane is None:
             plane = self._planes[name] = _Plane(np.empty(batch + self.shape + (width,), dtype),
-                                                np.zeros(self.shape, np.int64),
-                                                np.zeros(self.shape, np.int64))
+                                                np.zeros(self.shape, np.int64), bits)
         data = plane.data
         dtype = np.result_type(data.dtype, dtype)
         if width > data.shape[-1] or dtype != data.dtype:
@@ -301,10 +300,11 @@ class Mesh:
 
         ``data`` is raw bytes (a uint8 block, one element per byte) or an
         ndarray whose last axis holds the elements; ``element_bits`` declares
-        the modelled wire size of one element.  Elements that do not split
-        into ``pes`` equal parts are refused first.  The store is atomic: it
-        raises the error that storing the parts one PE at a time, in column
-        order, would meet first, and then it has stored nothing.
+        the modelled wire size of one element, which a name keeps from its
+        first block on, as it keeps its batch shape.  Elements that do not
+        split into ``pes`` equal parts are refused first.  The store is
+        atomic: it raises the error that storing the parts one PE at a time,
+        in column order, would meet first, and then it has stored nothing.
         """
         block = (np.frombuffer(data, dtype=np.uint8)
                  if isinstance(data, (bytes, bytearray, memoryview)) else np.asarray(data))
@@ -323,21 +323,23 @@ class Mesh:
         after = self._used[r, run] + size
         # The first PE that the one-PE stores would fail at: over capacity,
         # holding the name, or past the grid's edge (pes if none); PE 0's
-        # store ends by checking the plane's batch shape.
+        # store ends by checking the plane's batch shape and element size.
         i = int(np.append((after > capacity) | (plane.count[r, run] != 0), True).argmax())
         if i and name in self._planes and plane.data.shape[:-3] != block.shape[:-1]:
             raise ValueError(f"blocks of {name!r} have batch shape {plane.data.shape[:-3]}, "
                              f"not {block.shape[:-1]}")
+        if i and name in self._planes and plane.bits != element_bits:
+            raise ValueError(f"blocks of {name!r} are {plane.bits}-bit elements, "
+                             f"not {element_bits}")
         if i < pes:
             at = self._require_pe((r, c + i))      # raises past the grid's edge
             if plane.count[at]:
                 raise ValueError(f"PE {at} already holds an array named {name!r}")
             raise CapacityExceeded(f"PE {at}: storing {size} B of {name!r} over "
                                    f"{after[i] - size} B used exceeds {capacity} B")
-        plane = self._plane(name, block.shape[:-1], block.dtype, count)
+        plane = self._plane(name, block.shape[:-1], block.dtype, count, element_bits)
         plane.data[..., r, run, :count] = block.reshape(block.shape[:-1] + (pes, count))
         plane.count[r, run] = count
-        plane.bits[r, run] = element_bits
         self._used[r, run] = after
 
     def _run(self, row: int, starts: range, width: int, name: str):
@@ -368,9 +370,8 @@ class Mesh:
         return self.span_fetch(pe[0], range(pe[1], pe[1] + 1), name)[..., 0, :]
 
     def pe_element_bits(self, pe, name: str) -> int:
-        """The modelled size in bits of one element of the block ``name`` on ``pe``."""
-        plane, (r, c, *_), _ = self._run(pe[0], range(pe[1], pe[1] + 1), 1, name)
-        return int(plane.bits[r, c])
+        """The modelled size in bits of one element of ``name``, held on ``pe``."""
+        return self._run(pe[0], range(pe[1], pe[1] + 1), 1, name)[0].bits
 
     def span_fetch(self, row: int, cols: range, name: str) -> np.ndarray:
         """The named blocks of PEs (row, c), c in ``cols``, stacked on axis -2:
@@ -393,7 +394,7 @@ class Mesh:
 
     def pe_delete(self, pe, name: str) -> None:
         plane, (r, c, *_), count = self._run(pe[0], range(pe[1], pe[1] + 1), 1, name)
-        self._used[r, c] -= count * plane.bits[r, c] // 8
+        self._used[r, c] -= count * plane.bits // 8
         plane.count[r, c] = 0
 
     def pe_names(self, pe) -> tuple[str, ...]:
@@ -413,16 +414,17 @@ class Mesh:
         so a phase can neither drop nor duplicate a block.
 
         A comb counts as its spans, in column order, and the error raised is
-        the first that moving the spans in order, PE by PE, would meet: a
-        span empty or off the grid (after the blocks of the spans before
-        it), a missing block, a wrong element size, a block lifted twice or
-        landed on twice; then a PE over capacity, in the order the moves
-        touch PEs; then a destination that already holds the name.  Every
-        plane, the lifted and landed mark planes per name included, is read
-        and written through one strided view per comb.  Each moving comb is
-        costed at its largest count.  The commit copies each comb's blocks
-        from its view of the source plane into the same view of the
-        destination plane.
+        the first that moving the spans in order, PE by PE, would meet: a span
+        empty or off the grid (after the blocks of the spans before it), a
+        missing block, a wrong element size, a block lifted twice or landed on
+        twice; then a PE over capacity, in the order the moves touch PEs; then
+        a destination that already holds the name; last, in descriptor order,
+        a comb whose batch shape or element size is not its destination name's
+        (a new name's is its first comb's).  Every plane, the lifted and
+        landed mark planes per name included, is read and written through one
+        strided view per comb.  Each moving comb is costed at its largest
+        count.  The commit copies each comb's blocks from its view of the
+        source plane into the same view of the destination plane.
         """
         config = self.config
         rows, cols = config.rows, config.cols
@@ -462,18 +464,17 @@ class Mesh:
             dest, dst = d.dest_name or d.name, (row + d_row, d.col_start + d_col, *src[2:])
             plane = self._planes.get(d.name, self._empty)
             # The counts are copied out: the commit clears the source's counts.
-            count, stored_bits = _comb(plane.count, src).copy(), _comb(plane.bits, src)
+            count, wrong_size = _comb(plane.count, src).copy(), plane.bits != d.element_bits
             twice_lifted, twice_landed = _comb(lifted[d.name], src), _comb(landed[dest], dst)
-            failed = np.flatnonzero((count == 0) | (stored_bits != d.element_bits)
-                                    | twice_lifted | twice_landed)
+            failed = np.flatnonzero((count == 0) | wrong_size | twice_lifted | twice_landed)
             if len(failed):
                 i = failed[0]
                 pe = _pe(src, i)
                 if not count.flat[i]:
                     raise KeyError(f"PE {pe} holds no array named {d.name!r}")
-                if stored_bits.flat[i] != d.element_bits:
-                    raise ValueError(f"{d.name!r} on PE {pe} is stored as {stored_bits.flat[i]}"
-                                     f"-bit elements, descriptor says {d.element_bits}")
+                if wrong_size:
+                    raise ValueError(f"{d.name!r} on PE {pe} is stored as {plane.bits}-bit "
+                                     f"elements, descriptor says {d.element_bits}")
                 if twice_lifted.flat[i]:
                     raise ValueError(f"{d.name!r} on PE {pe} is lifted by two slides")
                 raise ValueError(f"two slides land on {dest!r} at PE {_pe(dst, i)}")
@@ -506,25 +507,27 @@ class Mesh:
 
         # Commit, one descriptor at a time: lift each comb as a view of its
         # source plane, copied out only if that plane also takes landings;
-        # nothing has changed yet, so the batch-shape check may still raise.
-        # Then land each comb into the same view of its destination plane,
-        # and move the counts, element sizes and usage the checks read.
-        batches: dict[str, tuple] = {}      # dest -> its plane's batch, else its first comb's
+        # nothing has changed yet, so the batch-shape and element-size checks
+        # may still raise.  Then land each comb into the same view of its
+        # destination plane, and move the counts and usage the checks read.
+        kinds: dict[str, _Plane] = {}       # dest -> its plane, else its first comb's source
         lifts = []
         for d, src, dest, dst, count in moves:
             source = self._planes[d.name]
-            batch = source.data.shape[:-3]
-            if batches.setdefault(dest, self._planes.get(dest, source).data.shape[:-3]) != batch:
+            kind = kinds.setdefault(dest, self._planes.get(dest, source))
+            if kind.data.shape[:-3] != source.data.shape[:-3]:
                 raise ValueError(f"blocks of {d.name!r} and {dest!r} differ in batch shape")
+            if kind.bits != source.bits:
+                raise ValueError(f"blocks of {d.name!r} and {dest!r} differ in element size")
             blocks = _comb(source.data, src, int(count.max()))
             lifts.append((source, src, dest, blocks.copy() if d.name in landed else blocks, dst))
         for source, src, dest, blocks, dst in lifts:
-            plane = self._plane(dest, blocks.shape[:-3], blocks.dtype, blocks.shape[-1])
+            plane = self._plane(dest, blocks.shape[:-3], blocks.dtype, blocks.shape[-1],
+                                source.bits)
             _comb(plane.data, dst, blocks.shape[-1])[...] = blocks
             _comb(source.count, src)[...] = 0
-        for d, _, dest, dst, count in moves:
-            plane = self._planes[dest]
-            _comb(plane.count, dst)[...], _comb(plane.bits, dst)[...] = count, d.element_bits
+        for _, _, dest, dst, count in moves:
+            _comb(self._planes[dest].count, dst)[...] = count
         self._used = used
 
         if not moving:

@@ -81,9 +81,8 @@ def predict_efficiency(model: CostModel, n: int, m: int) -> EfficiencyReport:
         raise ValueError("need at least one level (m >= 1)")
     if n != (1 << m):
         raise ValueError(f"n must equal 2**m; got n={n}, m={m}")
-    a_t = model.transfer_cost
     compute = 5 * model.b * m * n
-    eta = Fraction(compute, a_t * n + compute) if a_t else Fraction(1)
+    eta = Fraction(compute, model.transfer_cost * n + compute)
     first_order = 1 - check_margin(model, m).margin
     return EfficiencyReport(
         eta=eta,

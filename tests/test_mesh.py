@@ -150,10 +150,13 @@ class TestStorage:
         ((0, 0), np.zeros(9), 64, ValueError, "already holds"),
         ((0, 1), np.zeros(9), 64, CapacityExceeded, "storing 72 B of 'b' over 48 B used"),
         ((0, 1), np.zeros(1), 64, ValueError, r"batch shape \(2,\), not \(\)"),
+        ((0, 1), np.zeros(2), 32, ValueError, r"batch shape \(2,\), not \(\)"),
+        ((0, 1), np.zeros((2, 1)), 32, ValueError, "blocks of 'b' are 64-bit elements, not 32"),
     ])
     def test_one_pe_store_checks_in_order(self, pe, data, element_bits, error, match):
         """The grid, the element size, an empty block, a block already held,
-        capacity, then the plane's batch shape: each check wins over the
+        capacity, the plane's batch shape, then its element size, which "b"
+        keeps while its block on PE (0, 0) lives: each check wins over the
         ones after it."""
         mesh = one_row_mesh(2, local_memory_bytes=64)
         mesh.pe_store((0, 0), "b", np.zeros((2, 1)), element_bits=64)
@@ -189,8 +192,9 @@ class TestStorage:
     @pytest.mark.parametrize("leave", ["delete", "slide"])
     def test_a_name_outlives_its_blocks(self, leave):
         """Once its last block has left, by pe_delete or by a slide, a name is
-        held nowhere, yet its plane stays: another batch shape is refused and
-        changes nothing, and the old batch shape is stored again."""
+        held nowhere, yet its plane stays: another batch shape or element
+        size is refused and changes nothing, and the old ones are stored
+        again."""
         mesh = one_row_mesh(2)
         mesh.pe_store((0, 0), "b", np.zeros((2, 3)), element_bits=64)
         if leave == "delete":
@@ -203,6 +207,9 @@ class TestStorage:
         before = mesh_state(mesh)
         with pytest.raises(ValueError, match=r"batch shape \(2,\), not \(\)"):
             mesh.pe_store((0, 1), "b", np.zeros(3), element_bits=64)
+        assert mesh_state(mesh) == before
+        with pytest.raises(ValueError, match="blocks of 'b' are 64-bit elements, not 32"):
+            mesh.pe_store((0, 1), "b", np.zeros((2, 3)), element_bits=32)
         assert mesh_state(mesh) == before
         mesh.pe_store((0, 1), "b", np.ones((2, 3)), element_bits=64)
         np.testing.assert_array_equal(mesh.pe_fetch((0, 1), "b"), np.ones((2, 3)))
@@ -537,6 +544,32 @@ class TestSlide:
             ])
         assert mesh_state(mesh) == before
 
+    @pytest.mark.parametrize("lands_on", ["held", "new"])
+    def test_element_sizes_that_differ_raise_and_change_nothing(self, lands_on):
+        """A name keeps one element size.  A 32-bit "b" renamed in place to
+        "a", whose 8-bit block leaves in the same phase, is refused, as are
+        32- and 64-bit blocks landing under one new name."""
+        mesh = one_row_mesh(4)
+        mesh.pe_store((0, 0), "b", np.zeros(3, np.float32), element_bits=32)
+        if lands_on == "held":
+            mesh.pe_store((0, 0), "a", np.zeros(2, np.uint8), element_bits=8)
+            descs = [SlideDescriptor(row=0, col_start=0, col_stop=1, name="b",
+                                     displacement=(0, 0), dest_name="a"),
+                     SlideDescriptor(row=0, col_start=0, col_stop=1, name="a",
+                                     displacement=(0, 1), element_bits=8)]
+            match = "blocks of 'b' and 'a' differ in element size"
+        else:
+            mesh.pe_store((0, 2), "c", np.zeros(3), element_bits=64)
+            descs = [SlideDescriptor(row=0, col_start=0, col_stop=1, name="b",
+                                     displacement=(0, 1), dest_name="new"),
+                     SlideDescriptor(row=0, col_start=2, col_stop=3, name="c",
+                                     displacement=(0, 1), element_bits=64, dest_name="new")]
+            match = "blocks of 'c' and 'new' differ in element size"
+        before = mesh_state(mesh)
+        with pytest.raises(ValueError, match=match):
+            mesh.slide_phase(descs)
+        assert mesh_state(mesh) == before
+
     def test_long_comb_is_refused_at_its_first_span_off_the_grid(self):
         """Spans past the grid's width are never expanded: a comb of 10**12
         spans on a 4-column row fails at span 4, as its unrolled list would."""
@@ -566,7 +599,8 @@ def meshes_and_phases(draw):
     small sets so that they often collide, overlap, fan out or leave the grid,
     and their spans may be empty.
     Half the tidy phases also begin with a feeder comb that lands, under
-    the lifted name, on the PEs that a later comb lifts from.
+    the lifted name, on the PEs that a later comb lifts from; a feeder
+    whose name has another element size is refused.
     """
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     sizes = (8, 32, 64)
@@ -666,8 +700,11 @@ def per_pe_phase_outcome(mesh, descs):
     by PE: a span empty or off the grid, then for each of its PEs a missing
     block, a wrong element size, a block lifted twice or landed on twice.
     Then the moved bytes are summed and each PE over capacity is looked for
-    in the order the moves touch PEs, and last each destination that already
-    holds the name and does not lose it in the phase."""
+    in the order the moves touch PEs, then each destination that already
+    holds the name and does not lose it in the phase.  Last, move by move, a
+    block whose element size is not its destination name's: the size of a
+    PE that held that name before the phase, else of the name's first
+    landing."""
     def outcome(error):
         return type(error), str(error)
 
@@ -708,7 +745,7 @@ def per_pe_phase_outcome(mesh, descs):
                 return outcome(ValueError(f"two slides land on {dest!r} at PE {dst}"))
             lifted.add((src, name))
             landed.add((dst, dest))
-            moves.append((dst, dest))
+            moves.append((dst, dest, name, bits))
             if desc.hops:       # zero-hop moves are renames
                 moving.append((src, dst, mesh.pe_fetch(src, name).shape[-1] * bits // 8))
     used = {pe: mesh.pe_used(pe) for pe in every_pe(mesh)}
@@ -721,9 +758,15 @@ def per_pe_phase_outcome(mesh, descs):
                 return outcome(CapacityExceeded(
                     f"PE {pe}: incoming slide data would exceed "
                     f"{config.local_memory_bytes} B of local memory"))
-    for dst, dest in moves:
+    for dst, dest, _, _ in moves:
         if dest in mesh.pe_names(dst) and (dst, dest) not in lifted:
             return outcome(ValueError(f"PE {dst} already holds an array named {dest!r}"))
+    sizes = {}
+    for _, dest, name, bits in moves:
+        held = [mesh.pe_element_bits(pe, dest) for pe in every_pe(mesh)
+                if dest in mesh.pe_names(pe)]
+        if sizes.setdefault(dest, held[0] if held else bits) != bits:
+            return outcome(ValueError(f"blocks of {name!r} and {dest!r} differ in element size"))
     return None
 
 
