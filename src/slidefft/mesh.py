@@ -17,32 +17,34 @@ where a_eff = (element_bits / packet_bits) * cycles_per_packet_per_hop +
 per_element_overhead_cycles.  PEs of one slide phase move synchronously, so
 the phase's wall clock is the maximum over its participants; the ledger books
 that wall clock (rounded up once per phase, never per element) as transfer
-plus ramp.  The time never falls as E grows, so that maximum is evaluated
-once per moving comb, at the comb's largest E, rather than once per PE.
+plus ramp.  Every PE of a comb moves E elements, its name's one block
+count, so that maximum is evaluated once per moving comb, not once per PE.
 Compute is booked separately as total FLOP volume times cycles_per_flop,
 with the per-phase maximum over PEs advancing the wall clock.
 
-Each stored name is a data plane (*batch, rows, cols, width) and a count
-plane (0: no block), of one element size; one usage plane holds each PE's
-bytes.  The count plane is the one record of what a PE holds: a name's
-planes, batch shape and element size, once made, last as long as the mesh,
-and a name never stored reads as one shared all-zero plane.  Blocks go in
-as arrays or raw bytes (uint8), on a run of PEs in one row per call
-(:meth:`Mesh.pe_store`: each PE takes one equal part of the elements), and
-a store is atomic: it checks every PE of the run before it writes any.
+Each stored name is a data plane (*batch, rows, cols, count) and a bool
+holds plane (True where a PE holds a block of the name), with one element
+size and one block count, fixed when the plane is made, as its batch shape
+is.  The holds plane is the one record of what a PE holds, and a PE's
+bytes are derived from it: the sum, over the names it holds, of count *
+element_bits // 8.  A name's planes, once made, last as long as the mesh,
+and a name never stored reads as one shared plane that holds nothing.
+Blocks go in as arrays or raw bytes (uint8), on a run of PEs in one row per
+call (:meth:`Mesh.pe_store`: each PE takes one equal part of the elements),
+and a store is atomic: it checks every PE of the run before it writes any.
 :meth:`Mesh.pe_fetch` and :meth:`Mesh.span_fetch` (one name on a range of
 PEs in a row, blocks on axis -2) return read-only views;
 :meth:`Mesh.comb_view` returns one name on a comb of PEs as a writable
 view, so host arithmetic runs in place, batched across PEs.  A view shows
 later writes only while its data plane lasts: a store or landing that
-widens or promotes the plane builds a new plane, and the view keeps the
-old.  A slide phase reads and writes every plane, data, count, mark or
-usage, through one strided view per comb (``_comb``), as the fetches and
-comb views read theirs: it checks each comb on those views, then commits it
-as one copy from its view of the source plane into the same view of the
-destination plane (through a temporary only when the source plane also
-takes landings in that phase).  Stores and the other per-PE calls index the
-planes directly.
+promotes the plane's dtype builds a new plane, and the view keeps the old.
+A slide phase sums each PE's bytes once, over the grid, then reads and
+writes every plane, data, holds or mark, through one strided view per comb
+(``_comb``), as the fetches and comb views read theirs: it checks each comb
+on those views, then commits it as one copy from its view of the source
+plane into the same view of the destination plane (through a temporary
+only when the source plane also takes landings in that phase).  Stores and
+the other per-PE calls index the planes directly.
 """
 
 from __future__ import annotations
@@ -200,40 +202,52 @@ class PhaseReport:
     """Cost of one synchronous slide phase.
 
     ``exact_cycles`` is the unrounded rational wall clock (ramp included);
-    ``booked_cycles`` is the integer amount added to the ledger.
+    ``booked_cycles`` is the integer amount added to the ledger.  ``blocks``
+    counts the moving (PE, name) pairs, not PEs: a PE that sends two blocks
+    in one phase counts twice.
     """
 
     exact_cycles: Fraction
     booked_cycles: int
     elements: int
     element_hops: int
-    participants: int
+    blocks: int
 
 
 @dataclass
 class _Plane:
-    """One stored name: PE (r, c) holds ``data[..., r, c, :count[r, c]]``
-    of ``bits``-bit elements, the size its plane was made with.  Count 0
-    means no block, and there the data mean nothing."""
+    """One stored name: where ``holds[r, c]``, PE (r, c) holds
+    ``data[..., r, c, :]``, ``count`` elements of ``bits`` bits; elsewhere
+    the data mean nothing.  Count, element size and batch shape are the
+    ones the plane was made with."""
 
-    data: np.ndarray      # (*batch, rows, cols, width)
-    count: np.ndarray     # (rows, cols) int64
+    data: np.ndarray      # (*batch, rows, cols, count)
+    holds: np.ndarray     # (rows, cols) bool
     bits: int             # 0 only for a name never stored
 
+    @property
+    def count(self) -> int:
+        return self.data.shape[-1]
 
-def _comb(plane: np.ndarray, comb: tuple, count: int | None = None) -> np.ndarray:
+    @property
+    def block_bytes(self) -> int:
+        return self.count * self.bits // 8
+
+
+def _comb(plane: np.ndarray, comb: tuple) -> np.ndarray:
     """A view of a plane on the PEs (row, start + i*period + j) of ``comb`` =
     (row, start, period, spans, width): shape (spans, width) of a (rows,
-    cols) plane, or (*batch, spans, width, count) of ``data[..., :count]``
-    of a data plane (*batch, rows, cols, width).  Planes are whole, so
-    C-contiguous, and the view is built on the buffer directly, which takes
-    a fifth of the time of ``np.lib.stride_tricks.as_strided``."""
+    cols) plane, or (*batch, spans, width, count) of a data plane (*batch,
+    rows, cols, count), whose last axis is the only one past its grid
+    axes.  Planes are whole, so C-contiguous, and the view is built on the
+    buffer directly, which takes a fifth of the time of
+    ``np.lib.stride_tricks.as_strided``."""
     row, start, period, spans, width = comb
-    tail = () if count is None else (count,)
-    *batch, row_stride, col_stride = plane.strides[:plane.ndim - len(tail)]
-    return np.ndarray(plane.shape[:len(batch)] + (spans, width) + tail, plane.dtype, plane,
-                      row * row_stride + start * col_stride,
-                      (*batch, period * col_stride, col_stride) + plane.strides[len(batch) + 2:])
+    grid = plane.ndim - (plane.ndim > 2)        # one past the column axis
+    *batch, row_stride, col_stride = plane.strides[:grid]
+    return np.ndarray(plane.shape[:grid - 2] + (spans, width) + plane.shape[grid:], plane.dtype,
+                      plane, row * row_stride + start * col_stride,
+                      (*batch, period * col_stride, col_stride) + plane.strides[grid:])
 
 
 def _pe(comb: tuple, i) -> tuple[int, int]:
@@ -251,10 +265,9 @@ class Mesh:
         self.ledger = CycleLedger()
         self.wall_clock_cycles = 0
         self._planes: dict[str, _Plane] = {}
-        zeros = np.zeros(self.shape, np.int64)
-        zeros.flags.writeable = False
-        self._empty = _Plane(np.empty(self.shape + (0,)), zeros, 0)    # a name never stored
-        self._used = np.zeros((config.rows, config.cols), dtype=np.int64)
+        nowhere = np.zeros(self.shape, bool)
+        nowhere.flags.writeable = False
+        self._empty = _Plane(np.empty(self.shape + (0,)), nowhere, 0)    # a name never stored
 
     # -------------------- geometry --------------------
 
@@ -274,24 +287,31 @@ class Mesh:
 
     # -------------------- local stores --------------------
 
-    def _plane(self, name: str, batch: tuple, dtype, width: int, bits: int) -> _Plane:
-        """The planes of ``name``, made, or widened and promoted, to take blocks
-        of ``batch`` shape and ``bits``-bit elements (which an existing plane
-        must have: callers check them), ``dtype`` and ``width`` elements.  Data
-        past a block's count is never read, so it is left uninitialised."""
+    def _plane(self, name: str, batch: tuple, dtype, count: int, bits: int) -> _Plane:
+        """The planes of ``name``, made, or promoted, to take blocks of
+        ``batch`` shape, ``count`` ``bits``-bit elements (which an existing
+        plane must have: callers check them) and ``dtype``.  The data of a PE
+        that holds no block is never read, so it is left uninitialised."""
         plane = self._planes.get(name)
         if plane is None:
-            plane = self._planes[name] = _Plane(np.empty(batch + self.shape + (width,), dtype),
-                                                np.zeros(self.shape, np.int64), bits)
-        data = plane.data
-        dtype = np.result_type(data.dtype, dtype)
-        if width > data.shape[-1] or dtype != data.dtype:
-            plane.data = np.empty(data.shape[:-1] + (max(width, data.shape[-1]),), dtype)
-            plane.data[..., : data.shape[-1]] = data
+            plane = self._planes[name] = _Plane(np.empty(batch + self.shape + (count,), dtype),
+                                                np.zeros(self.shape, bool), bits)
+        dtype = np.result_type(plane.data.dtype, dtype)
+        if dtype != plane.data.dtype:
+            plane.data = plane.data.astype(dtype)
         return plane
 
+    def _usage(self, pes=(slice(None), slice(None))) -> np.ndarray:
+        """The bytes each PE of ``pes``, an index of the grid, holds: the sum
+        over the names it holds of their block sizes."""
+        used = np.zeros_like(self._empty.holds[pes], np.int64)
+        for plane in self._planes.values():
+            np.add(used, plane.block_bytes, out=used, where=plane.holds[pes])
+        return used
+
     def pe_used(self, pe) -> int:
-        return int(self._used[self._require_pe(pe)])
+        r, c = self._require_pe(pe)
+        return int(self._usage((r, slice(c, c + 1)))[0])
 
     def pe_store(self, pe, name: str, data, element_bits: int = 8, pes: int = 1) -> None:
         """Copy a named block onto each PE of a run, enforcing local memory
@@ -300,8 +320,8 @@ class Mesh:
 
         ``data`` is raw bytes (a uint8 block, one element per byte) or an
         ndarray whose last axis holds the elements; ``element_bits`` declares
-        the modelled wire size of one element, which a name keeps from its
-        first block on, as it keeps its batch shape.  Elements that do not
+        the modelled wire size of one element.  A name keeps the element
+        size, count and batch shape of its first block.  Elements that do not
         split into ``pes`` equal parts are refused first.  The store is
         atomic: it raises the error that storing the parts one PE at a time,
         in column order, would meet first, and then it has stored nothing.
@@ -320,32 +340,34 @@ class Mesh:
         capacity = self.config.local_memory_bytes
         plane = self._planes.get(name, self._empty)
         run = slice(c, c + pes)         # cut short at the grid's right edge
-        after = self._used[r, run] + size
+        after = self._usage((r, run)) + size
         # The first PE that the one-PE stores would fail at: over capacity,
         # holding the name, or past the grid's edge (pes if none); PE 0's
-        # store ends by checking the plane's batch shape and element size.
-        i = int(np.append((after > capacity) | (plane.count[r, run] != 0), True).argmax())
+        # store ends by checking the plane's batch shape, element size and
+        # count.
+        i = int(np.append((after > capacity) | plane.holds[r, run], True).argmax())
         if i and name in self._planes and plane.data.shape[:-3] != block.shape[:-1]:
             raise ValueError(f"blocks of {name!r} have batch shape {plane.data.shape[:-3]}, "
                              f"not {block.shape[:-1]}")
         if i and name in self._planes and plane.bits != element_bits:
             raise ValueError(f"blocks of {name!r} are {plane.bits}-bit elements, "
                              f"not {element_bits}")
+        if i and name in self._planes and plane.count != count:
+            raise ValueError(f"blocks of {name!r} have element count {plane.count}, not {count}")
         if i < pes:
             at = self._require_pe((r, c + i))      # raises past the grid's edge
-            if plane.count[at]:
+            if plane.holds[at]:
                 raise ValueError(f"PE {at} already holds an array named {name!r}")
             raise CapacityExceeded(f"PE {at}: storing {size} B of {name!r} over "
                                    f"{after[i] - size} B used exceeds {capacity} B")
         plane = self._plane(name, block.shape[:-1], block.dtype, count, element_bits)
-        plane.data[..., r, run, :count] = block.reshape(block.shape[:-1] + (pes, count))
-        plane.count[r, run] = count
-        self._used[r, run] = after
+        plane.data[..., r, run, :] = block.reshape(block.shape[:-1] + (pes, count))
+        plane.holds[r, run] = True
 
     def _run(self, row: int, starts: range, width: int, name: str):
-        """(plane, comb, count) of the blocks ``name`` on the comb of PEs
-        (row, s + j), s in ``starts``, 0 <= j < ``width``, which must all hold
-        one of the same count; comb is (row, start, period, spans, width)."""
+        """(plane, comb) of the blocks ``name`` on the comb of PEs (row, s + j),
+        s in ``starts``, 0 <= j < ``width``, which must all hold one; comb is
+        (row, start, period, spans, width)."""
         if not isinstance(starts, range) or starts.step < 1:
             raise TypeError(f"columns must be an increasing range, not {starts!r}")
         if not len(starts) or width < 1:
@@ -356,13 +378,10 @@ class Mesh:
         self._require_pe((row, starts[-1] + width - 1))
         comb = (row, starts[0], starts.step, len(starts), width)
         plane = self._planes.get(name, self._empty)
-        counts = _comb(plane.count, comb)
-        if not counts.all():
-            raise KeyError(f"PE {_pe(comb, np.argmin(counts))} holds no array named {name!r}")
-        count = int(counts[0, 0])
-        if (counts != count).any():
-            raise ValueError(f"blocks of {name!r} on row {row} differ in element count")
-        return plane, comb, count
+        holds = _comb(plane.holds, comb)
+        if not holds.all():
+            raise KeyError(f"PE {_pe(comb, np.argmin(holds))} holds no array named {name!r}")
+        return plane, comb
 
     def pe_fetch(self, pe, name: str) -> np.ndarray:
         """The block ``name`` on ``pe``: a read-only view, shape (*batch, count),
@@ -376,8 +395,8 @@ class Mesh:
     def span_fetch(self, row: int, cols: range, name: str) -> np.ndarray:
         """The named blocks of PEs (row, c), c in ``cols``, stacked on axis -2:
         shape (*batch, len(cols), count), read-only: a view of the plane, so
-        later writes show through it until a store or landing that widens or
-        promotes the plane replaces it."""
+        later writes show through it until a store or landing that promotes
+        the plane's dtype replaces it."""
         view = self.comb_view(row, cols, 1, name)[..., 0, :]
         view.flags.writeable = False
         return view
@@ -387,19 +406,14 @@ class Mesh:
         0 <= j < ``width``, as one writable view of the plane, shape
         (*batch, len(starts), width, count): host arithmetic writes through
         it in place.  The spans must not overlap, and every PE must hold a
-        block of the same count.  A store or landing that widens or promotes
-        the plane replaces it, and the view then writes to the old buffer."""
-        plane, comb, count = self._run(row, starts, width, name)
-        return _comb(plane.data, comb, count)
-
-    def pe_delete(self, pe, name: str) -> None:
-        plane, (r, c, *_), count = self._run(pe[0], range(pe[1], pe[1] + 1), 1, name)
-        self._used[r, c] -= count * plane.bits // 8
-        plane.count[r, c] = 0
+        block.  A store or landing that promotes the plane's dtype replaces
+        it, and the view then writes to the old buffer."""
+        plane, comb = self._run(row, starts, width, name)
+        return _comb(plane.data, comb)
 
     def pe_names(self, pe) -> tuple[str, ...]:
         r, c = self._require_pe(pe)
-        return tuple(sorted(name for name, plane in self._planes.items() if plane.count[r, c]))
+        return tuple(sorted(name for name, plane in self._planes.items() if plane.holds[r, c]))
 
     # -------------------- slides --------------------
 
@@ -419,12 +433,14 @@ class Mesh:
         missing block, a wrong element size, a block lifted twice or landed on
         twice; then a PE over capacity, in the order the moves touch PEs; then
         a destination that already holds the name; last, in descriptor order,
-        a comb whose batch shape or element size is not its destination name's
-        (a new name's is its first comb's).  Every plane, the lifted and
-        landed mark planes per name included, is read and written through one
-        strided view per comb.  Each moving comb is costed at its largest
-        count.  The commit copies each comb's blocks from its view of the
-        source plane into the same view of the destination plane.
+        a comb whose batch shape, element size or element count is not its
+        destination name's (a new name's are its first comb's).  Each PE's
+        bytes are summed once, over the grid, from the holds planes; then
+        every plane, holds planes and the lifted and landed mark planes per
+        name included, is read and written through one strided view per comb.
+        Each moving comb is costed at its name's one count.  The commit copies
+        each comb's blocks from its view of the source plane into the same
+        view of the destination plane, and moves the holds marks.
         """
         config = self.config
         rows, cols = config.rows, config.cols
@@ -439,7 +455,7 @@ class Mesh:
         # its destination comb.
         lifted = defaultdict(lambda: np.zeros(self.shape, bool))    # name -> PEs lifted from
         landed = defaultdict(lambda: np.zeros(self.shape, bool))    # name -> PEs landed on
-        moves = []      # (descriptor, source, destination name, destination, counts)
+        moves = []      # (descriptor, source, destination name, destination, source plane)
         for d in descs:
             (d_row, d_col), width, row = d.displacement, d.col_stop - d.col_start, d.row
             edge = min(cols, cols - d_col)      # no span's source may stop past it
@@ -463,14 +479,13 @@ class Mesh:
             src = (row, d.col_start, d.period, spans, width)
             dest, dst = d.dest_name or d.name, (row + d_row, d.col_start + d_col, *src[2:])
             plane = self._planes.get(d.name, self._empty)
-            # The counts are copied out: the commit clears the source's counts.
-            count, wrong_size = _comb(plane.count, src).copy(), plane.bits != d.element_bits
+            held, wrong_size = _comb(plane.holds, src), plane.bits != d.element_bits
             twice_lifted, twice_landed = _comb(lifted[d.name], src), _comb(landed[dest], dst)
-            failed = np.flatnonzero((count == 0) | wrong_size | twice_lifted | twice_landed)
+            failed = np.flatnonzero(~held | wrong_size | twice_lifted | twice_landed)
             if len(failed):
                 i = failed[0]
                 pe = _pe(src, i)
-                if not count.flat[i]:
+                if not held.flat[i]:
                     raise KeyError(f"PE {pe} holds no array named {d.name!r}")
                 if wrong_size:
                     raise ValueError(f"{d.name!r} on PE {pe} is stored as {plane.bits}-bit "
@@ -481,15 +496,15 @@ class Mesh:
             if error is not None:
                 raise error
             twice_lifted[...] = twice_landed[...] = True
-            moves.append((d, src, dest, dst, count))
+            moves.append((d, src, dest, dst, plane))
 
         # The usage after the phase: each moving comb (zero-hop moves are
         # renames) takes its bytes from its source view to its destination.
         moving = [move for move in moves if move[0].hops]
-        used = self._used.copy()
-        for d, src, _, dst, count in moving:
-            _comb(used, src)[...] -= count * (d.element_bits // 8)
-            _comb(used, dst)[...] += count * (d.element_bits // 8)
+        used = self._usage()
+        for _, src, _, dst, plane in moving:
+            _comb(used, src)[...] -= plane.block_bytes
+            _comb(used, dst)[...] += plane.block_bytes
         over = used > config.local_memory_bytes
         for _, src, _, dst, _ in moving if over.any() else []:
             failed = np.flatnonzero(np.stack([_comb(over, src), _comb(over, dst)], axis=-1))
@@ -499,47 +514,48 @@ class Mesh:
                 raise CapacityExceeded(f"PE {pe}: incoming slide data would exceed "
                                        f"{config.local_memory_bytes} B of local memory")
         for _, _, dest, dst, _ in moves:
-            held = _comb(self._planes.get(dest, self._empty).count, dst)
-            taken = (held != 0) & ~_comb(lifted[dest], dst)
+            held = _comb(self._planes.get(dest, self._empty).holds, dst)
+            taken = held & ~_comb(lifted[dest], dst)
             if taken.any():
                 raise ValueError(f"PE {_pe(dst, taken.argmax())} already holds an array "
                                  f"named {dest!r}")
 
         # Commit, one descriptor at a time: lift each comb as a view of its
         # source plane, copied out only if that plane also takes landings;
-        # nothing has changed yet, so the batch-shape and element-size checks
-        # may still raise.  Then land each comb into the same view of its
-        # destination plane, and move the counts and usage the checks read.
+        # nothing has changed yet, so the batch-shape, element-size and
+        # element-count checks may still raise.  Then land each comb into the
+        # same view of its destination plane, and move the holds marks.
         kinds: dict[str, _Plane] = {}       # dest -> its plane, else its first comb's source
         lifts = []
-        for d, src, dest, dst, count in moves:
-            source = self._planes[d.name]
+        for d, src, dest, dst, source in moves:
             kind = kinds.setdefault(dest, self._planes.get(dest, source))
             if kind.data.shape[:-3] != source.data.shape[:-3]:
                 raise ValueError(f"blocks of {d.name!r} and {dest!r} differ in batch shape")
             if kind.bits != source.bits:
                 raise ValueError(f"blocks of {d.name!r} and {dest!r} differ in element size")
-            blocks = _comb(source.data, src, int(count.max()))
+            if kind.count != source.count:
+                raise ValueError(f"blocks of {d.name!r} and {dest!r} differ in element count")
+            blocks = _comb(source.data, src)
             lifts.append((source, src, dest, blocks.copy() if d.name in landed else blocks, dst))
         for source, src, dest, blocks, dst in lifts:
-            plane = self._plane(dest, blocks.shape[:-3], blocks.dtype, blocks.shape[-1],
-                                source.bits)
-            _comb(plane.data, dst, blocks.shape[-1])[...] = blocks
-            _comb(source.count, src)[...] = 0
-        for _, _, dest, dst, count in moves:
-            _comb(self._planes[dest].count, dst)[...] = count
-        self._used = used
+            plane = self._plane(dest, blocks.shape[:-3], blocks.dtype, source.count, source.bits)
+            _comb(plane.data, dst)[...] = blocks
+            _comb(source.holds, src)[...] = False
+        for _, _, dest, dst, _ in moves:
+            _comb(self._planes[dest].holds, dst)[...] = True
 
         if not moving:
             return PhaseReport(Fraction(0), 0, 0, 0, 0)
-        # One closed form per moving comb, at its largest count: a PE's time
-        # never falls as its count grows.
+        # One closed form per moving comb: each of its spans * width PEs moves
+        # its name's one count.
         max_time = config.ramp_cycles + max(
-            config.element_cost(d.element_bits) * int(count.max())
+            config.element_cost(d.element_bits) * plane.count
             + config.pipeline_fill_cycles_per_hop * (d.hops - 1)
-            for d, *_, count in moving)
-        elements = sum(int(count.sum()) for *_, count in moving)
-        hops_total = sum(d.hops * int(count.sum()) for d, *_, count in moving)
+            for d, *_, plane in moving)
+        moved = [(d.hops, spans * width, plane.count)
+                 for d, (*_, spans, width), *_, plane in moving]
+        elements = sum(pes * count for _, pes, count in moved)
+        hops_total = sum(hops * pes * count for hops, pes, count in moved)
 
         transfer = math.ceil(max_time - config.ramp_cycles)
         self.ledger.transfer_cycles += transfer
@@ -552,7 +568,7 @@ class Mesh:
             booked_cycles=config.ramp_cycles + transfer,
             elements=elements,
             element_hops=hops_total,
-            participants=sum(count.size for *_, count in moving),
+            blocks=sum(pes for _, pes, _ in moved),
         )
 
     # -------------------- compute --------------------

@@ -180,7 +180,7 @@ def _groups(count: int, size: int):
 def gather(layout: WaveLayout, mesh: Mesh) -> np.ndarray:
     """The wave's blocks as one array (host-side): a read-only view of the
     mesh's wave, so a later transform on the same mesh shows through it,
-    unless a store that widens or promotes the wave's plane replaces it."""
+    unless a store that promotes the dtype of the wave's plane replaces it."""
     row, col0 = layout.origin
     blocks = mesh.span_fetch(row, range(col0, col0 + layout.pe_count), layout.name)
     return blocks.reshape(blocks.shape[:-2] + (layout.n,))
