@@ -249,8 +249,7 @@ def bench_slide_records(pe_counts: list[int], element_counts: list[int],
                 records.append(BenchRecord(pes, count, pes * count, status="capacity_exceeded"))
                 continue
             report = mesh.slide_phase([SlideDescriptor(
-                row=0, col_start=0, col_stop=pes, name="block",
-                displacement=(0, 1), element_bits=element_bits)])
+                row=0, col_start=0, col_stop=pes, name="block", displacement=(0, 1))])
             ledger = mesh.ledger_report()
             total = pes * report.exact_cycles
             records.append(BenchRecord(
@@ -277,8 +276,7 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
     end); eta compares the ledger's compute share against the closed-form
     prediction, which does not depend on k.  The prediction takes the mesh's
     own costs: a is its cycles per element per hop, b its cycles per FLOP.
-    The input is drawn once for every k and dropped once the last k has
-    distributed it, so that transform holds no copy beside its mesh's.
+    Every feasible k draws the same input from ``seed``.
     """
     m = n.bit_length() - 1
     k_values = sorted(set(k_values))
@@ -289,7 +287,6 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
     predicted = predict_efficiency(model, n, m)
     infeasible = None    # the CapacityExceeded of an infeasible k, if any
     records, notes, ledgers = [], [], []
-    x = random_batch(seed, 1, n)[0]
     for k in k_values:
         mesh = mesh_create(replace(config, rows=1, cols=1 << k))
         try:
@@ -299,9 +296,7 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
             records.append(BenchRecord(1 << k, n >> k, n, eta_predicted=predicted.eta,
                                        status="infeasible"))
             continue
-        distribute(x, layout, mesh)
-        if k == k_values[-1]:
-            del x       # the wave's plane holds the only copy for the last transform
+        distribute(random_batch(seed, 1, n)[0], layout, mesh)
         slide_fft(mesh, layout)
         ledger = mesh.ledger_report()
         measured = measure_efficiency(ledger)

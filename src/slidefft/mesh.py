@@ -23,23 +23,23 @@ Compute is booked separately as total FLOP volume times cycles_per_flop,
 with the per-phase maximum over PEs advancing the wall clock.
 
 Each stored name is a data plane (*batch, rows, cols, count) and a bool
-holds plane (True where a PE holds a block of the name), with one element
-size and one block count, fixed when the plane is made, as its batch shape
-is.  The holds plane is the one record of what a PE holds, and a PE's
-bytes are derived from it: the sum, over the names it holds, of count *
-element_bits // 8.  A name's planes, once made, last as long as the mesh,
-and a name never stored reads as one shared plane that holds nothing.
-Blocks go in as arrays or raw bytes (uint8), on a run of PEs in one row per
-call (:meth:`Mesh.pe_store`: each PE takes one equal part of the elements),
-and a store is atomic: it checks every PE of the run before it writes any.
-:meth:`Mesh.pe_fetch` and :meth:`Mesh.span_fetch` (one name on a range of
-PEs in a row, blocks on axis -2) return read-only views;
-:meth:`Mesh.comb_view` returns one name on a comb of PEs as a writable
-view, so host arithmetic runs in place, batched across PEs.  A view shows
-later writes only while its data plane lasts: a store or landing that
-promotes the plane's dtype builds a new plane, and the view keeps the old.
-A slide phase sums each PE's bytes once, over the grid, then reads and
-writes every plane, data, holds or mark, through one strided view per comb
+holds plane (True where a PE holds a block of the name).  The name's kind,
+its batch shape, element size, block count and dtype, is fixed when the
+plane is made, and blocks of another kind are refused; a slide's element
+size is its source name's.  The holds plane is the one record of what a
+PE holds, and a PE's bytes are derived from it: the sum, over the names it
+holds, of count * element_bits // 8.  A name's planes, once made, last as
+long as the mesh and are never replaced, and a name never stored reads as
+one shared plane that holds nothing.  Blocks go in as arrays or raw bytes
+(uint8), on a run of PEs in one row per call (:meth:`Mesh.pe_store`: each
+PE takes one equal part of the elements), and a store is atomic: it checks
+every PE of the run before it writes any.  :meth:`Mesh.pe_fetch` and
+:meth:`Mesh.span_fetch` (one name on a range of PEs in a row, blocks on
+axis -2) return read-only views; :meth:`Mesh.comb_view` returns one name
+on a comb of PEs as a writable view, so host arithmetic runs in place,
+batched across PEs.  Every view shows later writes to its blocks.  A slide
+phase sums each PE's bytes once, over the grid, then reads and writes
+every plane, data, holds or mark, through one strided view per comb
 (``_comb``), as the fetches and comb views read theirs: it checks each comb
 on those views, then commits it as one copy from its view of the source
 plane into the same view of the destination plane (through a temporary
@@ -153,14 +153,14 @@ class SlideDescriptor:
     ``displacement`` = (d_row, d_col), landing under ``dest_name`` (source
     name if None).  The spans of a comb must not overlap (period >= width
     when repeats > 1); the defaults describe one span.  Hop count is
-    |d_row| + |d_col|."""
+    |d_row| + |d_col|.  A slide says where blocks go, not what they are:
+    their element size and count are the source name's."""
 
     row: int
     col_start: int
     col_stop: int
     name: str
     displacement: tuple[int, int]
-    element_bits: int = 32
     dest_name: str | None = None
     period: int = 0
     repeats: int = 1
@@ -218,8 +218,7 @@ class PhaseReport:
 class _Plane:
     """One stored name: where ``holds[r, c]``, PE (r, c) holds
     ``data[..., r, c, :]``, ``count`` elements of ``bits`` bits; elsewhere
-    the data mean nothing.  Count, element size and batch shape are the
-    ones the plane was made with."""
+    the data mean nothing.  Its kind is the one the plane was made with."""
 
     data: np.ndarray      # (*batch, rows, cols, count)
     holds: np.ndarray     # (rows, cols) bool
@@ -232,6 +231,20 @@ class _Plane:
     @property
     def block_bytes(self) -> int:
         return self.count * self.bits // 8
+
+    @property
+    def kind(self) -> tuple:
+        return self.data.shape[:-3], self.bits, self.count, self.data.dtype
+
+
+def _refuse_other_kind(name: str, kind: tuple, other: tuple) -> None:
+    """Refuse blocks of kind ``other`` under ``name``, of kind ``kind``,
+    naming the first of batch shape, element size, count and dtype that
+    differs."""
+    for what, have, got in zip(("batch shape", "element size", "element count", "dtype"),
+                               kind, other):
+        if have != got:
+            raise ValueError(f"blocks of {name!r} have {what} {have}, not {got}")
 
 
 def _comb(plane: np.ndarray, comb: tuple) -> np.ndarray:
@@ -287,18 +300,16 @@ class Mesh:
 
     # -------------------- local stores --------------------
 
-    def _plane(self, name: str, batch: tuple, dtype, count: int, bits: int) -> _Plane:
-        """The planes of ``name``, made, or promoted, to take blocks of
-        ``batch`` shape, ``count`` ``bits``-bit elements (which an existing
-        plane must have: callers check them) and ``dtype``.  The data of a PE
-        that holds no block is never read, so it is left uninitialised."""
+    def _plane(self, name: str, kind: tuple) -> _Plane:
+        """The planes of ``name``, made for blocks of ``kind`` if it has none
+        (an existing plane must be of that kind: callers check it).  The data
+        of a PE that holds no block is never read, so it is left
+        uninitialised."""
         plane = self._planes.get(name)
         if plane is None:
+            batch, bits, count, dtype = kind
             plane = self._planes[name] = _Plane(np.empty(batch + self.shape + (count,), dtype),
                                                 np.zeros(self.shape, bool), bits)
-        dtype = np.result_type(plane.data.dtype, dtype)
-        if dtype != plane.data.dtype:
-            plane.data = plane.data.astype(dtype)
         return plane
 
     def _usage(self, pes=(slice(None), slice(None))) -> np.ndarray:
@@ -320,11 +331,12 @@ class Mesh:
 
         ``data`` is raw bytes (a uint8 block, one element per byte) or an
         ndarray whose last axis holds the elements; ``element_bits`` declares
-        the modelled wire size of one element.  A name keeps the element
-        size, count and batch shape of its first block.  Elements that do not
-        split into ``pes`` equal parts are refused first.  The store is
-        atomic: it raises the error that storing the parts one PE at a time,
-        in column order, would meet first, and then it has stored nothing.
+        the modelled wire size of one element.  A name keeps the kind (batch
+        shape, element size, count and dtype) of its first block.  Elements
+        that do not split into ``pes`` equal parts are refused first.  The
+        store is atomic: it raises the error that storing the parts one PE at
+        a time, in column order, would meet first, and then it has stored
+        nothing.
         """
         block = (np.frombuffer(data, dtype=np.uint8)
                  if isinstance(data, (bytes, bytearray, memoryview)) else np.asarray(data))
@@ -336,6 +348,7 @@ class Mesh:
         if block.ndim < 1 or block.shape[-1] < 1:
             raise ValueError("a block needs at least one element")
         count = block.shape[-1] // pes
+        kind = (block.shape[:-1], element_bits, count, block.dtype)
         size = count * element_bits // 8
         capacity = self.config.local_memory_bytes
         plane = self._planes.get(name, self._empty)
@@ -343,24 +356,17 @@ class Mesh:
         after = self._usage((r, run)) + size
         # The first PE that the one-PE stores would fail at: over capacity,
         # holding the name, or past the grid's edge (pes if none); PE 0's
-        # store ends by checking the plane's batch shape, element size and
-        # count.
+        # store ends by checking the name's kind.
         i = int(np.append((after > capacity) | plane.holds[r, run], True).argmax())
-        if i and name in self._planes and plane.data.shape[:-3] != block.shape[:-1]:
-            raise ValueError(f"blocks of {name!r} have batch shape {plane.data.shape[:-3]}, "
-                             f"not {block.shape[:-1]}")
-        if i and name in self._planes and plane.bits != element_bits:
-            raise ValueError(f"blocks of {name!r} are {plane.bits}-bit elements, "
-                             f"not {element_bits}")
-        if i and name in self._planes and plane.count != count:
-            raise ValueError(f"blocks of {name!r} have element count {plane.count}, not {count}")
+        if i and name in self._planes:
+            _refuse_other_kind(name, plane.kind, kind)
         if i < pes:
             at = self._require_pe((r, c + i))      # raises past the grid's edge
             if plane.holds[at]:
                 raise ValueError(f"PE {at} already holds an array named {name!r}")
             raise CapacityExceeded(f"PE {at}: storing {size} B of {name!r} over "
                                    f"{after[i] - size} B used exceeds {capacity} B")
-        plane = self._plane(name, block.shape[:-1], block.dtype, count, element_bits)
+        plane = self._plane(name, kind)
         plane.data[..., r, run, :] = block.reshape(block.shape[:-1] + (pes, count))
         plane.holds[r, run] = True
 
@@ -385,7 +391,7 @@ class Mesh:
 
     def pe_fetch(self, pe, name: str) -> np.ndarray:
         """The block ``name`` on ``pe``: a read-only view, shape (*batch, count),
-        that shows later writes while its plane lasts (see the module docstring)."""
+        that shows later writes."""
         return self.span_fetch(pe[0], range(pe[1], pe[1] + 1), name)[..., 0, :]
 
     def pe_element_bits(self, pe, name: str) -> int:
@@ -395,8 +401,7 @@ class Mesh:
     def span_fetch(self, row: int, cols: range, name: str) -> np.ndarray:
         """The named blocks of PEs (row, c), c in ``cols``, stacked on axis -2:
         shape (*batch, len(cols), count), read-only: a view of the plane, so
-        later writes show through it until a store or landing that promotes
-        the plane's dtype replaces it."""
+        later writes show through it."""
         view = self.comb_view(row, cols, 1, name)[..., 0, :]
         view.flags.writeable = False
         return view
@@ -406,8 +411,7 @@ class Mesh:
         0 <= j < ``width``, as one writable view of the plane, shape
         (*batch, len(starts), width, count): host arithmetic writes through
         it in place.  The spans must not overlap, and every PE must hold a
-        block.  A store or landing that promotes the plane's dtype replaces
-        it, and the view then writes to the old buffer."""
+        block."""
         plane, comb = self._run(row, starts, width, name)
         return _comb(plane.data, comb)
 
@@ -430,17 +434,17 @@ class Mesh:
         A comb counts as its spans, in column order, and the error raised is
         the first that moving the spans in order, PE by PE, would meet: a span
         empty or off the grid (after the blocks of the spans before it), a
-        missing block, a wrong element size, a block lifted twice or landed on
-        twice; then a PE over capacity, in the order the moves touch PEs; then
-        a destination that already holds the name; last, in descriptor order,
-        a comb whose batch shape, element size or element count is not its
-        destination name's (a new name's are its first comb's).  Each PE's
-        bytes are summed once, over the grid, from the holds planes; then
-        every plane, holds planes and the lifted and landed mark planes per
-        name included, is read and written through one strided view per comb.
-        Each moving comb is costed at its name's one count.  The commit copies
-        each comb's blocks from its view of the source plane into the same
-        view of the destination plane, and moves the holds marks.
+        missing block, a block lifted twice or landed on twice; then a PE over
+        capacity, in the order the moves touch PEs; then a destination that
+        already holds the name; last, in descriptor order, a comb whose kind
+        (batch shape, element size, count, dtype) is not its destination
+        name's (a new name's is its first comb's).  Each PE's bytes are summed
+        once, over the grid, from the holds planes; then every plane, holds
+        planes and the lifted and landed mark planes per name included, is
+        read and written through one strided view per comb.  Each moving comb
+        is costed at its source name's element size and count.  The commit
+        copies each comb's blocks from its view of the source plane into the
+        same view of the destination plane, and moves the holds marks.
         """
         config = self.config
         rows, cols = config.rows, config.cols
@@ -479,17 +483,14 @@ class Mesh:
             src = (row, d.col_start, d.period, spans, width)
             dest, dst = d.dest_name or d.name, (row + d_row, d.col_start + d_col, *src[2:])
             plane = self._planes.get(d.name, self._empty)
-            held, wrong_size = _comb(plane.holds, src), plane.bits != d.element_bits
+            held = _comb(plane.holds, src)
             twice_lifted, twice_landed = _comb(lifted[d.name], src), _comb(landed[dest], dst)
-            failed = np.flatnonzero(~held | wrong_size | twice_lifted | twice_landed)
+            failed = np.flatnonzero(~held | twice_lifted | twice_landed)
             if len(failed):
                 i = failed[0]
                 pe = _pe(src, i)
                 if not held.flat[i]:
                     raise KeyError(f"PE {pe} holds no array named {d.name!r}")
-                if wrong_size:
-                    raise ValueError(f"{d.name!r} on PE {pe} is stored as {plane.bits}-bit "
-                                     f"elements, descriptor says {d.element_bits}")
                 if twice_lifted.flat[i]:
                     raise ValueError(f"{d.name!r} on PE {pe} is lifted by two slides")
                 raise ValueError(f"two slides land on {dest!r} at PE {_pe(dst, i)}")
@@ -522,24 +523,18 @@ class Mesh:
 
         # Commit, one descriptor at a time: lift each comb as a view of its
         # source plane, copied out only if that plane also takes landings;
-        # nothing has changed yet, so the batch-shape, element-size and
-        # element-count checks may still raise.  Then land each comb into the
-        # same view of its destination plane, and move the holds marks.
-        kinds: dict[str, _Plane] = {}       # dest -> its plane, else its first comb's source
+        # nothing has changed yet, so the kind check may still raise.  Then
+        # land each comb into the same view of its destination plane, and
+        # move the holds marks.
+        kinds: dict[str, tuple] = {}        # dest -> its kind, else its first comb's
         lifts = []
         for d, src, dest, dst, source in moves:
-            kind = kinds.setdefault(dest, self._planes.get(dest, source))
-            if kind.data.shape[:-3] != source.data.shape[:-3]:
-                raise ValueError(f"blocks of {d.name!r} and {dest!r} differ in batch shape")
-            if kind.bits != source.bits:
-                raise ValueError(f"blocks of {d.name!r} and {dest!r} differ in element size")
-            if kind.count != source.count:
-                raise ValueError(f"blocks of {d.name!r} and {dest!r} differ in element count")
+            _refuse_other_kind(dest, kinds.setdefault(dest, self._planes.get(dest, source).kind),
+                               source.kind)
             blocks = _comb(source.data, src)
             lifts.append((source, src, dest, blocks.copy() if d.name in landed else blocks, dst))
         for source, src, dest, blocks, dst in lifts:
-            plane = self._plane(dest, blocks.shape[:-3], blocks.dtype, source.count, source.bits)
-            _comb(plane.data, dst)[...] = blocks
+            _comb(self._plane(dest, source.kind).data, dst)[...] = blocks
             _comb(source.holds, src)[...] = False
         for _, _, dest, dst, _ in moves:
             _comb(self._planes[dest].holds, dst)[...] = True
@@ -549,7 +544,7 @@ class Mesh:
         # One closed form per moving comb: each of its spans * width PEs moves
         # its name's one count.
         max_time = config.ramp_cycles + max(
-            config.element_cost(d.element_bits) * plane.count
+            config.element_cost(plane.bits) * plane.count
             + config.pipeline_fill_cycles_per_hop * (d.hops - 1)
             for d, *_, plane in moving)
         moved = [(d.hops, spans * width, plane.count)

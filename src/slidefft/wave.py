@@ -159,13 +159,15 @@ def distribute(x, layout: WaveLayout, mesh: Mesh) -> None:
     """Store the input across the wave in permuted order, block-contiguous:
     PE j holds permuted elements [j*e, (j+1)*e).  One store of the whole
     wave, atomic: if any PE cannot take its block, none is stored.  A
-    host-side load, not a slide: nothing is booked."""
-    y = _as_samples(x)
-    if y.shape[-1] != layout.n:
-        raise ValueError(f"expected {layout.n} samples, got {y.shape[-1]}")
+    host-side load, not a slide: nothing is booked.  ``x`` is rebound to its
+    permuted copy, so an input that only this call holds is freed before
+    the store."""
+    x = _as_samples(x)
+    if x.shape[-1] != layout.n:
+        raise ValueError(f"expected {layout.n} samples, got {x.shape[-1]}")
     if layout.m >= 1:
-        y = y[..., build_permutation(layout.m).final_row]
-    mesh.pe_store(layout.origin, layout.name, y, element_bits=layout.element_bits,
+        x = x[..., build_permutation(layout.m).final_row]
+    mesh.pe_store(layout.origin, layout.name, x, element_bits=layout.element_bits,
                   pes=layout.pe_count)
 
 
@@ -179,8 +181,7 @@ def _groups(count: int, size: int):
 
 def gather(layout: WaveLayout, mesh: Mesh) -> np.ndarray:
     """The wave's blocks as one array (host-side): a read-only view of the
-    mesh's wave, so a later transform on the same mesh shows through it,
-    unless a store that promotes the dtype of the wave's plane replaces it."""
+    mesh's wave, so a later transform on the same mesh shows through it."""
     row, col0 = layout.origin
     blocks = mesh.span_fetch(row, range(col0, col0 + layout.pe_count), layout.name)
     return blocks.reshape(blocks.shape[:-2] + (layout.n,))
@@ -220,8 +221,7 @@ def _run_sliding_level(mesh: Mesh, layout: WaveLayout, factors: np.ndarray,
         # the phase: a rename would only add moves.
         mesh.slide_phase([
             SlideDescriptor(row=row, col_start=col0 + offset, col_stop=col0 + offset + span,
-                            name=name, displacement=(0, d_col),
-                            element_bits=layout.element_bits, dest_name=dest_name,
+                            name=name, displacement=(0, d_col), dest_name=dest_name,
                             period=2 * span, repeats=len(bases))
             for offset, name, dest_name, d_col in legs if d_col
         ])

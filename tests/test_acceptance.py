@@ -210,7 +210,7 @@ def test_criterion_8_property_suites(capsys):
     block = batch(SEED, 1, 32)[0]
     mesh.pe_store((0, 0), "w", block, element_bits=64)
     mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                                      displacement=(0, 2), element_bits=64)])
+                                      displacement=(0, 2))])
     checks["slide-conservation"] = bool(
         np.array_equal(mesh.pe_fetch((0, 2), "w"), block))
 

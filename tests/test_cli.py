@@ -498,26 +498,30 @@ def test_random_batch_builds_no_second_batch():
 
 
 def test_bench_fft_holds_the_input_once():
-    """The last transform runs after the input is dropped: its peak is the
-    wave's plane, __incoming and the twiddle tables, about 3 x 16n bytes
-    (about 4 x 16n with the input kept)."""
+    """No transform runs beside a copy of its input: each k draws its own,
+    and `distribute` frees it once permuted.  One k peaks in its slides, at
+    the wave's plane, __incoming and the twiddle tables, about 3 x 16n
+    bytes.  A later k peaks in `distribute`, beside the cached twiddle
+    tables (16n): the input, its permutation index (8n) and its permuted
+    copy, about 3.5 x 16n.  One input kept across k adds 16n to either."""
     n, config = 1 << 18, preset_config("cs2-calibrated")
-    bench_fft_records(16, [2], 32, config)      # loads what a first run imports
-    serial.twiddle_table.cache_clear()
-    tracemalloc.start()
-    try:
-        records, _, _ = bench_fft_records(n, [6], 32, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [r.status for r in records] == ["ok"]
-    assert peak < 3.25 * 16 * n
+    for k_values, bound in (([6], 3.25), ([6, 7, 8], 3.6)):
+        bench_fft_records(16, [2], 32, config)      # loads what a first run imports
+        serial.twiddle_table.cache_clear()
+        tracemalloc.start()
+        try:
+            records, _, _ = bench_fft_records(n, k_values, 32, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.status for r in records] == ["ok"] * len(k_values)
+        assert peak < bound * 16 * n, k_values
 
 
 def test_bench_fft_many_k_equal_one_k_each(monkeypatch):
-    """One call over several k draws the input once and returns what one
-    call per k returns; every transform, the one run after the input is
-    dropped too, gives the serial spectrum."""
+    """One call over several k draws the input once per k, from the one
+    seed, and returns what one call per k returns; every transform gives
+    the serial spectrum."""
     n, k_values, config = 1 << 10, [2, 5, 10], preset_config("cs2-calibrated")
     singles = [bench_fft_records(n, [k], 64, config, seed=3) for k in k_values]
     draws, spectra, slide = [], [], cli.slide_fft
@@ -534,7 +538,7 @@ def test_bench_fft_many_k_equal_one_k_each(monkeypatch):
     monkeypatch.setattr(cli, "slide_fft", kept)
     records, notes, ledgers = bench_fft_records(n, k_values, 64, config, seed=3)
     monkeypatch.undo()
-    assert draws == [(3, 1, n)]
+    assert draws == [(3, 1, n)] * len(k_values)
     assert records == [r for single in singles for r in single[0]]
     assert notes == [note for single in singles for note in single[1]]
     assert ledgers == [entry for single in singles for entry in single[2]]

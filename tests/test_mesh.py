@@ -38,17 +38,20 @@ BATCHES = {"a": (), "b": (2,), "c": (), "u": (), "full": ()}
 
 @st.composite
 def meshes_and_runs(draw):
-    """A small grid with random blocks of "a", "b" (batch 2) and "u", one
-    count per name, and the arguments of a store of "a", "b" or "c" on a
-    run of PEs; "u" only takes memory.  Runs often go bad: off the grid,
-    onto a PE that holds the name or is full (often a PE past the first: a
-    block is planted there, "full" filling the PE), in the other batch
-    shape or another count, with elements that do not split into equal
-    parts, or none.  A third of the unbatched ones are bytes."""
+    """A small grid with random float64 blocks of "a", "b" (batch 2) and
+    "u", one element size and count per name, and the arguments of a store
+    of "a", "b" or "c" on a run of PEs; "u" only takes memory.  Runs often
+    go bad: off the grid, onto a PE that holds the name or is full (often a
+    PE past the first: a block is planted there, "full" filling the PE), in
+    the other batch shape, another element size or count, with elements
+    that do not split into equal parts, or none.  Most stores take the
+    name's element size, so the count and dtype checks are reached too.  A
+    third of the unbatched ones are bytes, of another dtype."""
     rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 6))
     mesh = mesh_create(MeshConfig(rows=rows, cols=cols,
                                   local_memory_bytes=draw(st.sampled_from([16, 32, 64]))))
     counts = {name: draw(st.integers(1, 4)) for name in "abcu"}
+    sizes = {name: draw(st.sampled_from([8, 32, 64])) for name in "abcu"}
     serial = itertools.count()
 
     def put(pe, name, count, element_bits):
@@ -63,7 +66,7 @@ def meshes_and_runs(draw):
     for pe in every_pe(mesh):
         for name in "abu":
             if draw(st.sampled_from([True, False, False, False])):
-                put(pe, name, counts[name], draw(st.sampled_from([8, 32, 64])))
+                put(pe, name, counts[name], sizes[name])
     if draw(st.sampled_from([True] * 3 + [False])):    # a run on the grid
         pes = draw(st.integers(1, min(4, cols)))
         pe = (draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - pes)))
@@ -75,14 +78,17 @@ def meshes_and_runs(draw):
     if trouble is not None and mesh.in_bounds(pe):
         last = (pe[0], min(pe[1] + pes, cols) - 1)     # the run's last PE on the grid
         free = mesh.config.local_memory_bytes - mesh.pe_used(last)
-        put(last, trouble, free // 8 if trouble == "full" else counts[name], 64)
+        if trouble == "full":
+            put(last, trouble, free // 8, 64)
+        else:
+            put(last, trouble, counts[name], sizes[name])
     count = draw(st.sampled_from([counts[name]] * 6 + [1, 2, 3, 0]))
     elements = pes * count + draw(st.sampled_from([0] * 5 + [1]))
     batch = draw(st.sampled_from([(), (), (2,)]))
     data = np.arange(1000, 1000 + elements * math.prod(batch), dtype=float).reshape(batch + (-1,))
     if not batch and draw(st.sampled_from([False, False, True])):
         data = bytes(range(elements))
-    return mesh, (pe, name, data, draw(st.sampled_from([8, 32, 64])), pes)
+    return mesh, (pe, name, data, draw(st.sampled_from([sizes[name]] * 4 + [8, 32, 64])), pes)
 
 
 def one_pe_stores(mesh, pe, name, data, element_bits, pes):
@@ -127,7 +133,7 @@ class TestStorage:
         mesh.pe_store((0, 0), "b", np.zeros(25, np.float64), element_bits=64)
         assert mesh.pe_used((0, 0)) == 300
         mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="a",
-                                          displacement=(0, 1), element_bits=8)])
+                                          displacement=(0, 1))])
         assert (mesh.pe_used((0, 0)), mesh.pe_used((0, 1))) == (200, 100)
 
     def test_no_silent_overwrite(self):
@@ -154,14 +160,18 @@ class TestStorage:
         ((0, 1), np.zeros(9), 64, CapacityExceeded, "storing 72 B of 'b' over 48 B used"),
         ((0, 1), np.zeros(1), 64, ValueError, r"batch shape \(2,\), not \(\)"),
         ((0, 1), np.zeros(2), 32, ValueError, r"batch shape \(2,\), not \(\)"),
-        ((0, 1), np.zeros((2, 1)), 32, ValueError, "blocks of 'b' are 64-bit elements, not 32"),
-        ((0, 1), np.zeros((2, 2)), 64, ValueError, "blocks of 'b' have element count 1, not 2"),
+        ((0, 1), np.zeros((2, 2), np.float32), 32, ValueError,
+         "blocks of 'b' have element size 64, not 32"),
+        ((0, 1), np.zeros((2, 2), np.float32), 64, ValueError,
+         "blocks of 'b' have element count 1, not 2"),
+        ((0, 1), np.zeros((2, 1), np.float32), 64, ValueError,
+         "blocks of 'b' have dtype float64, not float32"),
     ])
     def test_one_pe_store_checks_in_order(self, pe, data, element_bits, error, match):
         """The grid, the element size, an empty block, a block already held,
-        capacity, the plane's batch shape, its element size, then its element
-        count, which "b" keeps while its block on PE (0, 0) lives: each check
-        wins over the ones after it."""
+        capacity, then the name's kind: its batch shape, element size, element
+        count and dtype, which "b" keeps while its block on PE (0, 0) lives.
+        Each check wins over the ones after it."""
         mesh = one_row_mesh(2, local_memory_bytes=64)
         mesh.pe_store((0, 0), "b", np.zeros((2, 1)), element_bits=64)
         mesh.pe_store((0, 1), "a", np.zeros(6), element_bits=64)
@@ -197,23 +207,25 @@ class TestStorage:
     def test_a_name_outlives_its_blocks(self, hops):
         """Once its last block has left, renamed in place or slid to the next
         PE, a name is held nowhere, yet its plane stays: another batch shape,
-        element size or count, on one PE or a run, is refused and changes
-        nothing, and the old ones are stored again."""
+        element size, count or dtype, on one PE or a run, is refused and
+        changes nothing, and blocks of its kind are stored again."""
         mesh = one_row_mesh(2)
         mesh.pe_store((0, 0), "b", np.zeros((2, 3)), element_bits=64)
         mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="b",
-                                          displacement=(0, hops), element_bits=64,
-                                          dest_name="moved")])
+                                          displacement=(0, hops), dest_name="moved")])
         assert all("b" not in mesh.pe_names(pe) for pe in every_pe(mesh))
         before = mesh_state(mesh)
         with pytest.raises(ValueError, match=r"batch shape \(2,\), not \(\)"):
             mesh.pe_store((0, 1), "b", np.zeros(3), element_bits=64)
         assert mesh_state(mesh) == before
-        with pytest.raises(ValueError, match="blocks of 'b' are 64-bit elements, not 32"):
+        with pytest.raises(ValueError, match="blocks of 'b' have element size 64, not 32"):
             mesh.pe_store((0, 1), "b", np.zeros((2, 3)), element_bits=32)
         assert mesh_state(mesh) == before
         with pytest.raises(ValueError, match="blocks of 'b' have element count 3, not 2"):
             mesh.pe_store((0, 0), "b", np.zeros((2, 4)), element_bits=64, pes=2)
+        assert mesh_state(mesh) == before
+        with pytest.raises(ValueError, match="blocks of 'b' have dtype float64, not complex128"):
+            mesh.pe_store((0, 0), "b", np.zeros((2, 6), complex), element_bits=64, pes=2)
         assert mesh_state(mesh) == before
         mesh.pe_store((0, 1), "b", np.ones((2, 3)), element_bits=64)
         np.testing.assert_array_equal(mesh.pe_fetch((0, 1), "b"), np.ones((2, 3)))
@@ -314,6 +326,25 @@ class TestSpanAccess:
             call(mesh)
         assert mesh_state(mesh) == before
 
+    def test_a_view_outlives_refused_dtypes(self):
+        """A store and a landing of complex blocks under the float64 "w" are
+        refused and change nothing; a view taken before them still writes
+        through to the blocks that fetches read."""
+        mesh = one_row_mesh(3)
+        mesh.pe_store((0, 0), "w", np.zeros(2), element_bits=64)
+        mesh.pe_store((0, 2), "z", np.zeros(2, complex), element_bits=64)
+        view = mesh.comb_view(0, range(1), 1, "w")
+        before = mesh_state(mesh)
+        with pytest.raises(ValueError, match="blocks of 'w' have dtype float64, not complex128"):
+            mesh.pe_store((0, 1), "w", np.ones(2, complex), element_bits=64)
+        assert mesh_state(mesh) == before
+        with pytest.raises(ValueError, match="blocks of 'w' have dtype float64, not complex128"):
+            mesh.slide_phase([SlideDescriptor(row=0, col_start=2, col_stop=3, name="z",
+                                              displacement=(0, -1), dest_name="w")])
+        assert mesh_state(mesh) == before
+        view[...] = 7
+        np.testing.assert_array_equal(mesh.pe_fetch((0, 0), "w"), [7, 7])
+
     def test_missing_block_is_named_by_its_first_pe(self):
         """The error names the first PE without the block, in column order:
         here the second column of a comb's second span, period 3 > width 2."""
@@ -333,7 +364,7 @@ class TestSlide:
         mesh.pe_store((0, 0), "w", np.arange(100, dtype=np.float32),
                       element_bits=32)
         mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                                          displacement=(0, 1), element_bits=32)])
+                                          displacement=(0, 1))])
         ledger = mesh.ledger_report()
         assert ledger.ramp_cycles == 3
         assert ledger.transfer_cycles == 130
@@ -347,7 +378,7 @@ class TestSlide:
                           element_bits=32)
             report = mesh.slide_phase([SlideDescriptor(
                 row=0, col_start=0, col_stop=1, name="w",
-                displacement=(0, 1), element_bits=32)])
+                displacement=(0, 1))])
             costs[count] = report.exact_cycles
         # ramp + 1.3 per element
         for count, cycles in costs.items():
@@ -360,7 +391,7 @@ class TestSlide:
         mesh.pe_store((0, 0), "w", data, element_bits=64)
         report = mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1,
                                                    name="w", displacement=(0, 0),
-                                                   dest_name="v", element_bits=64)])
+                                                   dest_name="v")])
         assert report.booked_cycles == 0
         assert mesh.wall_clock_cycles == 0
         np.testing.assert_array_equal(mesh.pe_fetch((0, 0), "v"), data)
@@ -374,7 +405,7 @@ class TestSlide:
             blocks.append(block)
             mesh.pe_store((0, col), "w", block, element_bits=128)
         mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=3, name="w",
-                                          displacement=(0, 1), element_bits=128)])
+                                          displacement=(0, 1))])
         for col, block in enumerate(blocks):
             np.testing.assert_array_equal(mesh.pe_fetch((0, col + 1), "w"), block)
         assert mesh.pe_names((0, 0)) == ()
@@ -385,8 +416,7 @@ class TestSlide:
         data = np.arange(5, dtype=np.float32)
         mesh.pe_store((0, 0), "w", data, element_bits=32)
         report = mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1,
-                                                   name="w", displacement=(2, 1),
-                                                   element_bits=32)])
+                                                   name="w", displacement=(2, 1))])
         np.testing.assert_array_equal(mesh.pe_fetch((2, 1), "w"), data)
         assert report.element_hops == 5 * 3
 
@@ -395,7 +425,7 @@ class TestSlide:
         mesh.pe_store((0, 1), "w", b"\x00")
         with pytest.raises(OffGridError):
             mesh.slide_phase([SlideDescriptor(row=0, col_start=1, col_stop=2, name="w",
-                                              displacement=(0, 1), element_bits=8)])
+                                              displacement=(0, 1))])
 
     def test_destination_capacity_enforced(self):
         mesh = one_row_mesh(2)
@@ -403,7 +433,7 @@ class TestSlide:
         mesh.pe_store((0, 1), "resident", bytes(20000))
         with pytest.raises(CapacityExceeded):
             mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                                              displacement=(0, 1), element_bits=8)])
+                                              displacement=(0, 1))])
 
     def test_phase_cost_is_max_not_sum(self):
         """Two same-phase slides cost what the slower one costs."""
@@ -412,9 +442,9 @@ class TestSlide:
         mesh.pe_store((0, 2), "large", np.zeros(100, np.float32), element_bits=32)
         mesh.slide_phase([
             SlideDescriptor(row=0, col_start=0, col_stop=1, name="small",
-                            displacement=(0, 1), element_bits=32),
+                            displacement=(0, 1)),
             SlideDescriptor(row=0, col_start=2, col_stop=3, name="large",
-                            displacement=(0, 1), element_bits=32),
+                            displacement=(0, 1)),
         ])
         assert mesh.wall_clock_cycles == 133  # the 100-element mover dominates
 
@@ -424,9 +454,9 @@ class TestSlide:
             mesh.pe_store((0, col), "w", np.zeros(10, np.float32), element_bits=32)
         mesh.slide_phase([
             SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                            displacement=(0, 1), element_bits=32),
+                            displacement=(0, 1)),
             SlideDescriptor(row=0, col_start=2, col_stop=3, name="w",
-                            displacement=(0, 1), element_bits=32),
+                            displacement=(0, 1)),
         ])
         assert mesh.ledger_report().ramp_cycles == 3
 
@@ -439,9 +469,9 @@ class TestSlide:
         with pytest.raises(ValueError, match="two slides land"):
             mesh.slide_phase([
                 SlideDescriptor(row=0, col_start=0, col_stop=1, name="x",
-                                displacement=(0, 1), element_bits=32),
+                                displacement=(0, 1)),
                 SlideDescriptor(row=0, col_start=2, col_stop=3, name="x",
-                                displacement=(0, -1), element_bits=32),
+                                displacement=(0, -1)),
             ])
         assert mesh_state(mesh) == before
 
@@ -453,9 +483,9 @@ class TestSlide:
         with pytest.raises(ValueError, match="lifted by two slides"):
             mesh.slide_phase([
                 SlideDescriptor(row=0, col_start=1, col_stop=2, name="x",
-                                displacement=(0, 1), element_bits=32),
+                                displacement=(0, 1)),
                 SlideDescriptor(row=0, col_start=1, col_stop=2, name="x",
-                                displacement=(0, -1), element_bits=32),
+                                displacement=(0, -1)),
             ])
         assert mesh_state(mesh) == before
 
@@ -465,8 +495,8 @@ class TestSlide:
         for col in range(8):
             mesh.pe_store((0, col), "w", np.full(3, col, np.float32), element_bits=32)
         report = mesh.slide_phase([SlideDescriptor(
-            row=0, col_start=1, col_stop=3, name="w", displacement=(0, -1),
-            element_bits=32, dest_name="v", period=4, repeats=2)])
+            row=0, col_start=1, col_stop=3, name="w", displacement=(0, -1), dest_name="v",
+            period=4, repeats=2)])
         assert report.elements == 12 and report.blocks == 4
         for col in range(8):
             assert mesh.pe_names((0, col)) == {
@@ -525,29 +555,33 @@ class TestSlide:
 
     @pytest.mark.parametrize("lands_on,differs", [
         ("held", "size"), ("new", "size"), ("held", "count"), ("new", "count"),
+        ("held", "dtype"), ("new", "dtype"),
     ])
-    def test_sizes_and_counts_that_differ_raise_and_change_nothing(self, lands_on, differs):
-        """A name keeps one element size and one element count.  A 3-element
-        32-bit "b" renamed in place to "a", whose 8-bit (or 2-element) block
-        leaves in the same phase, is refused, as are blocks of "b" and "c"
-        that differ so landing under one new name."""
+    def test_kinds_that_differ_raise_and_change_nothing(self, lands_on, differs):
+        """A name keeps one kind.  A 3-element 32-bit float32 "b" renamed in
+        place to "a", whose float64 block of another element size, count or
+        dtype leaves in the same phase, is refused, as are blocks of "b" and
+        "c" that differ so landing under one new name.  Each check wins over
+        the ones after it: the 8-bit and 2-element blocks are float64 too."""
         mesh = one_row_mesh(4)
         mesh.pe_store((0, 0), "b", np.zeros(3, np.float32), element_bits=32)
-        count, bits = (3, 8) if differs == "size" else (2, 32)
+        count, bits, what, ours, theirs = {"size": (2, 8, "element size", 32, 8),
+                                           "count": (2, 32, "element count", 3, 2),
+                                           "dtype": (3, 32, "dtype", "float32", "float64")}[differs]
         if lands_on == "held":
             mesh.pe_store((0, 0), "a", np.zeros(count), element_bits=bits)
             descs = [SlideDescriptor(row=0, col_start=0, col_stop=1, name="b",
                                      displacement=(0, 0), dest_name="a"),
                      SlideDescriptor(row=0, col_start=0, col_stop=1, name="a",
-                                     displacement=(0, 1), element_bits=bits)]
-            match = f"blocks of 'b' and 'a' differ in element {differs}"
+                                     displacement=(0, 1))]
+            match = f"blocks of 'a' have {what} {theirs}, not {ours}"
         else:
             mesh.pe_store((0, 2), "c", np.zeros(count), element_bits=bits)
             descs = [SlideDescriptor(row=0, col_start=0, col_stop=1, name="b",
                                      displacement=(0, 1), dest_name="new"),
                      SlideDescriptor(row=0, col_start=2, col_stop=3, name="c",
-                                     displacement=(0, 1), element_bits=bits, dest_name="new")]
-            match = f"blocks of 'c' and 'new' differ in element {differs}"
+                                     displacement=(0, 1), dest_name="new")]
+            match = f"blocks of 'new' have {what} {ours}, not {theirs}"
         before = mesh_state(mesh)
         with pytest.raises(ValueError, match=match):
             mesh.slide_phase(descs)
@@ -576,7 +610,7 @@ def meshes_and_phases(draw):
     one to three spans, from zero to two columns apart.  Every
     element stored is distinct, so a dropped or duplicated block shows in the
     blocks' contents.  Half the phases are tidy: combs stay on the grid,
-    sizes match, no two descriptors lift from one row under one name,
+    no two descriptors lift from one row under one name,
     and each lands under a fresh name, so most are accepted and their cost
     can be checked.  The rest draw two names, spans and displacements from
     small sets so that they often collide, overlap, fan out or leave the grid,
@@ -586,9 +620,8 @@ def meshes_and_phases(draw):
     whose name has another element size or count is refused.
     """
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 8))
-    sizes = (8, 32, 64)
     names = ("a", "b", "c")
-    bits = {name: draw(st.sampled_from(sizes)) for name in names}
+    bits = {name: draw(st.sampled_from((8, 32, 64))) for name in names}
     counts = {name: draw(st.integers(1, 4)) for name in names}
     mesh = mesh_create(MeshConfig(rows=rows, cols=cols,
                                   local_memory_bytes=draw(st.sampled_from([256, 48]))))
@@ -620,11 +653,9 @@ def meshes_and_phases(draw):
             repeats = draw(st.integers(1, 3))
             displacement = (draw(st.integers(1 - rows, rows - 1)),
                             draw(st.integers(-cols, cols)))
-        wrong = [size for size in sizes if size != bits[name]]
         return SlideDescriptor(
             row=row, col_start=start, col_stop=stop, name=name,
             displacement=displacement,
-            element_bits=bits[name] if tidy else draw(st.sampled_from([bits[name]] * 4 + wrong)),
             dest_name=None if tidy else draw(st.sampled_from((None,) + names[:2])),
             period=period, repeats=repeats,
         )
@@ -644,8 +675,7 @@ def meshes_and_phases(draw):
         name = draw(st.sampled_from(names))
         descs.insert(0, replace(target, row=target.row - d_row, col_start=target.col_start - d_col,
                                 col_stop=target.col_stop - d_col, name=name,
-                                displacement=(d_row, d_col), element_bits=bits[name],
-                                dest_name=target.name))
+                                displacement=(d_row, d_col), dest_name=target.name))
     return mesh, descs
 
 
@@ -658,19 +688,20 @@ def unrolled(descs):
 
 def per_pe_phase_time(mesh, descs):
     """The phase's wall clock the slow way: the per-PE time of every moving
-    PE, from the stores before the phase and the cost formula written out,
-    maximised.  None when a block the phase lifts is missing or off the grid."""
+    PE, from the stores before the phase (its block's element size and
+    count) and the cost formula written out, maximised.  None when a block the phase lifts is missing or off the grid."""
     config = mesh.config
     worst = Fraction(0)
     for desc in unrolled(descs):
         if not desc.hops:
             continue
-        per_element = (Fraction(desc.element_bits, config.packet_bits)
-                       * config.cycles_per_packet_per_hop + config.per_element_overhead_cycles)
         for col in range(desc.col_start, desc.col_stop):
             pe = (desc.row, col)
             if not mesh.in_bounds(pe) or desc.name not in mesh.pe_names(pe):
                 return None
+            per_element = (Fraction(mesh.pe_element_bits(pe, desc.name), config.packet_bits)
+                           * config.cycles_per_packet_per_hop
+                           + config.per_element_overhead_cycles)
             count = mesh.pe_fetch(pe, desc.name).shape[-1]
             worst = max(worst, config.ramp_cycles + per_element * count
                         + config.pipeline_fill_cycles_per_hop * (desc.hops - 1))
@@ -681,13 +712,13 @@ def per_pe_phase_outcome(mesh, descs):
     """The error a phase must raise, as (type, message), the slow way; None
     if it must be accepted.  Each comb is walked as its spans, in order, PE
     by PE: a span empty or off the grid, then for each of its PEs a missing
-    block, a wrong element size, a block lifted twice or landed on twice.
-    Then the moved bytes are summed and each PE over capacity is looked for
-    in the order the moves touch PEs, then each destination that already
-    holds the name and does not lose it in the phase.  Last, move by move, a
-    block whose element size, then count, is not its destination name's:
-    those of a PE that held that name before the phase, else of the name's
-    first landing."""
+    block, a block lifted twice or landed on twice.  Then the moved bytes
+    are summed and each PE over capacity is looked for in the order the
+    moves touch PEs, then each destination that already holds the name and
+    does not lose it in the phase.  Last, move by move, a block whose
+    element size, count, then dtype, is not its destination name's: those
+    of a PE that held that name before the phase, else of the name's first
+    landing."""
     def outcome(error):
         return type(error), str(error)
 
@@ -718,20 +749,16 @@ def per_pe_phase_outcome(mesh, descs):
             src, dst = (row, col), (row + d_row, col + d_col)
             if name not in mesh.pe_names(src):
                 return outcome(KeyError(f"PE {src} holds no array named {name!r}"))
-            bits = mesh.pe_element_bits(src, name)
-            if bits != desc.element_bits:
-                return outcome(ValueError(f"{name!r} on PE {src} is stored as {bits}-bit "
-                                          f"elements, descriptor says {desc.element_bits}"))
             if (src, name) in lifted:
                 return outcome(ValueError(f"{name!r} on PE {src} is lifted by two slides"))
             if (dst, dest) in landed:
                 return outcome(ValueError(f"two slides land on {dest!r} at PE {dst}"))
             lifted.add((src, name))
             landed.add((dst, dest))
-            count = mesh.pe_fetch(src, name).shape[-1]
-            moves.append((dst, dest, name, bits, count))
+            block, bits = mesh.pe_fetch(src, name), mesh.pe_element_bits(src, name)
+            moves.append((dst, dest, (bits, block.shape[-1], block.dtype)))
             if desc.hops:       # zero-hop moves are renames
-                moving.append((src, dst, count * bits // 8))
+                moving.append((src, dst, block.shape[-1] * bits // 8))
     used = {pe: mesh.pe_used(pe) for pe in every_pe(mesh)}
     for src, dst, size in moving:
         used[src] -= size
@@ -746,14 +773,14 @@ def per_pe_phase_outcome(mesh, descs):
         if dest in mesh.pe_names(dst) and (dst, dest) not in lifted:
             return outcome(ValueError(f"PE {dst} already holds an array named {dest!r}"))
     kinds = {}
-    for _, dest, name, bits, count in moves:
-        held = [(mesh.pe_element_bits(pe, dest), mesh.pe_fetch(pe, dest).shape[-1])
+    for _, dest, kind in moves:
+        held = [(mesh.pe_element_bits(pe, dest), mesh.pe_fetch(pe, dest).shape[-1],
+                 mesh.pe_fetch(pe, dest).dtype)
                 for pe in every_pe(mesh) if dest in mesh.pe_names(pe)]
-        kind = kinds.setdefault(dest, held[0] if held else (bits, count))
-        if kind[0] != bits:
-            return outcome(ValueError(f"blocks of {name!r} and {dest!r} differ in element size"))
-        if kind[1] != count:
-            return outcome(ValueError(f"blocks of {name!r} and {dest!r} differ in element count"))
+        have = kinds.setdefault(dest, held[0] if held else kind)
+        for what, ours, theirs in zip(("element size", "element count", "dtype"), have, kind):
+            if ours != theirs:
+                return outcome(ValueError(f"blocks of {dest!r} have {what} {ours}, not {theirs}"))
     return None
 
 
@@ -813,7 +840,7 @@ class TestLedger:
         mesh = one_row_mesh(2)
         mesh.pe_store((0, 0), "w", np.zeros(10, np.float32), element_bits=32)
         mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                                          displacement=(0, 1), element_bits=32)])
+                                          displacement=(0, 1))])
         mesh.record_compute(50, max_flops_per_pe=50)
         lines = mesh.ledger_report().dump().splitlines()
         keys = [line.split("=")[0] for line in lines]
@@ -832,7 +859,7 @@ class TestLedger:
             mesh.pe_store((0, 0), "w", rng.random(64).astype(np.float32),
                           element_bits=32)
             mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                                              displacement=(0, 2), element_bits=32)])
+                                              displacement=(0, 2))])
             mesh.record_compute(640, max_flops_per_pe=320)
             return mesh.ledger_report(), mesh.wall_clock_cycles
 
@@ -858,7 +885,7 @@ class TestLedger:
         mesh = one_row_mesh(2)
         mesh.pe_store((0, 0), "w", np.zeros(7, np.float32), element_bits=32)
         mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1, name="w",
-                                          displacement=(0, 1), element_bits=32)])
+                                          displacement=(0, 1))])
         mesh.record_compute(10, max_flops_per_pe=10)
         ledger = mesh.ledger_report()
         assert ledger.total_cycles == (ledger.compute_cycles
