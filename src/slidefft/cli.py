@@ -32,7 +32,7 @@ import numpy as np
 from .mesh import (CapacityExceeded, MeshConfig, PRESETS, SlideDescriptor, mesh_create,
                    preset_config)
 from .model import CostModel, check_margin, flops_per_transform, predict_efficiency, reconcile
-from .serial import bit_reverse_index, build_permutation, dft_oracle, fft_serial
+from .serial import bit_reverse_index, build_permutation, dft_oracle, fft_serial, log2_exact
 from .wave import (distribute, measure_efficiency, min_feasible_k, plan_wave,
                    slide_fft, transfer_budget)
 
@@ -278,7 +278,7 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
     own costs: a is its cycles per element per hop, b its cycles per FLOP.
     Every feasible k draws the same input from ``seed``.
     """
-    m = n.bit_length() - 1
+    m = log2_exact(n)
     k_values = sorted(set(k_values))
     for k in k_values:      # every k, before the first mesh is built
         if not 0 <= k <= m:
@@ -341,7 +341,7 @@ def run_verify(max_n: int, seed: int) -> tuple[bool, list[str]]:
     pass/fail line per suite."""
     if max_n < 2:
         raise ValueError(f"verify needs n >= 2, got {max_n}")
-    sizes = [1 << m for m in range(1, max_n.bit_length())]
+    sizes = [1 << m for m in range(1, log2_exact(max_n) + 1)]
     lines: list[str] = []
 
     def suite(name: str, passed: bool, detail: str) -> None:
@@ -353,8 +353,7 @@ def run_verify(max_n: int, seed: int) -> tuple[bool, list[str]]:
     # oracle error is the serial one; detail names the first run at fault.
     serial_worst = parseval_worst = 0.0
     detail = ""
-    for n in sizes:
-        m = n.bit_length() - 1
+    for m, n in enumerate(sizes, start=1):
         x = random_batch(seed, VERIFY_SEEDS, n)
         reference = fft_serial(x)
         serial_worst = max(serial_worst, _rel_error(reference, dft_oracle(x)))
@@ -408,16 +407,13 @@ def run_verify(max_n: int, seed: int) -> tuple[bool, list[str]]:
 
 def run_predict(cost_model: CostModel, m: int) -> list[str]:
     """The lines of the closed-form report on a 2**m-point transform.  a, b
-    and eta print as exact fractions, so a value of over MAX_EXPONENT digits
-    raises ValueError, as does a decimal past the float range."""
+    and eta print as exact fractions through ``_integer``, decimals through
+    ``_decimal``; each raises ValueError naming a value it cannot print."""
     n = 1 << m
     report = predict_efficiency(cost_model, n, m)
     margin = check_margin(cost_model, m)
-    try:
-        costs = f"a = {cost_model.a}  b = {cost_model.b}"
-        eta = str(report.eta)
-    except ValueError:      # Python prints no integer of over MAX_EXPONENT digits
-        raise ValueError(f"a, b or eta has over {MAX_EXPONENT} digits to print") from None
+    costs = f"a = {_integer(cost_model.a, 'a')}  b = {_integer(cost_model.b, 'b')}"
+    eta = _integer(report.eta, "eta")
     return [costs + ("  (doubled transfer)" if cost_model.doubled_transfer else ""),
             f"m = {m}  n = {n}",
             f"alpha          = {_decimal(report.alpha, 'alpha')}",
@@ -572,7 +568,7 @@ def main(argv=None) -> int:
             if m is None and n is None:
                 raise ValueError("predict needs --m or --n")
             if m is None:
-                m = n.bit_length() - 1
+                m = log2_exact(n)
             if m < 1:
                 raise ValueError("need at least one level (m >= 1)")
             if m > MAX_LEVELS:

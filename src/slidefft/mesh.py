@@ -88,6 +88,11 @@ def _as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class MeshConfig:
+    """A grid and its costs.  An ``int`` field is a count, taken with
+    ``operator.index`` as a PE is (1.5 raises TypeError), at least 1 for
+    rows, cols and packet_bits, else 0.  The other fields are costs, exact
+    Fractions (a float means its decimal text), at least 0."""
+
     rows: int = 1
     cols: int = 1
     local_memory_bytes: int = 49152
@@ -99,19 +104,15 @@ class MeshConfig:
     cycles_per_flop: Fraction = Fraction(3)
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must have at least one row and one column")
-        if self.local_memory_bytes < 0:
-            raise ValueError("local memory must be non-negative")
-        if self.packet_bits < 1:
-            raise ValueError("packet size must be positive")
-        if self.ramp_cycles < 0:
-            raise ValueError("ramp latency must be non-negative")
-        for name in ("cycles_per_packet_per_hop", "per_element_overhead_cycles",
-                     "pipeline_fill_cycles_per_hop", "cycles_per_flop"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in fields(self):      # f.type is text: annotations are postponed
+            if f.type == "int":
+                value = operator.index(getattr(self, f.name))
+                least = 1 if f.name in ("rows", "cols", "packet_bits") else 0
+            else:
+                value, least = _as_fraction(getattr(self, f.name)), 0
+            if value < least:
+                raise ValueError(f"{f.name} must be at least {least}")
+            object.__setattr__(self, f.name, value)
 
     def element_cost(self, element_bits: int) -> Fraction:
         """Cycles per element per hop: packet cost plus fixed overhead."""
@@ -573,8 +574,9 @@ class Mesh:
 
         ``flops`` is the total volume over all PEs; ``max_flops_per_pe``, the
         volume of the busiest PE (at most the total), sets how far the wall
-        clock advances.
+        clock advances.  Both are counts, taken with ``operator.index``.
         """
+        flops, max_flops_per_pe = operator.index(flops), operator.index(max_flops_per_pe)
         if flops < 0:
             raise ValueError("FLOP count must be non-negative")
         if not 0 <= max_flops_per_pe <= flops:

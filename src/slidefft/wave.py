@@ -46,7 +46,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .mesh import CapacityExceeded, Mesh, MeshConfig, OffGridError, SlideDescriptor
+from .mesh import CapacityExceeded, Mesh, MeshConfig, SlideDescriptor
 from .model import EfficiencyReport
 from .serial import (FLOPS_PER_PAIR, _as_samples, build_permutation, butterfly,
                      log2_exact, merge_level, twiddle_table)
@@ -119,8 +119,8 @@ def plan_wave(n: int, k: int, element_bits: int, mesh: Mesh,
 
     The wave fits when k is at least :func:`min_feasible_k`; otherwise this
     raises CapacityExceeded carrying that k.  It raises ValueError for an
-    element size the mesh does not store, and OffGridError when the wave
-    leaves the grid.
+    element size the mesh does not store, then the mesh's grid rule on the
+    wave's first and last PE: OffGridError, or TypeError for a float.
     """
     m = log2_exact(n)
     if not 0 <= k <= m:
@@ -134,12 +134,8 @@ def plan_wave(n: int, k: int, element_bits: int, mesh: Mesh,
             + (f"minimal feasible k is {kmin}" if kmin is not None else "no wave length fits"),
             min_feasible_k=kmin,
         )
-    row, col = origin
-    if not (0 <= row < mesh.config.rows and 0 <= col and col + (1 << k) <= mesh.config.cols):
-        raise OffGridError(
-            f"wave of {1 << k} PEs at origin {origin} leaves the "
-            f"{mesh.config.rows}x{mesh.config.cols} grid"
-        )
+    row, col = mesh._require_pe(origin)     # the wave's first PE, then its last
+    mesh._require_pe((row, col + (1 << k) - 1))
     return WaveLayout(n=n, m=m, k=k, origin=(row, col),
                       elements_per_pe=n >> k, element_bits=element_bits)
 

@@ -225,7 +225,7 @@ def test_predict_refuses_a_report_it_cannot_print(capsys):
     of over 4300 digits."""
     for flag, value in (("--a", "1e4300"), ("--b", "1e-4300")):
         assert run(capsys, "predict", "--m", "3", flag, value) == (
-            EXIT_USAGE, "", "error: a, b or eta has over 4300 digits to print\n")
+            EXIT_USAGE, "", f"error: {flag[2:]} has over 4300 digits to print\n")
     assert run(capsys, "predict", "--m", "3", "--a", "1e300")[0] == EXIT_OK
 
 
@@ -330,6 +330,42 @@ def test_config_switch_matches_flag(tmp_path, capsys):
     _, from_flag, _ = run(capsys, "predict", "--m", "10", "--doubled-transfer")
     assert "(doubled transfer)" in from_flag
     assert from_config == from_flag
+
+
+@pytest.mark.parametrize("argv", [("bench-slide", "--pes", "8", "--elements", "1..3"),
+                                  ("bench-fft", "--n", "64", "--k", "3..6")])
+def test_config_preset_matches_flag(tmp_path, capsys, argv):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"preset": "pure-packet"}))
+    from_config = run(capsys, *argv, "--config", str(config))
+    from_flag = run(capsys, *argv, "--preset", "pure-packet")
+    assert from_config[0] == EXIT_OK
+    assert from_config == from_flag != run(capsys, *argv)
+
+
+@pytest.mark.parametrize("preset", [7, "warp"])
+def test_config_preset_must_be_a_preset_name(tmp_path, capsys, preset):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"preset": preset}))
+    code, out, err = run(capsys, "bench-slide", "--config", str(config))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.count("\n") == 1 and err.startswith("error: config key 'preset'")
+
+
+def test_config_out_writes_the_csv_there(tmp_path, capsys):
+    config, path = tmp_path / "settings.json", tmp_path / "rows.csv"
+    config.write_text(json.dumps({"out": str(path)}))
+    argv = ("bench-slide", "--pes", "8", "--elements", "1..3", "--csv")
+    code, out, _ = run(capsys, *argv, "--config", str(config))
+    assert (code, out) == (EXIT_OK, "")
+    assert path.read_text(encoding="utf-8") == run(capsys, *argv)[1]
+
+
+def test_library_sizes_must_be_powers_of_two():
+    with pytest.raises(ValueError, match="^length must be a power of two, got 12$"):
+        bench_fft_records(12, [0], 64, MeshConfig())
+    with pytest.raises(ValueError, match="^length must be a power of two, got 12$"):
+        cli.run_verify(12, 0)
 
 
 @pytest.mark.parametrize("text,message", [

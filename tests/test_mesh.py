@@ -605,8 +605,11 @@ class TestSlide:
 def meshes_and_phases(draw):
     """A small grid with random named blocks, and up to three random combs.
 
-    Each name has its own element size and block count, so one phase can
-    mix sizes and counts.  A comb has
+    Each name has its own kind: batch shape () or (2,), element size, block
+    count and dtype float64 or complex128.  The names' kinds differ in at
+    most one drawn field, so one phase can mix sizes or counts, and a
+    landing under another name meets each of the commit's kind refusals.
+    A comb has
     one to three spans, from zero to two columns apart.  Every
     element stored is distinct, so a dropped or duplicated block shows in the
     blocks' contents.  Half the phases are tidy: combs stay on the grid,
@@ -617,22 +620,26 @@ def meshes_and_phases(draw):
     and their spans may be empty.
     Half the tidy phases also begin with a feeder comb that lands, under
     the lifted name, on the PEs that a later comb lifts from; a feeder
-    whose name has another element size or count is refused.
+    whose name is of another kind is refused.
     """
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     names = ("a", "b", "c")
-    bits = {name: draw(st.sampled_from((8, 32, 64))) for name in names}
-    counts = {name: draw(st.integers(1, 4)) for name in names}
+    values = {"batch": st.sampled_from(((), (2,))), "bits": st.sampled_from((8, 32, 64)),
+              "count": st.integers(1, 4), "dtype": st.sampled_from((np.float64, np.complex128))}
+    varies = draw(st.sampled_from(tuple(values)))
+    base = {what: draw(drawn) for what, drawn in values.items()}
+    kinds = {name: {**base, varies: draw(values[varies])} for name in names}
     mesh = mesh_create(MeshConfig(rows=rows, cols=cols,
                                   local_memory_bytes=draw(st.sampled_from([256, 48]))))
     serial = itertools.count()
     for pe in every_pe(mesh):
         for name in names:
             if draw(st.sampled_from([True] * 7 + [False])):
-                first = 4 * next(serial)
+                kind, first = kinds[name], 8 * next(serial)
+                block = np.arange(first, first + 2 * kind["count"], dtype=kind["dtype"])
+                block = block.reshape(kind["batch"] + (-1,))[..., :kind["count"]]
                 try:
-                    mesh.pe_store(pe, name, np.arange(first, first + counts[name], dtype=float),
-                                  element_bits=bits[name])
+                    mesh.pe_store(pe, name, block, element_bits=kind["bits"])
                 except CapacityExceeded:
                     pass
     tidy = draw(st.booleans())
@@ -715,8 +722,8 @@ def per_pe_phase_outcome(mesh, descs):
     block, a block lifted twice or landed on twice.  Then the moved bytes
     are summed and each PE over capacity is looked for in the order the
     moves touch PEs, then each destination that already holds the name and
-    does not lose it in the phase.  Last, move by move, a block whose
-    element size, count, then dtype, is not its destination name's: those
+    does not lose it in the phase.  Last, move by move, a block whose batch
+    shape, element size, count, then dtype, is not its destination name's: those
     of a PE that held that name before the phase, else of the name's first
     landing."""
     def outcome(error):
@@ -756,7 +763,7 @@ def per_pe_phase_outcome(mesh, descs):
             lifted.add((src, name))
             landed.add((dst, dest))
             block, bits = mesh.pe_fetch(src, name), mesh.pe_element_bits(src, name)
-            moves.append((dst, dest, (bits, block.shape[-1], block.dtype)))
+            moves.append((dst, dest, (block.shape[:-1], bits, block.shape[-1], block.dtype)))
             if desc.hops:       # zero-hop moves are renames
                 moving.append((src, dst, block.shape[-1] * bits // 8))
     used = {pe: mesh.pe_used(pe) for pe in every_pe(mesh)}
@@ -774,11 +781,12 @@ def per_pe_phase_outcome(mesh, descs):
             return outcome(ValueError(f"PE {dst} already holds an array named {dest!r}"))
     kinds = {}
     for _, dest, kind in moves:
-        held = [(mesh.pe_element_bits(pe, dest), mesh.pe_fetch(pe, dest).shape[-1],
-                 mesh.pe_fetch(pe, dest).dtype)
+        held = [(mesh.pe_fetch(pe, dest).shape[:-1], mesh.pe_element_bits(pe, dest),
+                 mesh.pe_fetch(pe, dest).shape[-1], mesh.pe_fetch(pe, dest).dtype)
                 for pe in every_pe(mesh) if dest in mesh.pe_names(pe)]
         have = kinds.setdefault(dest, held[0] if held else kind)
-        for what, ours, theirs in zip(("element size", "element count", "dtype"), have, kind):
+        for what, ours, theirs in zip(("batch shape", "element size", "element count", "dtype"),
+                                      have, kind):
             if ours != theirs:
                 return outcome(ValueError(f"blocks of {dest!r} have {what} {ours}, not {theirs}"))
     return None
@@ -874,6 +882,15 @@ class TestLedger:
             mesh.record_compute(flops, max_flops_per_pe=per_pe)
         assert (mesh.ledger_report(), mesh.wall_clock_cycles) == before
 
+    @pytest.mark.parametrize("flops,per_pe", [(10.5, 5), (10, 5.0)])
+    def test_a_float_flop_count_is_refused(self, flops, per_pe):
+        mesh = one_row_mesh(1)
+        mesh.record_compute(20, max_flops_per_pe=10)
+        before = mesh.ledger_report(), mesh.wall_clock_cycles
+        with pytest.raises(TypeError):
+            mesh.record_compute(flops, max_flops_per_pe=per_pe)
+        assert (mesh.ledger_report(), mesh.wall_clock_cycles) == before
+
     def test_compute_volume_vs_critical_path(self):
         mesh = one_row_mesh(1, cycles_per_flop=Fraction(3))
         mesh.record_compute(100, max_flops_per_pe=25)
@@ -925,7 +942,27 @@ class TestConfig:
             MeshConfig(packet_bits=0)
         with pytest.raises(ValueError):
             MeshConfig(ramp_cycles=-1)
-        with pytest.raises(ValueError, match="local memory"):
+        with pytest.raises(ValueError, match="local_memory_bytes"):
             MeshConfig(local_memory_bytes=-1)
         with pytest.raises(ValueError, match="pipeline_fill_cycles_per_hop"):
             MeshConfig(pipeline_fill_cycles_per_hop=Fraction(-1, 2))
+
+    @pytest.mark.parametrize("name", ["ramp_cycles", "rows", "local_memory_bytes",
+                                      "packet_bits"])
+    def test_a_count_must_be_an_integer(self, name):
+        with pytest.raises(TypeError):
+            MeshConfig(**{name: 3.0})
+
+    def test_a_numpy_count_becomes_an_int(self):
+        assert type(MeshConfig(ramp_cycles=np.int64(3)).ramp_cycles) is int
+
+    @pytest.mark.parametrize("name,least,below", [
+        ("rows", 1, 0), ("cols", 1, 0), ("local_memory_bytes", 0, -1), ("packet_bits", 1, 0),
+        ("ramp_cycles", 0, -1), ("cycles_per_packet_per_hop", 0, -0.1),
+        ("per_element_overhead_cycles", 0, Fraction(-1, 10)),
+        ("pipeline_fill_cycles_per_hop", 0, "-1/10"), ("cycles_per_flop", 0, -1),
+    ])
+    def test_each_field_below_its_least_is_named(self, name, least, below):
+        MeshConfig(**{name: least})
+        with pytest.raises(ValueError, match=f"^{name} must be at least {least}$"):
+            MeshConfig(**{name: below})

@@ -100,6 +100,17 @@ class TestPlanning:
         with pytest.raises(OffGridError):
             plan_wave(64, 3, 64, wave_mesh(2))
 
+    def test_origin_takes_the_meshs_grid_rule(self):
+        """The wave's PEs are checked as the mesh checks any PE: a float
+        coordinate is refused, and numpy integers plan as plain ints."""
+        mesh = mesh_create(MeshConfig(rows=2, cols=4))
+        with pytest.raises(TypeError):
+            plan_wave(8, 1, 64, mesh, origin=(0.0, 0))
+        with pytest.raises(OffGridError):
+            plan_wave(8, 1, 64, mesh, origin=(0, 3))
+        origin = plan_wave(8, 1, 64, mesh, origin=(np.int64(0), np.int64(1))).origin
+        assert origin == (0, 1) and all(type(v) is int for v in origin)
+
     def test_wave_cannot_outnumber_elements(self):
         with pytest.raises(ValueError):
             plan_wave(8, 4, 64, wave_mesh(4))
