@@ -173,8 +173,9 @@ def _decimal(value, name: str, spec: str = ".6f") -> str:
 
 
 def _integer(value, name: str) -> str:
-    """``value`` as str.  An integer of over MAX_EXPONENT digits, which
-    Python will not print, is a usage error that names it."""
+    """An exact number, an int or a Fraction, as str.  One whose numerator
+    or denominator has over MAX_EXPONENT digits, which Python will not
+    print, is a usage error that names it."""
     try:
         return str(value)
     except ValueError:

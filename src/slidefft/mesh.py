@@ -104,8 +104,8 @@ class MeshConfig:
     cycles_per_flop: Fraction = Fraction(3)
 
     def __post_init__(self):
-        for f in fields(self):      # f.type is text: annotations are postponed
-            if f.type == "int":
+        for f in fields(self):
+            if isinstance(f.default, int):
                 value = operator.index(getattr(self, f.name))
                 least = 1 if f.name in ("rows", "cols", "packet_bits") else 0
             else:

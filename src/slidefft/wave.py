@@ -120,7 +120,8 @@ def plan_wave(n: int, k: int, element_bits: int, mesh: Mesh,
     The wave fits when k is at least :func:`min_feasible_k`; otherwise this
     raises CapacityExceeded carrying that k.  It raises ValueError for an
     element size the mesh does not store, then the mesh's grid rule on the
-    wave's first and last PE: OffGridError, or TypeError for a float.
+    wave's first and last PE: OffGridError naming that PE (a wave that runs
+    off the grid names its last PE, not ``origin``), or TypeError for a float.
     """
     m = log2_exact(n)
     if not 0 <= k <= m:

@@ -605,10 +605,12 @@ class TestSlide:
 def meshes_and_phases(draw):
     """A small grid with random named blocks, and up to three random combs.
 
-    Each name has its own kind: batch shape () or (2,), element size, block
-    count and dtype float64 or complex128.  The names' kinds differ in at
-    most one drawn field, so one phase can mix sizes or counts, and a
-    landing under another name meets each of the commit's kind refusals.
+    Each of "a", "b" and "c" has its own element size and block count, so
+    one phase can mix sizes and counts.  Its batch shape, () or (2,), and
+    dtype, float64 or complex128, are mostly the ones all names share, so a
+    landing under another name also meets the commit's batch-shape
+    refusal.  "d" is "a" in another dtype, so the dtype refusal, the last
+    kind check, is met too.
     A comb has
     one to three spans, from zero to two columns apart.  Every
     element stored is distinct, so a dropped or duplicated block shows in the
@@ -623,12 +625,17 @@ def meshes_and_phases(draw):
     whose name is of another kind is refused.
     """
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 8))
-    names = ("a", "b", "c")
-    values = {"batch": st.sampled_from(((), (2,))), "bits": st.sampled_from((8, 32, 64)),
-              "count": st.integers(1, 4), "dtype": st.sampled_from((np.float64, np.complex128))}
-    varies = draw(st.sampled_from(tuple(values)))
-    base = {what: draw(drawn) for what, drawn in values.items()}
-    kinds = {name: {**base, varies: draw(values[varies])} for name in names}
+    names = ("a", "b", "c", "d")
+    dtypes = (np.float64, np.complex128)
+    batch, other_batch = draw(st.permutations(((), (2,))))
+    dtype, other_dtype = draw(st.permutations(dtypes))
+    kinds = {name: {"bits": draw(st.sampled_from((8, 32, 64))), "count": draw(st.integers(1, 4)),
+                    "batch": draw(st.sampled_from([batch] * 3 + [other_batch])),
+                    "dtype": draw(st.sampled_from([dtype] * 3 + [other_dtype]))}
+             for name in names[:3]}
+    # "d" is "a" but for its dtype, so a landing of one under the other
+    # reaches the last kind check.
+    kinds["d"] = {**kinds["a"], "dtype": next(v for v in dtypes if v != kinds["a"]["dtype"])}
     mesh = mesh_create(MeshConfig(rows=rows, cols=cols,
                                   local_memory_bytes=draw(st.sampled_from([256, 48]))))
     serial = itertools.count()
