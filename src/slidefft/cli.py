@@ -91,9 +91,6 @@ MAX_LIST_VALUES = 1 << 16
 # values take 64 MiB.
 MAX_ELEMENTS = 1 << 22
 VERIFY_SEEDS = 10
-# random_batch draws at most this many doubles at a time, so its temporary
-# is 128 KiB, not a copy of each part of the batch.
-DRAW_CHUNK = 1 << 14
 
 
 def parse_rational(text: str) -> Fraction:
@@ -147,16 +144,14 @@ def random_batch(seed: int, count: int, n: int) -> np.ndarray:
     """(count, n) complex inputs, one PCG64 stream per consecutive seed: row
     i is ``rng.random(n) + 1j * rng.random(n)`` for
     ``rng = np.random.default_rng(seed + i)``.  Each row's real and then
-    imaginary part is filled in place, DRAW_CHUNK draws at a time; the
-    draws continue one stream, so the values are those of two n-draw calls,
-    and the batch is the only n-sized array built."""
+    imaginary part is filled in place from one n-draw call, so the batch
+    and one row's part are the only arrays built, not the formula's
+    temporaries."""
     batch = np.empty((count, n), np.complex128)
     for row, s in zip(batch, range(seed, seed + count)):
         rng = np.random.default_rng(s)
-        for part in (row.real, row.imag):
-            for start in range(0, n, DRAW_CHUNK):
-                chunk = part[start : start + DRAW_CHUNK]
-                chunk[...] = rng.random(len(chunk))
+        row.real = rng.random(n)
+        row.imag = rng.random(n)
     return batch
 
 
@@ -242,23 +237,22 @@ def bench_slide_records(pe_counts: list[int], element_counts: list[int],
     records = []
     for pes in sorted(set(pe_counts)):
         for count in sorted(set(element_counts)):
+            shape = BenchRecord(pes, count, pes * count)
             mesh = mesh_create(replace(config, rows=1, cols=pes + 1))
             try:
-                mesh.pe_store((0, 0), "block", np.zeros(pes * count), element_bits=element_bits,
-                              pes=pes)
+                mesh.pe_store((0, 0), "block", np.zeros(shape.total_elements),
+                              element_bits=element_bits, pes=pes)
             except CapacityExceeded:
-                records.append(BenchRecord(pes, count, pes * count, status="capacity_exceeded"))
+                records.append(replace(shape, status="capacity_exceeded"))
                 continue
             report = mesh.slide_phase([SlideDescriptor(
                 row=0, col_start=0, col_stop=pes, name="block", displacement=(0, 1))])
             ledger = mesh.ledger_report()
             total = pes * report.exact_cycles
-            records.append(BenchRecord(
-                pe_count=pes,
-                elements_per_pe=count,
-                total_elements=pes * count,
+            records.append(replace(
+                shape,
                 total_cycles=total,
-                cycles_per_element=total / (pes * count),
+                cycles_per_element=total / shape.total_elements,
                 transfer_cycles=ledger.transfer_cycles,
             ))
     return records
@@ -289,30 +283,27 @@ def bench_fft_records(n: int, k_values: list[int], element_bits: int,
     infeasible = None    # the CapacityExceeded of an infeasible k, if any
     records, notes, ledgers = [], [], []
     for k in k_values:
+        shape = BenchRecord(1 << k, n >> k, n, eta_predicted=predicted.eta)
         mesh = mesh_create(replace(config, rows=1, cols=1 << k))
         try:
             layout = plan_wave(n, k, element_bits, mesh)
         except CapacityExceeded as exc:
             infeasible = exc
-            records.append(BenchRecord(1 << k, n >> k, n, eta_predicted=predicted.eta,
-                                       status="infeasible"))
+            records.append(replace(shape, status="infeasible"))
             continue
         distribute(random_batch(seed, 1, n)[0], layout, mesh)
         slide_fft(mesh, layout)
         ledger = mesh.ledger_report()
         measured = measure_efficiency(ledger)
         budget = transfer_budget(layout)
-        records.append(BenchRecord(
-            pe_count=1 << k,
-            elements_per_pe=n >> k,
-            total_elements=n,
+        records.append(replace(
+            shape,
             total_cycles=mesh.wall_clock_cycles,
             cycles_per_element=Fraction(mesh.wall_clock_cycles, n),
             transfer_cycles=ledger.transfer_cycles,
             compute_cycles=ledger.compute_cycles,
             flops=ledger.flops,
             eta_measured=measured.eta,
-            eta_predicted=predicted.eta,
         ))
         ledgers.append((k, ledger, mesh.wall_clock_cycles))
         notes.append(
@@ -362,7 +353,7 @@ def run_verify(max_n: int, seed: int) -> tuple[bool, list[str]]:
         energy_f = np.sum(np.abs(reference) ** 2, axis=-1)
         parseval_worst = max(parseval_worst,
                              float(np.max(np.abs(energy_f - n * energy_t) / (n * energy_t))))
-        for k in range(min_feasible_k(n, 64, MeshConfig().local_memory_bytes), m + 1):
+        for k in range(min_feasible_k(n, 64, MeshConfig.local_memory_bytes), m + 1):
             if detail:
                 break
             mesh = mesh_create(preset_config("cs2-calibrated", rows=1, cols=1 << k))

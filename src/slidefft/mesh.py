@@ -86,10 +86,18 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int, by ``operator.index``; else a TypeError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MeshConfig:
     """A grid and its costs.  An ``int`` field is a count, taken with
-    ``operator.index`` as a PE is (1.5 raises TypeError), at least 1 for
+    ``_count`` (1.5 raises a TypeError naming the field), at least 1 for
     rows, cols and packet_bits, else 0.  The other fields are costs, exact
     Fractions (a float means its decimal text), at least 0."""
 
@@ -106,7 +114,7 @@ class MeshConfig:
     def __post_init__(self):
         for f in fields(self):
             if isinstance(f.default, int):
-                value = operator.index(getattr(self, f.name))
+                value = _count(getattr(self, f.name), f.name)
                 least = 1 if f.name in ("rows", "cols", "packet_bits") else 0
             else:
                 value, least = _as_fraction(getattr(self, f.name)), 0
@@ -574,9 +582,10 @@ class Mesh:
 
         ``flops`` is the total volume over all PEs; ``max_flops_per_pe``, the
         volume of the busiest PE (at most the total), sets how far the wall
-        clock advances.  Both are counts, taken with ``operator.index``.
+        clock advances.  Both are counts, taken with ``_count``.
         """
-        flops, max_flops_per_pe = operator.index(flops), operator.index(max_flops_per_pe)
+        flops = _count(flops, "flops")
+        max_flops_per_pe = _count(max_flops_per_pe, "max_flops_per_pe")
         if flops < 0:
             raise ValueError("FLOP count must be non-negative")
         if not 0 <= max_flops_per_pe <= flops:

@@ -77,13 +77,11 @@ def flops_per_transform(n: int) -> int:
 
 def predict_efficiency(model: CostModel, n: int, m: int) -> EfficiencyReport:
     """Predicted efficiency of an n = 2**m point transform on the mesh."""
-    if m < 1:
-        raise ValueError("need at least one level (m >= 1)")
+    first_order = 1 - check_margin(model, m).margin     # refuses m < 1 first
     if n != (1 << m):
         raise ValueError(f"n must equal 2**m; got n={n}, m={m}")
     compute = 5 * model.b * m * n
     eta = Fraction(compute, model.transfer_cost * n + compute)
-    first_order = 1 - check_margin(model, m).margin
     return EfficiencyReport(
         eta=eta,
         eta_first_order=first_order,

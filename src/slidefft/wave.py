@@ -46,7 +46,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .mesh import CapacityExceeded, Mesh, MeshConfig, SlideDescriptor
+from .mesh import CapacityExceeded, Mesh, MeshConfig, SlideDescriptor, _count
 from .model import EfficiencyReport
 from .serial import (FLOPS_PER_PAIR, _as_samples, build_permutation, butterfly,
                      log2_exact, merge_level, twiddle_table)
@@ -117,13 +117,14 @@ def plan_wave(n: int, k: int, element_bits: int, mesh: Mesh,
               origin: tuple[int, int] = (0, 0)) -> WaveLayout:
     """Lay out an n-point transform on 2**k PEs starting at ``origin``.
 
-    The wave fits when k is at least :func:`min_feasible_k`; otherwise this
-    raises CapacityExceeded carrying that k.  It raises ValueError for an
+    k is a count, so 2.0 raises a TypeError that names it.  The wave fits
+    when k is at least :func:`min_feasible_k`; otherwise this raises
+    CapacityExceeded carrying that k.  It raises ValueError for an
     element size the mesh does not store, then the mesh's grid rule on the
     wave's first and last PE: OffGridError naming that PE (a wave that runs
     off the grid names its last PE, not ``origin``), or TypeError for a float.
     """
-    m = log2_exact(n)
+    m, k = log2_exact(n), _count(k, "k")
     if not 0 <= k <= m:
         raise ValueError(f"wave length k={k} must lie in 0..{m} for n={n}")
     memory = mesh.config.local_memory_bytes

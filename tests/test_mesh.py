@@ -619,7 +619,7 @@ def meshes_and_phases(draw):
     and each lands under a fresh name, so most are accepted and their cost
     can be checked.  The rest draw two names, spans and displacements from
     small sets so that they often collide, overlap, fan out or leave the grid,
-    and their spans may be empty.
+    and one span in ten is empty.
     Half the tidy phases also begin with a feeder comb that lands, under
     the lifted name, on the PEs that a later comb lifts from; a feeder
     whose name is of another kind is refused.
@@ -655,7 +655,8 @@ def meshes_and_phases(draw):
     def descriptor(draw):
         row = draw(st.integers(0, rows - 1))
         start = draw(st.integers(0, cols - 1))
-        stop = draw(st.integers(start + 1 if tidy else start, cols))
+        empty = not tidy and draw(st.sampled_from([False] * 9 + [True]))
+        stop = start if empty else draw(st.integers(start + 1, cols))
         period = draw(st.integers(max(stop - start, 1), stop - start + 2))
         name = draw(st.sampled_from(names if tidy else names[:2]))
         if tidy or draw(st.sampled_from([True] * 3 + [False])):
@@ -898,6 +899,20 @@ class TestLedger:
             mesh.record_compute(flops, max_flops_per_pe=per_pe)
         assert (mesh.ledger_report(), mesh.wall_clock_cycles) == before
 
+    @pytest.mark.parametrize("flops,per_pe,message", [
+        (10.5, 5, "flops must be an integer, not 10.5"),
+        (10, 5.0, "max_flops_per_pe must be an integer, not 5.0"),
+        ("10", 5, "flops must be an integer, not '10'"),
+    ])
+    def test_a_refused_flop_count_is_named(self, flops, per_pe, message):
+        mesh = one_row_mesh(1)
+        mesh.record_compute(20, max_flops_per_pe=10)
+        before = mesh.ledger_report(), mesh.wall_clock_cycles
+        with pytest.raises(TypeError) as refused:
+            mesh.record_compute(flops, max_flops_per_pe=per_pe)
+        assert str(refused.value) == message
+        assert (mesh.ledger_report(), mesh.wall_clock_cycles) == before
+
     def test_compute_volume_vs_critical_path(self):
         mesh = one_row_mesh(1, cycles_per_flop=Fraction(3))
         mesh.record_compute(100, max_flops_per_pe=25)
@@ -959,6 +974,13 @@ class TestConfig:
     def test_a_count_must_be_an_integer(self, name):
         with pytest.raises(TypeError):
             MeshConfig(**{name: 3.0})
+
+    @pytest.mark.parametrize("name", ["rows", "cols", "local_memory_bytes", "packet_bits",
+                                      "ramp_cycles"])
+    def test_a_refused_count_is_named(self, name):
+        with pytest.raises(TypeError) as refused:
+            MeshConfig(**{name: 1.5})
+        assert str(refused.value) == f"{name} must be an integer, not 1.5"
 
     def test_a_numpy_count_becomes_an_int(self):
         assert type(MeshConfig(ramp_cycles=np.int64(3)).ramp_cycles) is int

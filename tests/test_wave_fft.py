@@ -111,6 +111,17 @@ class TestPlanning:
         origin = plan_wave(8, 1, 64, mesh, origin=(np.int64(0), np.int64(1))).origin
         assert origin == (0, 1) and all(type(v) is int for v in origin)
 
+    def test_k_is_a_count(self):
+        """A float k is refused by name before anything is planned, and a
+        numpy k plans as a plain int."""
+        mesh = wave_mesh(2)
+        with pytest.raises(TypeError) as refused:
+            plan_wave(16, 2.0, 64, mesh)
+        assert str(refused.value) == "k must be an integer, not 2.0"
+        assert mesh.ledger_report() == CycleLedger() and mesh.pe_names((0, 0)) == ()
+        layout = plan_wave(16, np.int64(2), 64, mesh)
+        assert type(layout.k) is int and layout.pe_count == 4
+
     def test_wave_cannot_outnumber_elements(self):
         with pytest.raises(ValueError):
             plan_wave(8, 4, 64, wave_mesh(4))
