@@ -144,8 +144,8 @@ def random_batch(seed: int, count: int, n: int) -> np.ndarray:
     """(count, n) complex inputs, one PCG64 stream per consecutive seed: row
     i is ``rng.random(n) + 1j * rng.random(n)`` for
     ``rng = np.random.default_rng(seed + i)``.  Each row's real and then
-    imaginary part is filled in place from one n-draw call, so the batch
-    and one row's part are the only arrays built, not the formula's
+    imaginary part is filled in place from one ``rng.random(n)``: beside
+    the batch only that draw is built, never the formula's complex
     temporaries."""
     batch = np.empty((count, n), np.complex128)
     for row, s in zip(batch, range(seed, seed + count)):
