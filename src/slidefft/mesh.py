@@ -38,20 +38,27 @@ every PE of the run before it writes any.  :meth:`Mesh.pe_fetch` and
 axis -2) return read-only views; :meth:`Mesh.comb_view` returns one name
 on a comb of PEs as a writable view, so host arithmetic runs in place,
 batched across PEs.  Every view shows later writes to its blocks.  A slide
-phase sums each PE's bytes once, over the grid, then reads and writes
-every plane, data, holds or mark, through one strided view per comb
-(``_comb``), as the fetches and comb views read theirs: it checks each comb
-on those views, then commits it as one copy from its view of the source
-plane into the same view of the destination plane (through a temporary
-only when the source plane also takes landings in that phase).  Stores and
-the other per-PE calls index the planes directly.
+phase reads and writes every plane, data, holds or mark, through one
+strided view per comb (``_comb``), as the fetches and comb views read
+theirs: it checks each comb on those views, then commits it as one copy
+from its view of the source plane into the same view of the destination
+plane (through a temporary only when the source plane also takes landings
+in that phase).  It keeps a mark plane of the PEs a name is lifted from or
+landed on only for a name that two combs meet, and sums each PE's bytes
+over the grid only when one block of every stored name, plus one of each
+moving comb's source name, would not fit local memory.  Stores and the
+other per-PE calls index the planes directly.
+
+Each mesh derives its costs from its frozen config: a memo of the exact
+time per (element size, count, hops), and cycles_per_flop as an integer
+ratio.  So a phase does Fraction arithmetic only for a key its mesh has not
+met, and a compute step none.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
@@ -290,6 +297,10 @@ class Mesh:
         nowhere = np.zeros(self.shape, bool)
         nowhere.flags.writeable = False
         self._empty = _Plane(np.empty(self.shape + (0,)), nowhere, 0)    # a name never stored
+        # The costs, derived once from the frozen config: a slide's time per
+        # (bits, count, hops), and cycles_per_flop as two ints.
+        self._slide_times: dict[tuple[int, int, int], Fraction] = {}
+        self._per_flop = config.cycles_per_flop.as_integer_ratio()
 
     # -------------------- geometry --------------------
 
@@ -447,13 +458,16 @@ class Mesh:
         capacity, in the order the moves touch PEs; then a destination that
         already holds the name; last, in descriptor order, a comb whose kind
         (batch shape, element size, count, dtype) is not its destination
-        name's (a new name's is its first comb's).  Each PE's bytes are summed
-        once, over the grid, from the holds planes; then every plane, holds
-        planes and the lifted and landed mark planes per name included, is
-        read and written through one strided view per comb.  Each moving comb
-        is costed at its source name's element size and count.  The commit
-        copies each comb's blocks from its view of the source plane into the
-        same view of the destination plane, and moves the holds marks.
+        name's (a new name's is its first comb's).  Every plane, holds and
+        mark planes included, is read and written through one strided view
+        per comb; a name has lifted and landed mark planes only if two combs
+        meet it.  The capacity check sums each PE's bytes over the grid, from
+        the holds planes, only when its exact upper bound, one block of every
+        stored name plus one of each moving comb's source name, exceeds local
+        memory.  Each moving comb is costed at its source name's element size
+        and count, from the mesh's memo of exact times.  The commit copies
+        each comb's blocks from its view of the source plane into the same
+        view of the destination plane, and moves the holds marks.
         """
         config = self.config
         rows, cols = config.rows, config.cols
@@ -465,11 +479,16 @@ class Mesh:
         # Each comb as (row, start, period, spans, width), up to its first
         # span that is empty or off the grid.  Spans step right, so only the
         # right edge can cut a comb short.  A move holds its source comb and
-        # its destination comb.
-        lifted = defaultdict(lambda: np.zeros(self.shape, bool))    # name -> PEs lifted from
-        landed = defaultdict(lambda: np.zeros(self.shape, bool))    # name -> PEs landed on
-        moves = []      # (descriptor, source, destination name, destination, source plane)
-        for d in descs:
+        # its destination comb.  A comb's spans never overlap, so only a name
+        # that two combs meet needs a plane marking the PEs it is lifted
+        # from, or landed on, so far.
+        sources = [d.name for d in descs]
+        dests = [d.dest_name or d.name for d in descs]
+        lifted = {name: np.zeros(self.shape, bool) for name in sources
+                  if sources.count(name) > 1 or name in dests}
+        landed = {name: np.zeros(self.shape, bool) for name in dests if dests.count(name) > 1}
+        moves = []      # (descriptor, source, dest name, destination, source plane, its holds)
+        for d, dest in zip(descs, dests):
             (d_row, d_col), width, row = d.displacement, d.col_stop - d.col_start, d.row
             edge = min(cols, cols - d_col)      # no span's source may stop past it
             spans = 0
@@ -490,42 +509,55 @@ class Mesh:
                 if not spans:
                     raise error
             src = (row, d.col_start, d.period, spans, width)
-            dest, dst = d.dest_name or d.name, (row + d_row, d.col_start + d_col, *src[2:])
+            dst = (row + d_row, d.col_start + d_col, *src[2:])
             plane = self._planes.get(d.name, self._empty)
             held = _comb(plane.holds, src)
-            twice_lifted, twice_landed = _comb(lifted[d.name], src), _comb(landed[dest], dst)
-            failed = np.flatnonzero(~held | twice_lifted | twice_landed)
-            if len(failed):
-                i = failed[0]
+            marks = [_comb(mark, comb) for mark, comb in ((lifted.get(d.name), src),
+                                                          (landed.get(dest), dst))
+                     if mark is not None]
+            failed = ~held
+            for mark in marks:
+                failed |= mark
+            if failed.any():
+                i = int(failed.argmax())
                 pe = _pe(src, i)
                 if not held.flat[i]:
                     raise KeyError(f"PE {pe} holds no array named {d.name!r}")
-                if twice_lifted.flat[i]:
+                if d.name in lifted and lifted[d.name][pe]:
                     raise ValueError(f"{d.name!r} on PE {pe} is lifted by two slides")
                 raise ValueError(f"two slides land on {dest!r} at PE {_pe(dst, i)}")
             if error is not None:
                 raise error
-            twice_lifted[...] = twice_landed[...] = True
-            moves.append((d, src, dest, dst, plane))
+            for mark in marks:
+                mark[...] = True
+            moves.append((d, src, dest, dst, plane, held))
 
         # The usage after the phase: each moving comb (zero-hop moves are
         # renames) takes its bytes from its source view to its destination.
+        # A PE holds at most one block of each stored name and takes at most
+        # one landing from each moving comb, so the grid's bytes are summed
+        # only when one block of every stored name and of every moving
+        # comb's source name could exceed local memory.
         moving = [move for move in moves if move[0].hops]
-        used = self._usage()
-        for _, src, _, dst, plane in moving:
-            _comb(used, src)[...] -= plane.block_bytes
-            _comb(used, dst)[...] += plane.block_bytes
-        over = used > config.local_memory_bytes
-        for _, src, _, dst, _ in moving if over.any() else []:
-            failed = np.flatnonzero(np.stack([_comb(over, src), _comb(over, dst)], axis=-1))
-            if len(failed):     # the first PE over capacity, in touch order
-                i, lands = divmod(int(failed[0]), 2)
-                pe = _pe(dst if lands else src, i)
-                raise CapacityExceeded(f"PE {pe}: incoming slide data would exceed "
-                                       f"{config.local_memory_bytes} B of local memory")
-        for _, _, dest, dst, _ in moves:
-            held = _comb(self._planes.get(dest, self._empty).holds, dst)
-            taken = held & ~_comb(lifted[dest], dst)
+        bound = (sum(plane.block_bytes for plane in self._planes.values())
+                 + sum(plane.block_bytes for *_, plane, _ in moving))
+        if bound > config.local_memory_bytes:
+            used = self._usage()
+            for _, src, _, dst, plane, _ in moving:
+                _comb(used, src)[...] -= plane.block_bytes
+                _comb(used, dst)[...] += plane.block_bytes
+            over = used > config.local_memory_bytes
+            for _, src, _, dst, _, _ in moving if over.any() else []:
+                failed = np.flatnonzero(np.stack([_comb(over, src), _comb(over, dst)], axis=-1))
+                if len(failed):     # the first PE over capacity, in touch order
+                    i, lands = divmod(int(failed[0]), 2)
+                    pe = _pe(dst if lands else src, i)
+                    raise CapacityExceeded(f"PE {pe}: incoming slide data would exceed "
+                                           f"{config.local_memory_bytes} B of local memory")
+        for _, _, dest, dst, _, _ in moves:
+            taken = _comb(self._planes.get(dest, self._empty).holds, dst)
+            if dest in lifted:
+                taken = taken & ~_comb(lifted[dest], dst)
             if taken.any():
                 raise ValueError(f"PE {_pe(dst, taken.argmax())} already holds an array "
                                  f"named {dest!r}")
@@ -537,43 +569,54 @@ class Mesh:
         # move the holds marks.
         kinds: dict[str, tuple] = {}        # dest -> its kind, else its first comb's
         lifts = []
-        for d, src, dest, dst, source in moves:
+        for d, src, dest, dst, source, _ in moves:
             _refuse_other_kind(dest, kinds.setdefault(dest, self._planes.get(dest, source).kind),
                                source.kind)
             blocks = _comb(source.data, src)
-            lifts.append((source, src, dest, blocks.copy() if d.name in landed else blocks, dst))
-        for source, src, dest, blocks, dst in lifts:
-            _comb(self._plane(dest, source.kind).data, dst)[...] = blocks
-            _comb(source.holds, src)[...] = False
-        for _, _, dest, dst, _ in moves:
+            lifts.append((source.kind, dest, blocks.copy() if d.name in dests else blocks, dst))
+        for kind, dest, blocks, dst in lifts:
+            _comb(self._plane(dest, kind).data, dst)[...] = blocks
+        for *_, held in moves:
+            held[...] = False
+        for _, _, dest, dst, _, _ in moves:
             _comb(self._planes[dest].holds, dst)[...] = True
 
         if not moving:
             return PhaseReport(Fraction(0), 0, 0, 0, 0)
         # One closed form per moving comb: each of its spans * width PEs moves
         # its name's one count.
-        max_time = config.ramp_cycles + max(
-            config.element_cost(plane.bits) * plane.count
-            + config.pipeline_fill_cycles_per_hop * (d.hops - 1)
-            for d, *_, plane in moving)
+        max_time = max(self._slide_time(plane.bits, plane.count, d.hops)
+                       for d, _, _, _, plane, _ in moving)
         moved = [(d.hops, spans * width, plane.count)
-                 for d, (*_, spans, width), *_, plane in moving]
+                 for d, (*_, spans, width), _, _, plane, _ in moving]
         elements = sum(pes * count for _, pes, count in moved)
         hops_total = sum(hops * pes * count for hops, pes, count in moved)
 
-        transfer = math.ceil(max_time - config.ramp_cycles)
-        self.ledger.transfer_cycles += transfer
+        booked = math.ceil(max_time)
+        self.ledger.transfer_cycles += booked - config.ramp_cycles
         self.ledger.ramp_cycles += config.ramp_cycles
         self.ledger.elements_moved += elements
         self.ledger.element_hops += hops_total
-        self.wall_clock_cycles += config.ramp_cycles + transfer
+        self.wall_clock_cycles += booked
         return PhaseReport(
             exact_cycles=max_time,
-            booked_cycles=config.ramp_cycles + transfer,
+            booked_cycles=booked,
             elements=elements,
             element_hops=hops_total,
             blocks=sum(pes for _, pes, _ in moved),
         )
+
+    def _slide_time(self, bits: int, count: int, hops: int) -> Fraction:
+        """The closed form: a moving PE's exact time, ramp included, for
+        ``count`` elements of ``bits`` bits over ``hops`` hops; memoised."""
+        key = (bits, count, hops)
+        time = self._slide_times.get(key)
+        if time is None:
+            config = self.config
+            time = self._slide_times[key] = (
+                config.ramp_cycles + config.element_cost(bits) * count
+                + config.pipeline_fill_cycles_per_hop * (hops - 1))
+        return time
 
     # -------------------- compute --------------------
 
@@ -591,8 +634,9 @@ class Mesh:
         if not 0 <= max_flops_per_pe <= flops:
             raise ValueError(f"per-PE FLOPs {max_flops_per_pe} outside 0..{flops}")
         self.ledger.flops += flops
-        self.ledger.compute_cycles += math.ceil(self.config.cycles_per_flop * flops)
-        self.wall_clock_cycles += math.ceil(self.config.cycles_per_flop * max_flops_per_pe)
+        p, q = self._per_flop       # each ceiling of p/q cycles per FLOP, in ints
+        self.ledger.compute_cycles += -(-p * flops // q)
+        self.wall_clock_cycles += -(-p * max_flops_per_pe // q)
 
     def ledger_report(self) -> CycleLedger:
         return replace(self.ledger)

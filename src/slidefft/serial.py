@@ -172,10 +172,12 @@ def dft_oracle(x) -> np.ndarray:
     It builds its own table of the n roots e^{-2pi i t/n} and indexes it with
     the exact integer (j*k) mod n, so no root is evaluated at a large angle.
     The index is held in the narrowest unsigned type that holds (n-1)**2
-    (``np.min_scalar_type``), so j*k never overflows.  The DFT matrix is built
-    in blocks of about 2**16 entries, max(1, 2**16 // n) output bins j at a
-    time, which bounds the oracle's memory for every n and keeps each block
-    in cache.
+    (``np.min_scalar_type``), so j*k never overflows, and is built in one
+    buffer reused by every block: the product j*k, then its remainder, taken
+    as ``& (n - 1)`` when n is a power of two and ``% n`` otherwise.  The DFT
+    matrix is built in blocks of about 2**16 entries, max(1, 2**16 // n)
+    output bins j at a time, which bounds the oracle's memory for every n and
+    keeps each block in cache.
     """
     x = _as_samples(x)
     n = x.shape[-1]
@@ -183,7 +185,13 @@ def dft_oracle(x) -> np.ndarray:
     X = np.empty_like(x)
     k = np.arange(n, dtype=np.min_scalar_type((n - 1) ** 2))
     block = max(1, 2**16 // n)
+    buffer = np.empty((n, min(block, n)), k.dtype)
     for j0 in range(0, n, block):
         j = k[j0 : j0 + block]
-        X[..., j0 : j0 + len(j)] = x @ roots[np.outer(k, j) % n]
+        index = np.multiply.outer(k, j, out=buffer[:, : len(j)])
+        if n & (n - 1):
+            np.remainder(index, n, out=index)
+        else:
+            np.bitwise_and(index, n - 1, out=index)
+        X[..., j0 : j0 + len(j)] = x @ roots[index]
     return X

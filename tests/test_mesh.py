@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from slidefft.mesh import (CapacityExceeded, MeshConfig, MeshError, OffGridError,
                            SlideDescriptor, mesh_create, preset_config)
@@ -614,17 +614,27 @@ def meshes_and_phases(draw):
     A comb has
     one to three spans, from zero to two columns apart.  Every
     element stored is distinct, so a dropped or duplicated block shows in the
-    blocks' contents.  Half the phases are tidy: combs stay on the grid,
-    no two descriptors lift from one row under one name,
+    blocks' contents.  The mesh's costs are drawn too, so a wrongly derived
+    cost shows in the phase's time.  Half the phases are tidy: every PE
+    takes a block of every name that fits its memory, combs stay on the
+    grid, no two descriptors lift from one row under one name,
     and each lands under a fresh name, so most are accepted and their cost
-    can be checked.  The rest draw two names, spans and displacements from
-    small sets so that they often collide, overlap, fan out or leave the grid,
-    and one span in ten is empty.
+    can be checked.  In the rest each PE holds each name with odds 7:1, and
+    two names, spans and displacements are drawn from
+    small sets so that they often collide, overlap, fan out or leave the grid;
+    one span in ten is empty, and one comb in ten is not a comb (no span,
+    or spans that overlap).
     Half the tidy phases also begin with a feeder comb that lands, under
     the lifted name, on the PEs that a later comb lifts from; a feeder
     whose name is of another kind is refused.
     """
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    costs = (0, Fraction(1, 3), Fraction(7, 2), 0.3)
+    config = MeshConfig(rows=rows, cols=cols, local_memory_bytes=draw(st.sampled_from([256, 48])),
+                        ramp_cycles=draw(st.sampled_from((0, 1, 3, 7))),
+                        cycles_per_packet_per_hop=draw(st.sampled_from(costs)),
+                        per_element_overhead_cycles=draw(st.sampled_from(costs)),
+                        pipeline_fill_cycles_per_hop=draw(st.sampled_from(costs)))
     names = ("a", "b", "c", "d")
     dtypes = (np.float64, np.complex128)
     batch, other_batch = draw(st.permutations(((), (2,))))
@@ -636,12 +646,12 @@ def meshes_and_phases(draw):
     # "d" is "a" but for its dtype, so a landing of one under the other
     # reaches the last kind check.
     kinds["d"] = {**kinds["a"], "dtype": next(v for v in dtypes if v != kinds["a"]["dtype"])}
-    mesh = mesh_create(MeshConfig(rows=rows, cols=cols,
-                                  local_memory_bytes=draw(st.sampled_from([256, 48]))))
+    mesh = mesh_create(config)
+    tidy = draw(st.booleans())
     serial = itertools.count()
     for pe in every_pe(mesh):
         for name in names:
-            if draw(st.sampled_from([True] * 7 + [False])):
+            if tidy or draw(st.sampled_from([True] * 7 + [False])):
                 kind, first = kinds[name], 8 * next(serial)
                 block = np.arange(first, first + 2 * kind["count"], dtype=kind["dtype"])
                 block = block.reshape(kind["batch"] + (-1,))[..., :kind["count"]]
@@ -649,7 +659,6 @@ def meshes_and_phases(draw):
                     mesh.pe_store(pe, name, block, element_bits=kind["bits"])
                 except CapacityExceeded:
                     pass
-    tidy = draw(st.booleans())
 
     @st.composite
     def descriptor(draw):
@@ -668,6 +677,12 @@ def meshes_and_phases(draw):
             repeats = draw(st.integers(1, 3))
             displacement = (draw(st.integers(1 - rows, rows - 1)),
                             draw(st.integers(-cols, cols)))
+        if not tidy and draw(st.sampled_from([False] * 9 + [True])):
+            # Not a comb: no span, or spans that overlap.
+            if stop > start and draw(st.booleans()):
+                period, repeats = draw(st.integers(0, stop - start - 1)), draw(st.integers(2, 3))
+            else:
+                repeats = 0
         return SlideDescriptor(
             row=row, col_start=start, col_stop=stop, name=name,
             displacement=displacement,
@@ -831,8 +846,12 @@ class TestSlideProperties:
     @given(meshes_and_phases())
     def test_comb_equals_its_spans(self, case):
         """A comb and the list of its spans give the same report and final
-        state, or raise the same error."""
+        state, or raise the same error.  A descriptor that is not a comb has
+        no spans to compare."""
         mesh, descs = case
+        assume(all(desc.repeats == 1 or (desc.repeats > 1
+                                         and desc.period >= desc.col_stop - desc.col_start)
+                   for desc in descs))
         twin = copy.deepcopy(mesh)
 
         def outcome(mesh, descs):
@@ -919,6 +938,13 @@ class TestLedger:
         ledger = mesh.ledger_report()
         assert ledger.compute_cycles == 300  # full volume in the ledger
         assert mesh.wall_clock_cycles == 75  # busiest PE on the clock
+
+    def test_both_ceilings_at_a_fractional_cost(self):
+        mesh = one_row_mesh(1, cycles_per_flop=Fraction(7, 3))
+        mesh.record_compute(10, max_flops_per_pe=4)
+        assert (mesh.ledger_report().compute_cycles, mesh.wall_clock_cycles) == (24, 10)
+        mesh.record_compute(6, max_flops_per_pe=3)      # 14 and 7: exact, not rounded up
+        assert (mesh.ledger_report().compute_cycles, mesh.wall_clock_cycles) == (38, 17)
 
     def test_total_is_sum_of_parts(self):
         mesh = one_row_mesh(2)

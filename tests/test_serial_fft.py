@@ -299,6 +299,24 @@ class TestOracle:
         x = complex_input(23, 64, batch=2)
         assert rel_error(serial.dft_oracle(x), np.fft.fft(x)) < 1e-14
 
+    @pytest.mark.parametrize("n", [64, 256, 4096, 257, 1000])
+    def test_equals_the_modular_index_oracle(self, n):
+        """The masked index of a power-of-two n, and the remainder of any
+        other n, give what (j*k) % n in a new array per block gives, bit for
+        bit, over the same blocks of 2**16 // n bins."""
+        def modular(x):
+            roots = np.exp(-2j * np.pi * np.arange(n) / n)
+            X = np.empty_like(x)
+            k = np.arange(n, dtype=np.min_scalar_type((n - 1) ** 2))
+            block = max(1, 2**16 // n)
+            for j0 in range(0, n, block):
+                j = k[j0 : j0 + block]
+                X[..., j0 : j0 + len(j)] = x @ roots[np.outer(k, j) % n]
+            return X
+
+        x = complex_input(25, n, batch=10)
+        assert np.array_equal(dft_oracle(x), modular(x))
+
     def test_bounded_memory(self):
         x = complex_input(24, 4096, batch=10)
         tracemalloc.start()
