@@ -23,8 +23,9 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
-# Before numpy loads: the command's one BLAS call, dft_oracle's block product,
-# is too small to gain from a second thread, and an idle OpenBLAS worker spins.
+# Before numpy loads: the command's only BLAS calls, dft_oracle's two matrix
+# products, are too small to gain from a second thread, and an idle OpenBLAS
+# worker spins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

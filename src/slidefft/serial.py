@@ -3,7 +3,8 @@
 The transform is organized the way the distributed engine in :mod:`slidefft.wave`
 expects it: the input is first reordered by the bit-reversal permutation, then
 ``log2(n)`` levels of crossings merge adjacent segment pairs of doubling size.
-A brute-force O(n^2) DFT is provided as the verification oracle.
+An exact-index O(n^1.5) DFT, which shares no code with that path, is provided
+as the verification oracle.
 
 All transforms operate on the last axis, so a batch of inputs can be shaped
 ``(batch, n)`` and processed in one call.
@@ -166,32 +167,54 @@ def ifft_serial(X, counter: FlopCounter | None = None) -> np.ndarray:
 
 
 def dft_oracle(x) -> np.ndarray:
-    """Brute-force O(n^2) DFT over the last axis, X[j] = sum_k x[k] e^{-2pi i jk/n}.
+    """Exact-index DFT over the last axis, X[k] = sum_j x[j] e^{-2pi i jk/n},
+    in O(n^1.5), independent of the radix-2 machinery above and of any
+    length restriction.
 
-    Independent of the radix-2 machinery above and of any length restriction.
-    It builds its own table of the n roots e^{-2pi i t/n} and indexes it with
-    the exact integer (j*k) mod n, so no root is evaluated at a large angle.
-    The index is held in the narrowest unsigned type that holds (n-1)**2
-    (``np.min_scalar_type``), so j*k never overflows, and is built in one
-    buffer reused by every block: the product j*k, then its remainder, taken
-    as ``& (n - 1)`` when n is a power of two and ``% n`` otherwise.  The DFT
-    matrix is built in blocks of about 2**16 entries, max(1, 2**16 // n)
-    output bins j at a time, which bounds the oracle's memory for every n and
-    keeps each block in cache.
+    One two-factor split of the sum (Gentleman and Sande, 1966): with
+    n = n1*n2, n1 the largest divisor of n up to sqrt(n), and W_r = e^{-2pi i/r},
+
+        X[k1 + n1*k2] = sum_j2 W_n2^(j2*k2) W_n^(j2*k1) sum_j1 x[n2*j1 + j2] W_n1^(j1*k1),
+
+    as two 2-D matrix products with the batch folded into their columns or
+    rows.  The three matrices index one table of the n roots e^{-2pi i t/n}
+    with the exact integer product mod n (``& (n - 1)`` for a power of two,
+    else ``% n``), held in the narrowest unsigned type that holds the
+    largest, (n-1)*(n2-1), so no root is evaluated at a large angle.  The
+    n2-point matrix is built max(1, 2**16 // n2) columns at a time in one
+    reused index buffer, which bounds the oracle's memory for every n.  A
+    prime n has n1 = 1: the brute-force sum ``x @ roots[(j*k) % n]``.
     """
     x = _as_samples(x)
     n = x.shape[-1]
+    n1 = int(n**0.5)
+    while n % n1:
+        n1 -= 1
+    n2 = n // n1
     roots = np.exp(-2j * np.pi * np.arange(n) / n)
-    X = np.empty_like(x)
-    k = np.arange(n, dtype=np.min_scalar_type((n - 1) ** 2))
-    block = max(1, 2**16 // n)
-    buffer = np.empty((n, min(block, n)), k.dtype)
-    for j0 in range(0, n, block):
-        j = k[j0 : j0 + block]
-        index = np.multiply.outer(k, j, out=buffer[:, : len(j)])
+
+    def powers(rows, cols, out=None):
+        index = np.multiply.outer(rows, cols, out=out)
         if n & (n - 1):
             np.remainder(index, n, out=index)
         else:
             np.bitwise_and(index, n - 1, out=index)
-        X[..., j0 : j0 + len(j)] = x @ roots[index]
+        return roots[index]
+
+    j1 = np.arange(n1, dtype=np.min_scalar_type((n - 1) * (n2 - 1)))
+    j2 = np.arange(n2, dtype=j1.dtype)
+    # Rows j1, columns (batch, j2); then rows (k1, batch), columns j2.
+    batch = x.size // n
+    y = x.reshape(batch, n1, n2).transpose(1, 0, 2).reshape(n1, batch * n2)
+    y = (powers(n2 * j1, j1) @ y).reshape(n1, batch, n2)
+    y *= powers(j1, j2)[:, None, :]
+    y = y.reshape(n1 * batch, n2)
+    X = np.empty(x.shape, x.dtype)       # C order, so ``out`` is a view of it
+    out = X.reshape(batch, n2, n1)
+    block = max(1, 2**16 // n2)
+    buffer = np.empty((n2, min(block, n2)), j1.dtype)
+    for k0 in range(0, n2, block):
+        k2 = j2[k0 : k0 + block]
+        spectrum = y @ powers(n1 * j2, k2, out=buffer[:, : len(k2)])
+        out[:, k0 : k0 + len(k2)] = spectrum.reshape(n1, batch, len(k2)).transpose(1, 2, 0)
     return X

@@ -46,7 +46,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .mesh import CapacityExceeded, Mesh, MeshConfig, SlideDescriptor, _count
+from .mesh import CapacityExceeded, Mesh, SlideDescriptor, _count, _require_element_bits
 from .model import EfficiencyReport
 from .serial import (FLOPS_PER_PAIR, _as_samples, build_permutation, butterfly,
                      log2_exact, merge_level, twiddle_table)
@@ -105,7 +105,7 @@ class TransferBudget:
 def min_feasible_k(n: int, element_bits: int, local_memory_bytes: int) -> int | None:
     """Smallest wave length whose per-PE buffers fit local memory, or None.
     Refuses an element size that no mesh stores, with the mesh's message."""
-    MeshConfig().element_cost(element_bits)
+    _require_element_bits(element_bits)
     m = log2_exact(n)
     for k in range(m + 1):
         if BUFFER_FACTOR * (n >> k) * element_bits // 8 <= local_memory_bytes:

@@ -79,7 +79,7 @@ def test_criterion_2_oracle_equivalence(capsys):
     _shared["flop_checks"] = flop_checks
     ok = ok and worst < 1e-9 and elapsed < 60
     announce(capsys, 2, ok,
-             f"serial + {runs} wave runs (all feasible k) vs quadratic oracle, "
+             f"serial + {runs} wave runs (all feasible k) vs the exact-index oracle, "
              f"n = 2..4096, {inputs_per_size} inputs each: max rel err "
              f"{worst:.2e}, {elapsed:.1f}s")
 

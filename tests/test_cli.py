@@ -826,11 +826,14 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_readme_results_reproduce(capsys):
-    """The results README.md shows come out of main: predict's report at
-    m = 17, and bench-slide's exact cycles per element at the E it names."""
+    """The results README.md shows come out of main: verify's report at
+    n = 1024, predict's at m = 17, and bench-slide's exact cycles per element
+    at the E it names."""
     text = README.read_text(encoding="utf-8")
-    shown = re.search(r"```sh\n\$ slidefft predict --m 17\n(.*?)```", text, re.S).group(1)
-    assert run(capsys, "predict", "--m", "17") == (EXIT_OK, shown, "")
+    for argv in (("verify", "--n", "1024"), ("predict", "--m", "17")):
+        pattern = r"```sh\n\$ slidefft " + re.escape(" ".join(argv)) + r"\n(.*?)```"
+        shown = re.search(pattern, text, re.S).group(1)
+        assert run(capsys, *argv) == (EXIT_OK, shown, "")
     quoted = re.search(r"at `E = (\d+)` it is exactly\s+`(\d+/\d+) = ([\d.]+)`", text)
     elements, exact, decimal = quoted.groups()
     code, out, _ = run(capsys, "bench-slide", "--pes", "8", "--elements", elements, "--csv")

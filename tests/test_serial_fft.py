@@ -280,14 +280,27 @@ class TestOracle:
         x = complex_input(21, 4096, batch=10)
         assert rel_error(dft_oracle(x), np.fft.fft(x)) < 1e-14
 
-    @pytest.mark.parametrize("n", [3, 12, 16, 17, 256, 257, 1000])
+    @pytest.mark.parametrize("n", [3, 12, 16, 17, 256, 257, 1000, 2**13])
     def test_matches_numpy_at_any_length(self, n):
+        """Factors n1 x n2 that differ: 3 x 4, 25 x 40, 64 x 128, ..."""
         x = complex_input(n, n, batch=4)
+        assert rel_error(dft_oracle(x), np.fft.fft(x)) < 1e-14
+
+    @pytest.mark.parametrize("batch", [(), (2, 3)])
+    def test_matches_numpy_at_a_prime_length(self, batch):
+        """A prime n has no split (n1 = 1): the sum is the brute-force one."""
+        n = 4099
+        x = complex_input(27, n * int(np.prod(batch))).reshape(batch + (n,))
         assert rel_error(dft_oracle(x), np.fft.fft(x)) < 1e-14
 
     def test_any_batch_shape(self):
         x = complex_input(22, 2 * 3 * 10).reshape(2, 3, 10)
         np.testing.assert_allclose(dft_oracle(x), np.fft.fft(x), atol=1e-13)
+
+    def test_any_memory_layout(self):
+        """A batch in Fortran order is taken like its C-ordered copy."""
+        x = np.asfortranarray(complex_input(29, 2 * 3 * 16).reshape(2, 3, 16))
+        assert rel_error(dft_oracle(x), np.fft.fft(x)) < 1e-14
 
     def test_independent_of_the_radix_2_code(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -301,9 +314,10 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", [64, 256, 4096, 257, 1000])
     def test_equals_the_modular_index_oracle(self, n):
-        """The masked index of a power-of-two n, and the remainder of any
-        other n, give what (j*k) % n in a new array per block gives, bit for
-        bit, over the same blocks of 2**16 // n bins."""
+        """The factored sum, with the masked index of a power-of-two n and the
+        remainder of any other n, gives what the brute-force sum over
+        (j*k) % n gives, in blocks of 2**16 // n bins.  The two add in another
+        order, so they agree to rounding, not bit for bit."""
         def modular(x):
             roots = np.exp(-2j * np.pi * np.arange(n) / n)
             X = np.empty_like(x)
@@ -315,10 +329,21 @@ class TestOracle:
             return X
 
         x = complex_input(25, n, batch=10)
-        assert np.array_equal(dft_oracle(x), modular(x))
+        assert rel_error(dft_oracle(x), modular(x)) < 1e-14
 
     def test_bounded_memory(self):
         x = complex_input(24, 4096, batch=10)
+        tracemalloc.start()
+        try:
+            dft_oracle(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_bounded_memory_at_a_prime_length(self):
+        """A prime n builds its whole n x n sum in column blocks too."""
+        x = complex_input(28, 4099, batch=10)
         tracemalloc.start()
         try:
             dft_oracle(x)
