@@ -49,11 +49,10 @@ over the grid only when one block of every stored name, plus one of each
 moving comb's source name, would not fit local memory.  Stores and the
 other per-PE calls index the planes directly.
 
-The exact time per (element size, count, hops) is memoised once per set
-of the config's slide costs, and shared by every mesh whose config has
-them, whatever its shape or memory; each mesh takes cycles_per_flop as an
-integer ratio.  So a phase does Fraction arithmetic only for a key no mesh
-of those costs has met, and a compute step none.
+Each mesh derives its costs from its frozen config: a memo of the exact
+time per (element size, count, hops), and cycles_per_flop as an integer
+ratio.  So a phase does Fraction arithmetic only for a key its mesh has not
+met, and a compute step none.
 """
 
 from __future__ import annotations
@@ -139,16 +138,11 @@ class MeshConfig:
 
 def _require_element_bits(element_bits: int) -> None:
     """Refuse an element size that no mesh stores, whatever its config: a
-    ValueError unless it is a positive multiple of 8 bits, then Fraction's
-    TypeError unless it is rational, as ``element_cost`` meets it."""
+    ValueError unless it is a positive multiple of 8 bits, and a TypeError
+    unless it is rational (64.0, say), which Fraction raises."""
     if element_bits < 1 or element_bits % 8:
         raise ValueError("element size must be a positive multiple of 8 bits")
     Fraction(element_bits, 8)
-
-
-# A slide's exact time per (bits, count, hops), one memo per tuple of the
-# config fields ``Mesh._slide_time`` reads, so meshes of any shape share it.
-_SLIDE_TIMES: dict[tuple, dict[tuple[int, int, int], Fraction]] = {}
 
 
 # Named cost presets.  cs2-calibrated is the default parameter set; its
@@ -311,11 +305,9 @@ class Mesh:
         nowhere = np.zeros(self.shape, bool)
         nowhere.flags.writeable = False
         self._empty = _Plane(np.empty(self.shape + (0,)), nowhere, 0)    # a name never stored
-        # The costs, derived from the frozen config: the slide-time memo of
-        # its slide costs, and cycles_per_flop as two ints.
-        self._slide_times = _SLIDE_TIMES.setdefault(
-            (config.ramp_cycles, config.packet_bits, config.cycles_per_packet_per_hop,
-             config.per_element_overhead_cycles, config.pipeline_fill_cycles_per_hop), {})
+        # The costs, derived once from the frozen config: a slide's time per
+        # (bits, count, hops), and cycles_per_flop as two ints.
+        self._slide_times: dict[tuple[int, int, int], Fraction] = {}
         self._per_flop = config.cycles_per_flop.as_integer_ratio()
 
     # -------------------- geometry --------------------
@@ -481,10 +473,9 @@ class Mesh:
         the holds planes, only when its exact upper bound, one block of every
         stored name plus one of each moving comb's source name, exceeds local
         memory.  Each moving comb is costed at its source name's element size
-        and count, from the memo of exact times that every mesh of its slide
-        costs shares.  The commit copies each comb's blocks from its view of
-        the source plane into the same view of the destination plane, and
-        moves the holds marks.
+        and count, from the mesh's memo of exact times.  The commit copies
+        each comb's blocks from its view of the source plane into the same
+        view of the destination plane, and moves the holds marks.
         """
         config = self.config
         rows, cols = config.rows, config.cols
@@ -625,8 +616,7 @@ class Mesh:
 
     def _slide_time(self, bits: int, count: int, hops: int) -> Fraction:
         """The closed form: a moving PE's exact time, ramp included, for
-        ``count`` elements of ``bits`` bits over ``hops`` hops; memoised in
-        ``_SLIDE_TIMES``, whose key holds every config field read here."""
+        ``count`` elements of ``bits`` bits over ``hops`` hops; memoised."""
         key = (bits, count, hops)
         time = self._slide_times.get(key)
         if time is None:

@@ -178,12 +178,12 @@ def dft_oracle(x) -> np.ndarray:
 
     as two 2-D matrix products with the batch folded into their columns or
     rows.  The three matrices index one table of the n roots e^{-2pi i t/n}
-    with the exact integer product mod n (``& (n - 1)`` for a power of two,
-    else ``% n``), held in the narrowest unsigned type that holds the
-    largest, (n-1)*(n2-1), so no root is evaluated at a large angle.  The
-    n2-point matrix is built max(1, 2**16 // n2) columns at a time in one
-    reused index buffer, which bounds the oracle's memory for every n.  A
-    prime n has n1 = 1: the brute-force sum ``x @ roots[(j*k) % n]``.
+    with the exact integer product mod n, held in the narrowest unsigned
+    type that holds the largest, (n-1)*(n2-1), so no root is evaluated at a
+    large angle.  The n2-point matrix is built max(1, 2**16 // n2) columns
+    at a time in one reused index buffer, which bounds the oracle's memory
+    for every n.  A prime n has n1 = 1: the brute-force sum
+    ``x @ roots[(j*k) % n]``.
     """
     x = _as_samples(x)
     n = x.shape[-1]
@@ -195,11 +195,7 @@ def dft_oracle(x) -> np.ndarray:
 
     def powers(rows, cols, out=None):
         index = np.multiply.outer(rows, cols, out=out)
-        if n & (n - 1):
-            np.remainder(index, n, out=index)
-        else:
-            np.bitwise_and(index, n - 1, out=index)
-        return roots[index]
+        return roots[np.remainder(index, n, out=index)]
 
     j1 = np.arange(n1, dtype=np.min_scalar_type((n - 1) * (n2 - 1)))
     j2 = np.arange(n2, dtype=j1.dtype)

@@ -385,6 +385,16 @@ class TestSlide:
             assert cycles == 3 + Fraction(13, 10) * count
         assert costs[500] / 500 == Fraction(1306, 1000)
 
+    def test_phase_time_follows_each_meshs_own_costs(self):
+        """Two meshes whose configs differ only in pipeline fill, slid the
+        same way in turn, each pay their own fill on the second hop."""
+        for fill in (Fraction(1, 2), Fraction(5), Fraction(1, 2)):
+            mesh = one_row_mesh(3, pipeline_fill_cycles_per_hop=fill)
+            mesh.pe_store((0, 0), "w", np.zeros(10, np.float32), element_bits=32)
+            report = mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1,
+                                                       name="w", displacement=(0, 2))])
+            assert report.exact_cycles == 3 + Fraction(13, 10) * 10 + fill
+
     def test_zero_displacement_is_free_rename(self):
         mesh = one_row_mesh(1)
         data = np.arange(4, dtype=np.float64)

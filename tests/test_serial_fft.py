@@ -276,6 +276,19 @@ class TestTransform:
 
 
 class TestOracle:
+    @staticmethod
+    def brute_force(x):
+        """The quadratic sum over (j*k) % n, in blocks of 2**16 // n bins."""
+        n = x.shape[-1]
+        roots = np.exp(-2j * np.pi * np.arange(n) / n)
+        X = np.empty_like(x)
+        k = np.arange(n, dtype=np.min_scalar_type((n - 1) ** 2))
+        block = max(1, 2**16 // n)
+        for j0 in range(0, n, block):
+            j = k[j0 : j0 + block]
+            X[..., j0 : j0 + len(j)] = x @ roots[np.outer(k, j) % n]
+        return X
+
     def test_matches_numpy_at_4096(self):
         x = complex_input(21, 4096, batch=10)
         assert rel_error(dft_oracle(x), np.fft.fft(x)) < 1e-14
@@ -288,9 +301,11 @@ class TestOracle:
 
     @pytest.mark.parametrize("batch", [(), (2, 3)])
     def test_matches_numpy_at_a_prime_length(self, batch):
-        """A prime n has no split (n1 = 1): the sum is the brute-force one."""
+        """A prime n has no split (n1 = 1): the sum is the brute-force one,
+        bit for bit, with the batch folded into one 2-D product."""
         n = 4099
         x = complex_input(27, n * int(np.prod(batch))).reshape(batch + (n,))
+        assert np.array_equal(dft_oracle(x), self.brute_force(x))
         assert rel_error(dft_oracle(x), np.fft.fft(x)) < 1e-14
 
     def test_any_batch_shape(self):
@@ -314,22 +329,15 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", [64, 256, 4096, 257, 1000])
     def test_equals_the_modular_index_oracle(self, n):
-        """The factored sum, with the masked index of a power-of-two n and the
-        remainder of any other n, gives what the brute-force sum over
-        (j*k) % n gives, in blocks of 2**16 // n bins.  The two add in another
-        order, so they agree to rounding, not bit for bit."""
-        def modular(x):
-            roots = np.exp(-2j * np.pi * np.arange(n) / n)
-            X = np.empty_like(x)
-            k = np.arange(n, dtype=np.min_scalar_type((n - 1) ** 2))
-            block = max(1, 2**16 // n)
-            for j0 in range(0, n, block):
-                j = k[j0 : j0 + block]
-                X[..., j0 : j0 + len(j)] = x @ roots[np.outer(k, j) % n]
-            return X
-
+        """The factored sum of a composite n adds in another order than the
+        brute-force sum over (j*k) % n, so the two agree to rounding; a
+        prime n has no split, and its sum is the brute-force one, bit for
+        bit."""
         x = complex_input(25, n, batch=10)
-        assert rel_error(dft_oracle(x), modular(x)) < 1e-14
+        if n == 257:
+            assert np.array_equal(dft_oracle(x), self.brute_force(x))
+        else:
+            assert rel_error(dft_oracle(x), self.brute_force(x)) < 1e-14
 
     def test_bounded_memory(self):
         x = complex_input(24, 4096, batch=10)
