@@ -493,8 +493,8 @@ def _config_value(action: argparse.Action, value):
     """Parse one config value with its flag's own type and choices.
 
     Switches take true or false and plain-text flags take strings.  Flags
-    with a parser take a number, or an integer list for list flags, read as
-    the flag's text, so 0.3 means 3/10.
+    with a parser take a number, or a list of JSON integers (not bools) for
+    list flags, read as the flag's text, so 0.3 means 3/10.
     """
     text = value
     if action.nargs == 0:
@@ -502,7 +502,8 @@ def _config_value(action: argparse.Action, value):
     elif action.type is None:
         fits = isinstance(value, str)
     elif isinstance(value, list):
-        fits, text = action.type is parse_int_list, ",".join(map(str, value))
+        fits = action.type is parse_int_list and all(type(v) is int for v in value)
+        text = ",".join(map(str, value))
     else:
         fits, text = type(value) in (int, float), str(value)
     if not fits:

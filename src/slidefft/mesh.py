@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
@@ -449,7 +450,7 @@ class Mesh:
 
     # -------------------- slides --------------------
 
-    def slide_phase(self, descs: list[SlideDescriptor]) -> PhaseReport:
+    def slide_phase(self, descs: Sequence[SlideDescriptor]) -> PhaseReport:
         """Execute concurrent slides as one synchronous phase.
 
         All descriptors move together; the phase's wall clock is the maximum

@@ -2,16 +2,14 @@
 
 A transform of n = 2**m points runs on a wave of 2**k consecutive PEs in one
 grid row, each holding 2**(m-k) elements of the permuted input as one
-contiguous block.  Levels whose segment pairs fit inside a PE run locally.
-At each remaining level every crossing's E segment slides right by a shift
-and its O segment left by span - shift, the crossings are computed where
-they meet, and both halves slide back.  The shift is the whole schedule: 0
-is the overlay (O lands on E, E stays put), span // 2 the midpoint
-(``midpoint=True``, both halves meet halfway).  Across m <= 12 under the
-default cs2-calibrated costs the midpoint never takes longer and is often
-much faster (1424 vs 2446 wall-clock cycles at n=1024, k=10), but moves up
-to 1.9x the elements; under pure-packet both cost the same.
-:func:`transfer_budget` describes the overlay.
+contiguous block.  Levels whose segment pairs fit inside a PE run locally;
+the rest slide, on the schedule that :func:`level_plan` records from the
+layout alone and :func:`slide_fft` runs: the overlay, or the midpoint
+(``midpoint=True``).  Across m <= 12 under the default cs2-calibrated costs
+the midpoint never takes longer and is often much faster (1424 vs 2446
+wall-clock cycles at n=1024, k=10), but moves up to 1.9x the elements;
+under pure-packet both cost the same.  :func:`transfer_budget` describes
+the overlay.
 
 Planning reserves three buffers of the block size per PE, which bounds the
 feasible wave lengths for a given local memory size.  A level holds at most
@@ -89,10 +87,15 @@ class WaveLayout:
 @dataclass(frozen=True)
 class LevelDescriptor:
     """One transform level: segment pairs of size N, and whether both
-    segments of a crossing are co-resident on single PEs."""
+    segments of a crossing are co-resident on single PEs.  A sliding level
+    also holds its phases ``out`` and ``back``, at most two combs each, and
+    ``sites``, the starts of its meeting spans of sites.step // 2 PEs."""
 
     segment_pair: int
     local: bool
+    out: tuple[SlideDescriptor, ...] = ()
+    sites: range = range(0)
+    back: tuple[SlideDescriptor, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -142,15 +145,32 @@ def plan_wave(n: int, k: int, element_bits: int, mesh: Mesh,
                       elements_per_pe=n >> k, element_bits=element_bits)
 
 
-def level_plan(layout: WaveLayout) -> list[LevelDescriptor]:
-    """Levels p = m .. 1 with segment-pair sizes N = 2, 4, ..., n.
+def level_plan(layout: WaveLayout, midpoint: bool = False) -> list[LevelDescriptor]:
+    """Levels p = m .. 1 with segment-pair sizes N = 2, 4, ..., n: the
+    schedule :func:`slide_fft` runs, built from the layout alone.
 
     A level is local exactly when a whole crossing (N elements) fits on one
-    PE, i.e. N <= elements_per_pe; otherwise its odd segments live
-    (N/2)/elements_per_pe PEs away from their even partners.
-    """
-    return [LevelDescriptor(segment_pair=N, local=N <= layout.elements_per_pe)
-            for N in (1 << j for j in range(1, layout.m + 1))]
+    PE, i.e. N <= elements_per_pe.  Otherwise each crossing's E segment of
+    span PEs slides right by a shift and its O segment left by span - shift
+    onto the meeting sites, then both slide back: shift 0 is the overlay (O
+    lands on E), span // 2 the midpoint.  No phase holds a zero-hop comb."""
+    e, w, (row, col0) = layout.elements_per_pe, layout.name, layout.origin
+    plan = []
+    for N in (1 << j for j in range(1, layout.m + 1)):
+        span = N // (2 * e)     # PEs per segment, 0 for a local level
+        if not span:
+            plan.append(LevelDescriptor(N, True))
+            continue
+        h = span // 2 if midpoint else 0
+        sites = range(col0 + h, col0 + layout.pe_count, 2 * span)
+        # legs of (offset from the base, name, landing name, columns moved)
+        out, back = (tuple(SlideDescriptor(row, col0 + at, col0 + at + span, name, (0, d), dest,
+                                           period=sites.step, repeats=len(sites))
+                           for at, name, dest, d in legs if d)
+                     for legs in (((0, w, w, h), (span, w, _INCOMING, h - span)),
+                                  ((h, w, w, -h), (h, _INCOMING, w, span - h))))
+        plan.append(LevelDescriptor(N, False, out, sites, back))
+    return plan
 
 
 def distribute(x, layout: WaveLayout, mesh: Mesh) -> None:
@@ -200,50 +220,27 @@ def _run_local_levels(mesh: Mesh, layout: WaveLayout, tables: tuple[np.ndarray, 
                             max_flops_per_pe=FLOPS_PER_PAIR * (layout.elements_per_pe // 2))
 
 
-def _run_sliding_level(mesh: Mesh, layout: WaveLayout, factors: np.ndarray,
-                       midpoint: bool) -> None:
-    """Run the level of segment pairs of size N = 2 * len(factors): each
-    crossing's E segment (PEs base .. base+span-1) slides right by
-    ``shift`` and its O segment left by ``span - shift``; on the PEs where
-    they meet L overwrites E and R overwrites O, and both slide back.
-    ``shift`` is span // 2 for the midpoint (0 at span 1), 0 for the overlay.
-    """
-    e = layout.elements_per_pe
-    span = len(factors) // e    # PEs per segment
-    shift = span // 2 if midpoint else 0
-    row, col0 = layout.origin
-    bases = range(col0, col0 + layout.pe_count, 2 * span)
-
-    def phase(legs):
-        # Each leg is one comb over every crossing.  Zero-hop legs stay out of
-        # the phase: a rename would only add moves.
-        mesh.slide_phase([
-            SlideDescriptor(row=row, col_start=col0 + offset, col_stop=col0 + offset + span,
-                            name=name, displacement=(0, d_col), dest_name=dest_name,
-                            period=2 * span, repeats=len(bases))
-            for offset, name, dest_name, d_col in legs if d_col
-        ])
-
-    phase([(0, layout.name, layout.name, shift),
-           (span, layout.name, _INCOMING, shift - span)])
-    # Site t of a crossing is PE base + shift + t, merged with twiddle row t:
-    # one comb of the meeting sites, viewed in both planes, shape
-    # (*batch, crossings, span, e).  The butterfly runs in place on groups
-    # of crossings, each cut into groups of rows t (more than one only when
-    # a crossing holds more than GROUP_ELEMENTS).  The twiddle rows take the
-    # views' rank: numpy multiplies one element by an operand of lower rank
-    # in another loop, which rounds differently.
-    sites = range(col0 + shift, col0 + layout.pe_count, 2 * span)
-    evens = mesh.comb_view(row, sites, span, layout.name)
-    odds = mesh.comb_view(row, sites, span, _INCOMING)
+def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
+                       factors: np.ndarray) -> None:
+    """Run one sliding level of the plan with twiddle table ``factors``: its
+    outbound phase, then L over E and R over O on the meeting sites, then its
+    return phase."""
+    e, span = layout.elements_per_pe, level.sites.step // 2     # span: PEs per segment
+    mesh.slide_phase(level.out)
+    # Site t of a meeting span takes twiddle row t.  The sites' comb, viewed
+    # in both planes as (*batch, crossings, span, e), is merged in place in
+    # groups of crossings, each cut into groups of rows t.  The twiddle rows
+    # take the views' rank: numpy multiplies one element by an operand of
+    # lower rank in another loop, which rounds differently.
+    evens, odds = (mesh.comb_view(layout.origin[0], level.sites, span, name)
+                   for name in (layout.name, _INCOMING))
     rows = factors.reshape((1,) * (evens.ndim - 2) + (span, e))
-    for g in _groups(len(sites), span * e):
+    for g in _groups(len(level.sites), span * e):
         for t in _groups(span, e):
             butterfly(evens[..., g, t, :], odds[..., g, t, :], rows[..., t, :])
     mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
                         max_flops_per_pe=FLOPS_PER_PAIR * e)
-    phase([(shift, layout.name, layout.name, -shift),
-           (shift, _INCOMING, layout.name, span - shift)])
+    mesh.slide_phase(level.back)
 
 
 def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndarray:
@@ -258,11 +255,12 @@ def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndar
     together before the first slide.
     """
     tables = twiddle_table(layout.n) if layout.m else ()
-    local = sum(level.local for level in level_plan(layout))
+    plan = level_plan(layout, midpoint)
+    local = sum(level.local for level in plan)
     if local:
         _run_local_levels(mesh, layout, tables[:local])
-    for factors in tables[local:]:
-        _run_sliding_level(mesh, layout, factors, midpoint)
+    for level, factors in zip(plan[local:], tables[local:]):
+        _run_sliding_level(mesh, layout, level, factors)
     return gather(layout, mesh)
 
 

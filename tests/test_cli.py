@@ -313,6 +313,8 @@ def test_bench_fft_single_pe_efficiency_is_one(capsys):
     ("bench-slide", {"pes": "8,16"}),
     ("bench-fft", {"n": "1024"}),
     ("bench-fft", {"doubled-transfer": 1}),
+    ("bench-slide", {"pes": ["8", "16"]}),
+    ("bench-fft", {"k": ["0..3"]}),
 ])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, settings):
     config = tmp_path / "settings.json"

@@ -467,3 +467,89 @@ class TestCostTrends:
         _, full = run_wave(x, 4, mesh=mesh_create(
             preset_config("cs2-calibrated", rows=1, cols=16)))
         assert full.wall_clock_cycles > lean.wall_clock_cycles
+
+
+def apply_phase(state, descs):
+    """Move the tokens of ``state``, {(row, col, name): token}, by one phase
+    of ``descs`` as plain translations: every comb is lifted, then every
+    comb lands; a missing source or a landing on a held key fails."""
+    lifted = []
+    for d in descs:
+        width = d.col_stop - d.col_start
+        for col in (d.col_start + i * d.period + j for i in range(d.repeats) for j in range(width)):
+            lifted.append(((d.row + d.displacement[0], col + d.displacement[1],
+                            d.dest_name or d.name), state.pop((d.row, col, d.name))))
+    for key, token in lifted:
+        assert key not in state, key
+        state[key] = token
+
+
+class TestPlan:
+    @pytest.mark.parametrize("n,k,midpoint,placement", [
+        (256, 4, False, None), (256, 4, True, None), (256, 4, False, OFFSET_BATCH),
+        (256, 4, True, OFFSET_BATCH), (256, 0, False, None), (256, 0, True, None)])
+    def test_slide_fft_runs_the_plan(self, monkeypatch, n, k, midpoint, placement):
+        """The phases one run hands the mesh are the plan's, in level order,
+        and each PhaseReport moves what its descriptors say."""
+        if placement is None:
+            x, mesh, origin = complex_input(n + k, n), wave_mesh(k), (0, 0)
+        else:
+            batch, (rows, cols), origin = placement
+            x = np.stack([complex_input(n + k + i, n) for i in range(batch)])
+            mesh = mesh_create(MeshConfig(rows=rows, cols=cols))
+        calls = []
+        slide_phase = mesh.slide_phase
+
+        def recorded(descs):
+            calls.append((descs, slide_phase(descs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(mesh, "slide_phase", recorded)
+        spectrum, _ = run_wave(x, k, mesh=mesh, midpoint=midpoint, origin=origin)
+        np.testing.assert_array_equal(spectrum, fft_serial(x))
+        layout = plan_wave(n, k, 64, mesh, origin=origin)
+        plan = level_plan(layout, midpoint)
+        assert [descs for descs, _ in calls] == [
+            phase for lv in plan if not lv.local for phase in (lv.out, lv.back)]
+        assert len(calls) == 2 * k
+        e = layout.elements_per_pe
+        for descs, report in calls:
+            moved = [(d.hops, d.repeats * (d.col_stop - d.col_start) * e) for d in descs]
+            assert report.elements == sum(elements for _, elements in moved)
+            assert report.element_hops == sum(hops * elements for hops, elements in moved)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(0, 12), data=st.data(),
+           origin=st.tuples(st.integers(0, 64), st.integers(0, 5000)), midpoint=st.booleans())
+    def test_plan_slides_every_block_to_its_site_and_back(self, m, data, origin, midpoint):
+        """From a layout built by hand, with no mesh: the last k levels slide,
+        with spans 1, 2, ..., 2**(k-1), in phases of at most two combs none
+        of which stands still; the outbound phase brings every crossing's E
+        and O blocks to its meeting sites, in order, and the return phase
+        puts every block back where it started."""
+        k = data.draw(st.integers(0, m))
+        n = 1 << m
+        layout = wave.WaveLayout(n=n, m=m, k=k, origin=origin, elements_per_pe=n >> k,
+                                 element_bits=64)
+        plan = level_plan(layout, midpoint)
+        assert [lv.segment_pair for lv in plan] == [2 << j for j in range(m)]
+        assert [lv.local for lv in plan] == [True] * (m - k) + [False] * k
+        assert all(lv == wave.LevelDescriptor(lv.segment_pair, True) for lv in plan[:m - k])
+        sliding = plan[m - k:]
+        assert [lv.sites.step // 2 for lv in sliding] == [1 << j for j in range(k)]
+        row, col0 = origin
+        home = {(row, col, layout.name): col for col in range(col0, col0 + layout.pe_count)}
+        for lv in sliding:
+            span = lv.sites.step // 2
+            assert 1 <= len(lv.out) <= 2 and 1 <= len(lv.back) <= 2
+            assert all(d.hops for d in lv.out + lv.back)
+            state = dict(home)
+            apply_phase(state, lv.out)
+            bases = range(col0, col0 + layout.pe_count, 2 * span)
+            assert len(lv.sites) == len(bases) and len(state) == layout.pe_count
+            for base, site in zip(bases, lv.sites):
+                for t in range(span):
+                    assert state[(row, site + t, layout.name)] == base + t
+                    assert state[(row, site + t, wave._INCOMING)] == base + span + t
+            apply_phase(state, lv.back)
+            assert state == home
