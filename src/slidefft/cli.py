@@ -438,7 +438,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "--out": dict(default=None, help="write CSV/report here instead of stdout"),
         "--preset": dict(choices=sorted(PRESETS), default="cs2-calibrated",
                          help="cost preset (default cs2-calibrated)"),
-        "--csv": dict(action="store_true", help="suppress the stderr summary; emit CSV only"),
+        "--csv": dict(action="store_true", help="suppress the human summary on stderr"),
         "--config": dict(default=None,
                          help="JSON file of defaults mirroring the flags; flags win"),
         "--b": dict(type=parse_cycles_per_flop, default=MeshConfig.cycles_per_flop,
@@ -588,11 +588,13 @@ def main(argv=None) -> int:
         # The CSV first: it holds every count of a ledger that --b can make
         # too long to print, and names it.
         text = records_to_csv(records)
+        if args.csv:
+            summary = []
         if args.command == "bench-fft" and args.dump_ledger:
             for k, ledger, wall in ledgers:
                 summary += [f"# ledger k={k}", ledger.dump(), f"wall_clock_cycles={wall}"]
         _emit(args, text)
-        if not args.csv:
+        if summary:
             print("\n".join(summary), file=sys.stderr)
         return EXIT_OK if any(r.status == "ok" for r in records) else EXIT_INFEASIBLE
     except CapacityExceeded as exc:

@@ -20,7 +20,8 @@ that wall clock (rounded up once per phase, never per element) as transfer
 plus ramp.  Every PE of a comb moves E elements, its name's one block
 count, so that maximum is evaluated once per moving comb, not once per PE.
 Compute is booked separately as total FLOP volume times cycles_per_flop,
-with the per-phase maximum over PEs advancing the wall clock.
+with the per-phase maximum over PEs advancing the wall clock.  Each cost is
+worked out from the mesh's frozen config where it is booked.
 
 Each stored name is a data plane (*batch, rows, cols, count) and a bool
 holds plane (True where a PE holds a block of the name).  The name's kind,
@@ -48,11 +49,6 @@ landed on only for a name that two combs meet, and sums each PE's bytes
 over the grid only when one block of every stored name, plus one of each
 moving comb's source name, would not fit local memory.  Stores and the
 other per-PE calls index the planes directly.
-
-Each mesh derives its costs from its frozen config: a memo of the exact
-time per (element size, count, hops), and cycles_per_flop as an integer
-ratio.  So a phase does Fraction arithmetic only for a key its mesh has not
-met, and a compute step none.
 """
 
 from __future__ import annotations
@@ -306,10 +302,6 @@ class Mesh:
         nowhere = np.zeros(self.shape, bool)
         nowhere.flags.writeable = False
         self._empty = _Plane(np.empty(self.shape + (0,)), nowhere, 0)    # a name never stored
-        # The costs, derived once from the frozen config: a slide's time per
-        # (bits, count, hops), and cycles_per_flop as two ints.
-        self._slide_times: dict[tuple[int, int, int], Fraction] = {}
-        self._per_flop = config.cycles_per_flop.as_integer_ratio()
 
     # -------------------- geometry --------------------
 
@@ -474,7 +466,7 @@ class Mesh:
         the holds planes, only when its exact upper bound, one block of every
         stored name plus one of each moving comb's source name, exceeds local
         memory.  Each moving comb is costed at its source name's element size
-        and count, from the mesh's memo of exact times.  The commit copies
+        and count, in closed form from the mesh's config.  The commit copies
         each comb's blocks from its view of the source plane into the same
         view of the destination plane, and moves the holds marks.
         """
@@ -593,8 +585,9 @@ class Mesh:
         if not moving:
             return PhaseReport(Fraction(0), 0, 0, 0, 0)
         # One closed form per moving comb: each of its spans * width PEs moves
-        # its name's one count.
-        max_time = max(self._slide_time(plane.bits, plane.count, d.hops)
+        # its name's one count, ramp included.
+        max_time = max(config.ramp_cycles + config.element_cost(plane.bits) * plane.count
+                       + config.pipeline_fill_cycles_per_hop * (d.hops - 1)
                        for d, _, _, _, plane, _ in moving)
         moved = [(d.hops, spans * width, plane.count)
                  for d, (*_, spans, width), _, _, plane, _ in moving]
@@ -615,18 +608,6 @@ class Mesh:
             blocks=sum(pes for _, pes, _ in moved),
         )
 
-    def _slide_time(self, bits: int, count: int, hops: int) -> Fraction:
-        """The closed form: a moving PE's exact time, ramp included, for
-        ``count`` elements of ``bits`` bits over ``hops`` hops; memoised."""
-        key = (bits, count, hops)
-        time = self._slide_times.get(key)
-        if time is None:
-            config = self.config
-            time = self._slide_times[key] = (
-                config.ramp_cycles + config.element_cost(bits) * count
-                + config.pipeline_fill_cycles_per_hop * (hops - 1))
-        return time
-
     # -------------------- compute --------------------
 
     def record_compute(self, flops: int, max_flops_per_pe: int) -> None:
@@ -634,7 +615,8 @@ class Mesh:
 
         ``flops`` is the total volume over all PEs; ``max_flops_per_pe``, the
         volume of the busiest PE (at most the total), sets how far the wall
-        clock advances.  Both are counts, taken with ``_count``.
+        clock advances.  Both are counts, taken with ``_count``, and each is
+        booked as its exact cycles at cycles_per_flop per FLOP, rounded up.
         """
         flops = _count(flops, "flops")
         max_flops_per_pe = _count(max_flops_per_pe, "max_flops_per_pe")
@@ -643,9 +625,8 @@ class Mesh:
         if not 0 <= max_flops_per_pe <= flops:
             raise ValueError(f"per-PE FLOPs {max_flops_per_pe} outside 0..{flops}")
         self.ledger.flops += flops
-        p, q = self._per_flop       # each ceiling of p/q cycles per FLOP, in ints
-        self.ledger.compute_cycles += -(-p * flops // q)
-        self.wall_clock_cycles += -(-p * max_flops_per_pe // q)
+        self.ledger.compute_cycles += math.ceil(self.config.cycles_per_flop * flops)
+        self.wall_clock_cycles += math.ceil(self.config.cycles_per_flop * max_flops_per_pe)
 
     def ledger_report(self) -> CycleLedger:
         return replace(self.ledger)

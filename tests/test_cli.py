@@ -185,12 +185,16 @@ def test_bench_fft_refuses_a_bad_k_before_running_any(capsys, monkeypatch):
 
 
 def test_bench_fft_ledger_dump(capsys):
-    _, _, err = run(capsys, "bench-fft", "--n", "64", "--k", "2",
-                    "--dump-ledger")
-    assert "# ledger k=2" in err
-    assert "compute_cycles=" in err
-    assert "elements_moved=128" in err
-    assert "wall_clock_cycles=2082" in err
+    """With and without --csv: --csv drops the summary line, never the
+    ledger dump asked for."""
+    for csv in ((), ("--csv",)):
+        _, _, err = run(capsys, "bench-fft", "--n", "64", "--k", "2",
+                        "--dump-ledger", *csv)
+        assert ("bench-fft:" in err) == (not csv)
+        assert "# ledger k=2" in err
+        assert "compute_cycles=" in err
+        assert "elements_moved=128" in err
+        assert "wall_clock_cycles=2082" in err
 
 
 def test_predict_reference_point(capsys):

@@ -394,6 +394,17 @@ class TestSlide:
             report = mesh.slide_phase([SlideDescriptor(row=0, col_start=0, col_stop=1,
                                                        name="w", displacement=(0, 2))])
             assert report.exact_cycles == 3 + Fraction(13, 10) * 10 + fill
+        # One mesh meets (bits, count, hops) A = (32, 10, 2), then B = (64, 4,
+        # 1), then A again, and pays the closed form each time.
+        mesh = one_row_mesh(3, pipeline_fill_cycles_per_hop=Fraction(1, 2))
+        mesh.pe_store((0, 0), "w", np.zeros(10, np.float32), element_bits=32)
+        mesh.pe_store((0, 0), "v", np.zeros(4, np.float64), element_bits=64)
+        for name, col, d_col, cost, count in (("w", 0, 2, Fraction(13, 10), 10),
+                                              ("v", 0, 1, Fraction(23, 10), 4),
+                                              ("w", 2, -2, Fraction(13, 10), 10)):
+            report = mesh.slide_phase([SlideDescriptor(row=0, col_start=col, col_stop=col + 1,
+                                                       name=name, displacement=(0, d_col))])
+            assert report.exact_cycles == 3 + cost * count + Fraction(1, 2) * (abs(d_col) - 1)
 
     def test_zero_displacement_is_free_rename(self):
         mesh = one_row_mesh(1)
@@ -955,6 +966,21 @@ class TestLedger:
         assert (mesh.ledger_report().compute_cycles, mesh.wall_clock_cycles) == (24, 10)
         mesh.record_compute(6, max_flops_per_pe=3)      # 14 and 7: exact, not rounded up
         assert (mesh.ledger_report().compute_cycles, mesh.wall_clock_cycles) == (38, 17)
+        # A float (0.3 means 3/10), 1/7 and a 30-digit denominator, at 0 FLOPs,
+        # exact multiples of the denominator and counts past 2**63.
+        big = Fraction(2 * 10**29 + 11, 10**29 + 3)
+        assert len(str(big.denominator)) == 30
+        for cost, exact in ((0.3, Fraction(3, 10)), (Fraction(1, 7), Fraction(1, 7)), (big, big)):
+            mesh = one_row_mesh(1, cycles_per_flop=cost)
+            q = exact.denominator
+            compute = wall = 0
+            for flops, per_pe in ((0, 0), (q, q), (5 * q, 2 * q), (2**63 + 1, 2**63 - 1),
+                                  (q << 64, 1), (2**64 + 3, 0)):
+                mesh.record_compute(flops, max_flops_per_pe=per_pe)
+                compute += math.ceil(exact * flops)
+                wall += math.ceil(exact * per_pe)
+                assert mesh.ledger_report().compute_cycles == compute
+                assert mesh.wall_clock_cycles == wall
 
     def test_total_is_sum_of_parts(self):
         mesh = one_row_mesh(2)
