@@ -98,26 +98,23 @@ def build_permutation(m: int) -> PermutationTable:
 @lru_cache(maxsize=None)
 def twiddle_table(N: int) -> tuple[np.ndarray, ...]:
     """The read-only twiddle tables of every segment-pair size 2, 4, ..., N
-    of an N-point transform.  The last holds the unit-circle factors
-    exp(-2*pi*i*k/N), k = 0 .. N/2 - 1; each other, of size N/2**j, is a
-    contiguous copy of every (2**j)-th of them, so a transform evaluates
-    one exp table.  That table is built in one buffer by the operations of
-    ``np.exp(-2j * np.pi * k / N)``, all but the first in place, so no
-    temporary outlives the tables kept."""
+    of an N-point transform, all views of one exp table: the last holds
+    exp(-2*pi*i*k/N), k = 0 .. N/2 - 1, built in place from a complex
+    ``arange`` by the operations of ``np.exp(-2j * np.pi * k / N)``, and
+    each other, of size N/2**j, views every (2**j)-th of them.  Code that
+    reads a level table many times copies it contiguous where it runs that
+    level, and keeps no copy: a multiply reading every 128th element is
+    several times slower."""
     if N < 2 or (N & (N - 1)) != 0:
         raise ValueError(f"segment pair size must be a power of two >= 2, got {N}")
-    factors = np.multiply(-2j * np.pi, np.arange(N // 2))
+    factors = np.arange(N // 2, dtype=np.complex128)
+    np.multiply(-2j * np.pi, factors, out=factors)
     np.divide(factors, N, out=factors)
     np.exp(factors, out=factors)
+    factors.setflags(write=False)
     # A level of size N >> j reads every (2**j)-th root.  The angles agree
-    # bit for bit: scaling k and N by a power of two is exact.  Copies, not
-    # strided views: a multiply reading every 128th element is several
-    # times slower.
-    levels = tuple(factors[:: 1 << j].copy()
-                   for j in range(log2_exact(N) - 1, 0, -1)) + (factors,)
-    for table in levels:
-        table.setflags(write=False)
-    return levels
+    # bit for bit: scaling k and N by a power of two is exact.
+    return tuple(factors[:: 1 << j] for j in range(log2_exact(N) - 1, -1, -1))
 
 
 def butterfly(e: np.ndarray, o: np.ndarray, u: np.ndarray) -> None:
@@ -143,7 +140,7 @@ def fft_serial(x, counter: FlopCounter | None = None) -> np.ndarray:
 
     The input is permuted by the bit-reversal row of :func:`build_permutation`
     into a new array, and levels p = m .. 1 merge its segment pairs of size
-    N = 2, 4, ..., n in place, with the level tables of ``twiddle_table(n)``.
+    N = 2, 4, ..., n in place, with contiguous copies of ``twiddle_table(n)``.
     Total booked FLOPs come to exactly 5 * n * log2(n).
     """
     y = _as_samples(x)
@@ -153,7 +150,7 @@ def fft_serial(x, counter: FlopCounter | None = None) -> np.ndarray:
         return y.copy()
     y = np.take(y, build_permutation(m).final_row, axis=-1)
     for factors in twiddle_table(n):
-        merge_level(y, factors)
+        merge_level(y, np.ascontiguousarray(factors))
         if counter is not None:
             counter.add(FLOPS_PER_PAIR * (n // 2))
     return y

@@ -59,11 +59,11 @@ _INCOMING = "__incoming"
 # Host arithmetic runs on groups of about this many elements of the
 # transform, not on the whole wave at once: a group bounds a butterfly's
 # U*O temporary to half a group, 64 KiB per transform of the batch.
-# In-process main() of bench-fft --n 1048576 --k 8 --element-bits 32 (256
-# PEs of 4096 elements) took 0.23-0.33 s and 84.3 MiB peak with groups of
-# this size, 0.29-0.40 s and 92.3 MiB with the whole wave as one group
-# (8 or more fresh processes each on a shared 2-vCPU host); groups of 2**12
-# to 2**15 took the same time and 84.2-84.7 MiB.
+# bench-fft --n 1048576 --k 8 --element-bits 32 (256 PEs of 4096
+# elements), as the medians of three 4-s perfbench/run.py windows each on
+# a shared 2-vCPU Xeon: 0.285-0.301 s and 76.3 MiB peak RSS with groups of
+# this size, 0.304-0.308 s and 88.2 MiB with the whole wave as one group;
+# groups of 2**12 and 2**15 peaked at 76.2 and 77.2 MiB.
 GROUP_ELEMENTS = 1 << 13
 
 
@@ -229,15 +229,17 @@ def _run_sliding_level(mesh: Mesh, layout: WaveLayout, level: LevelDescriptor,
     mesh.slide_phase(level.out)
     # Site t of a meeting span takes twiddle row t.  The sites' comb, viewed
     # in both planes as (*batch, crossings, span, e), is merged in place in
-    # groups of crossings, each cut into groups of rows t.  The twiddle rows
-    # take the views' rank: numpy multiplies one element by an operand of
-    # lower rank in another loop, which rounds differently.
+    # groups of rows t, each copied once out of the strided level table and
+    # cut into groups of crossings.  The rows take the views' rank: numpy
+    # multiplies one element by an operand of lower rank in another loop,
+    # which rounds differently.
     evens, odds = (mesh.comb_view(layout.origin[0], level.sites, span, name)
                    for name in (layout.name, _INCOMING))
-    rows = factors.reshape((1,) * (evens.ndim - 2) + (span, e))
-    for g in _groups(len(level.sites), span * e):
-        for t in _groups(span, e):
-            butterfly(evens[..., g, t, :], odds[..., g, t, :], rows[..., t, :])
+    rows = factors.reshape(span, e)
+    for t in _groups(span, e):
+        u = np.ascontiguousarray(rows[t]).reshape((1,) * (evens.ndim - 2) + (-1, e))
+        for g in _groups(len(level.sites), span * e):
+            butterfly(evens[..., g, t, :], odds[..., g, t, :], u)
     mesh.record_compute(FLOPS_PER_PAIR * (layout.n // 2),
                         max_flops_per_pe=FLOPS_PER_PAIR * e)
     mesh.slide_phase(level.back)
@@ -257,8 +259,8 @@ def slide_fft(mesh: Mesh, layout: WaveLayout, midpoint: bool = False) -> np.ndar
     tables = twiddle_table(layout.n) if layout.m else ()
     plan = level_plan(layout, midpoint)
     local = sum(level.local for level in plan)
-    if local:
-        _run_local_levels(mesh, layout, tables[:local])
+    if local:     # the local tables hold fewer than e elements in all
+        _run_local_levels(mesh, layout, tuple(map(np.ascontiguousarray, tables[:local])))
     for level, factors in zip(plan[local:], tables[local:]):
         _run_sliding_level(mesh, layout, level, factors)
     return gather(layout, mesh)

@@ -543,12 +543,15 @@ def test_random_batch_builds_no_second_batch():
 def test_bench_fft_holds_the_input_once():
     """No transform runs beside a copy of its input: each k draws its own,
     and `distribute` frees it once permuted.  One k peaks in its slides, at
-    the wave's plane, __incoming and the twiddle tables, about 3 x 16n
-    bytes.  A later k peaks in `distribute`, beside the cached twiddle
-    tables (16n): the input, its permutation index (8n) and its permuted
-    copy, about 3.5 x 16n.  One input kept across k adds 16n to either."""
+    the wave's plane and __incoming (16n bytes each) and the one exp table
+    of the twiddles (8n), about 2.5 x 16n.  A later k peaks in
+    `distribute`, beside the cached exp table: the input, its permutation
+    index (8n) and its permuted copy, about 3 x 16n.  One input kept across
+    k adds 16n to either; a contiguous copy of the whole n/2-point level
+    table adds 4n to the first, and level copies kept beside the exp table
+    add 8n to both."""
     n, config = 1 << 18, preset_config("cs2-calibrated")
-    for k_values, bound in (([6], 3.25), ([6, 7, 8], 3.6)):
+    for k_values, bound in (([6], 2.7), ([6, 7, 8], 3.25)):
         bench_fft_records(16, [2], 32, config)      # loads what a first run imports
         serial.twiddle_table.cache_clear()
         tracemalloc.start()
